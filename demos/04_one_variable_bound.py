@@ -13,21 +13,20 @@ import numpy as np
 from additive_bases import (
     balance_fraction,
     moser_constant,
-    moser_phi,
     moser_test_function,
     one_var_bound,
 )
 
+f = moser_test_function()
 t = np.linspace(0.0, 1.0, 9, endpoint=False)
 print("t        :", "  ".join(f"{x:6.3f}" for x in t))
-print("phi(t)   :", "  ".join(f"{moser_phi(x):6.3f}" for x in t))
+print("phi(t)   :", "  ".join(f"{f(x):6.3f}" for x in t))
 
 grid = np.arange(10**6) / 10**6
-vals = moser_phi(grid)
+vals = f(grid)
 print(f"\nmin on [0, 1/2) : {vals[grid < 0.5].min():+.9f}  (bound +0.5)")
 print(f"min on [1/2, 1) : {vals[grid >= 0.5].min():+.9f}  (bound -1.5)")
 
-f = moser_test_function()
 c, coefficient = moser_constant()
 computed = one_var_bound(f)
 print(f"\nbalance fraction ell/k : {balance_fraction(f):.9f}  (= 1/7)")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fourier2d import ConstantInterval, alpha2_exact
 
@@ -90,10 +91,9 @@ def rho_variation_bound(kappa: float, kappa0: float, tau: float, tau0: float) ->
     return abs(kappa - kappa0) / 54.0 + abs(tau - tau0) / 18.0
 
 
-def _ceil4(x: float) -> float:
-    # Round up at the 4th decimal; the 1e-9 guard keeps float noise from
-    # bumping an exactly representable grid value one step too far.
-    return math.ceil(x * 10000.0 - 1e-9) / 10000.0
+def ceil4(x: float) -> float:
+    """Round up at the 4th decimal, exactly: the result is never below x."""
+    return math.ceil(Fraction(x) * 10000) / 10000
 
 
 def certify(
@@ -141,6 +141,6 @@ def certify(
         rho_lower=rho_lower,
         epsilon_note="arbitrarily small epsilon absorbed by rounding the "
         "coefficient up at the 4th decimal",
-        coefficient_upper=_ceil4((1.0 - rho_lower) / 2.0),
+        coefficient_upper=ceil4((1.0 - rho_lower) / 2.0),
         route=route,
     )

@@ -12,20 +12,19 @@ Subcommands:
 
 JSON goes to stdout with fixed key order and floats printed at 17
 significant digits, so runs are diffable.  Exit status is 0 iff every
-requested check passed.  Worker count for shell sums comes from
---threads or the ADDITIVE_BASES_THREADS environment variable; results
-are bitwise identical either way.
+requested check passed, and 2 with an "error: ..." line on stderr for
+bad input or a file that cannot be written.  Shell sums run in one fixed
+order (see fourier2d), so repeated runs print identical bits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import fourier1d, fourier2d
-from .certify import KAPPA0, KLOTZ_COEFFICIENT, TAU0, certify, rho_from
+from .certify import KAPPA0, KLOTZ_COEFFICIENT, TAU0, ceil4, certify, rho_from
 from .constructions import lower_bound_coefficient, rohrbach_basis
 from .search import DEFAULT_NODE_BUDGET, n2k_exact
 from .sumsets import as_basis, exp_sum_stats, n2, rep_profile, sumset2
@@ -59,13 +58,6 @@ def _fmt(value) -> str:
 
 def _emit(obj) -> None:
     print(_fmt(obj))
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("ADDITIVE_BASES_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _cmd_search(args) -> int:
@@ -114,7 +106,7 @@ def _cmd_bound_moser(args) -> int:
         {
             "c": c,
             "coefficient": computed,
-            "coefficient_reported": fourier1d._report_rounded(computed),
+            "coefficient_reported": ceil4(computed),
             "linear_slack": "+k",
             "balance_fraction": fourier1d.balance_fraction(f),
             "alpha1": f.alpha1,
@@ -135,7 +127,7 @@ def _cmd_bound_two_var(args) -> int:
     )
     cert = certify(
         fourier2d.c_axial(n_axial),
-        fourier2d.c_main(n_main, threads=_threads(args)),
+        fourier2d.c_main(n_main),
         route=args.route,
     )
     _emit(cert.to_json_dict())
@@ -240,7 +232,7 @@ def _cmd_verify_constants(args) -> int:
     n_axial = FAST_N_AXIAL if args.fast else FULL_N_AXIAL
     n_main = FAST_N_MAIN if args.fast else FULL_N_MAIN
     ax = fourier2d.c_axial(n_axial)
-    mn = fourier2d.c_main(n_main, threads=_threads(args))
+    mn = fourier2d.c_main(n_main)
     ok_all, lines = constants_report(ax, mn, fast=args.fast)
     for text in lines:
         print(text)
@@ -249,6 +241,8 @@ def _cmd_verify_constants(args) -> int:
 
 def _cmd_verify_formulas(args) -> int:
     rmax = args.rmax
+    if rmax < 1:
+        raise ValueError(f"--rmax must be at least 1, got {rmax}")
     worst = 0.0
     worst_pair = (0, 0)
     for r1 in range(-rmax, rmax + 1):
@@ -359,14 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--n-main", type=int, default=None)
     tp.add_argument("--route", choices=("corner", "lemma"), default="corner")
     tp.add_argument("--fast", action="store_true")
-    tp.add_argument("--threads", type=int, default=None)
     tp.set_defaults(func=_cmd_bound_two_var)
 
     vp = sub.add_parser("verify", help="verification suites")
     vsub = vp.add_subparsers(dest="suite", required=True)
     vc = vsub.add_parser("constants")
     vc.add_argument("--fast", action="store_true")
-    vc.add_argument("--threads", type=int, default=None)
     vc.set_defaults(func=_cmd_verify_constants)
     vf = vsub.add_parser("formulas")
     vf.add_argument("--rmax", type=int, default=8)
@@ -394,7 +386,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,6 @@ support.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,24 +65,13 @@ class TestFunction1D:
             abs(b) for b in self.sin_coeffs[1:]
         )
 
-    def aliasing_sum(self, n: int) -> float:
-        """Cosine weight at frequencies divisible by n (including 0)."""
-        return sum(abs(a) for r, a in enumerate(self.cos_coeffs) if r % n == 0)
 
-
-def moser_phi(t):
-    """cos(4 pi t) / 2 + sin(2 pi t), reduced mod 1.
+def moser_test_function() -> TestFunction1D:
+    """The classical instance cos(4 pi t) / 2 + sin(2 pi t): a_2 = 1/2, b_1 = 1.
 
     Bounded below by 1/2 on [0, 1/2) and by -3/2 on [1/2, 1); the minimum
     -3/2 is attained at t = 3/4.
     """
-    t = np.mod(np.asarray(t, dtype=float), 1.0)
-    out = 0.5 * np.cos(4.0 * np.pi * t) + np.sin(2.0 * np.pi * t)
-    return float(out) if out.ndim == 0 else out
-
-
-def moser_test_function() -> TestFunction1D:
-    """The classical instance: a_2 = 1/2, b_1 = 1."""
     return TestFunction1D(
         cos_coeffs=(0.0, 0.0, 0.5),
         sin_coeffs=(0.0, 1.0),
@@ -145,7 +133,3 @@ def balance_fraction(f: TestFunction1D) -> float:
     lam = f.alpha1 / (S + f.alpha1 - f.alpha2)
     return min(max(lam, 0.0), 1.0)
 
-
-def _report_rounded(coefficient: float) -> float:
-    """Round the coefficient up at the 4th decimal for reporting."""
-    return math.ceil(coefficient * 10000 - 1e-9) / 10000

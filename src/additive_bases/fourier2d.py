@@ -6,7 +6,7 @@ the unit square: with the lower/upper triangles
 
     R1 = {t1 + t2 < 1},    R2 = {t1 + t2 >= 1},
 
-the default (amplitude 40, boundary power 6) instance is
+the test function is
 
     phi = 1                                                 on R1,
     phi = 1 - 40 (1-t1)(1-t2) (1 - (2-t1-t2)^6)             on R2.
@@ -15,30 +15,29 @@ The excess phi - 1 vanishes on the boundary of R2, phi has zero mean,
 alpha1 = 1 on R1, and the exact minimum on R2 is 1 - 15/2^(5/3)
 (attained on the symmetric diagonal at 1 - t = 2^(-4/3)).
 
-Closed-form coefficients exist for this instance on the axes, on the
-diagonal, and off the diagonal; they are rational in the frequencies and
-are evaluated directly at negative integers too.  Two signs in the
-off-diagonal form (the (r-s)^-2 s^-4 real term and the sign joining the
-imaginary block) are pinned by the independent quadrature oracle in the
-test suite, and by the r <-> s symmetry of the function.
+Closed-form coefficients exist on the axes, on the diagonal, and off
+the diagonal; they are rational in the frequencies and are evaluated
+directly at negative integers too.  Two signs in the off-diagonal form
+(the (r-s)^-2 s^-4 real term and the sign joining the imaginary block)
+are pinned by the independent quadrature oracle in the test suite, and
+by the r <-> s symmetry of the function.
 
 Certified sums.  The axial sum over 0 < |r| <= N of the two axis
 coefficient magnitudes differs from its limit by less than 5/N; the main
 sum over concentric square shells max(|r1|, |r2|) = R <= N (min != 0)
 differs by less than 40/N.  Both are accumulated with Neumaier
-compensation in a fixed documented order (shells ascending, four sides
-per shell), and a conservative rounding slack of
-terms * eps_machine * peak_running_magnitude is folded into both interval
-ends.  Shells may be evaluated by a thread pool; each shell's partial sum
-is a single deterministic numpy reduction and the cross-shell fold is
-sequential in ascending R, so results are bitwise identical for any
-worker count.
+compensation in a fixed documented order, and a conservative rounding
+slack of terms * eps_machine * peak_running_magnitude is folded into both
+interval ends.  Since phi is real and symmetric, |c(r, s)| = |c(s, r)| =
+|c(-r, -s)|, so each shell is evaluated on its right side alone (r1 = R,
+r2 ascending, one numpy reduction) and expanded as
+4 * right - 2 * (|c(R, R)| + |c(R, -R)|); shells are folded in ascending
+R.  The slack still counts all 4N^2 lattice terms.
 """
 
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,87 +70,42 @@ SHELL_SQUARES_BOUND = 4.0 * _P2 / 3.0
 SHELL_CROSS_BOUND = 4.0 * (_P2 / 3.0 + 1.0)
 
 
-@dataclass(frozen=True)
-class TestFunction2D:
-    """The (amplitude, power) family of piecewise polynomial test functions.
-
-    Only the default instance (40, 6) carries closed-form coefficients and
-    certified constants; any other instance is exploratory and must route
-    coefficient evaluation through the quadrature oracle.
-    """
-
-    amplitude: float = 40.0
-    power: int = 6
-
-    __test__ = False  # not a pytest class despite the name
-
-    @property
-    def certified(self) -> bool:
-        return self.amplitude == 40.0 and self.power == 6
-
-    @property
-    def alpha1(self) -> float:
-        return 1.0
-
-    def excess(self, t1, t2):
-        """The smooth polynomial branch phi - 1, defined on all of R^2."""
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
-        # grouping keeps the value bitwise symmetric under t1 <-> t2
-        w = 2.0 - (t1 + t2)
-        out = -self.amplitude * ((1.0 - t1) * (1.0 - t2)) * (1.0 - w**self.power)
-        return float(out) if out.ndim == 0 else out
-
-    def value(self, t1, t2):
-        """Pointwise value; inputs are reduced mod 1 into [0, 1)^2."""
-        t1 = np.mod(np.asarray(t1, dtype=float), 1.0)
-        t2 = np.mod(np.asarray(t2, dtype=float), 1.0)
-        out = np.where(t1 + t2 < 1.0, 1.0, 1.0 + self.excess(t1, t2))
-        return float(out) if out.ndim == 0 else out
-
-    def alpha2(self) -> float:
-        if self.certified:
-            return alpha2_exact()
-        return alpha2_numeric(fn=self)
-
-    def coeff(self, r1: int, r2: int, m: int = 1024) -> complex:
-        """Fourier coefficient; closed form when certified, else quadrature."""
-        if self.certified:
-            return coeff(r1, r2)
-        return _quadrature_coeff(self, int(r1), int(r2), int(m))
-
-
-_DEFAULT = TestFunction2D()
+def phi_excess(t1, t2):
+    """The smooth polynomial branch phi - 1, defined on all of R^2."""
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    # grouping keeps the value bitwise symmetric under t1 <-> t2
+    w = 2.0 - (t1 + t2)
+    out = -40.0 * ((1.0 - t1) * (1.0 - t2)) * (1.0 - w**6)
+    return float(out) if out.ndim == 0 else out
 
 
 def phi(t1, t2):
-    """The default test function on the torus (scalar or array inputs)."""
-    return _DEFAULT.value(t1, t2)
-
-
-def phi_excess(t1, t2):
-    """Smooth branch phi - 1 of the default instance, on all of R^2."""
-    return _DEFAULT.excess(t1, t2)
+    """The test function on the torus; inputs are reduced mod 1 into [0, 1)^2."""
+    t1 = np.mod(np.asarray(t1, dtype=float), 1.0)
+    t2 = np.mod(np.asarray(t2, dtype=float), 1.0)
+    out = np.where(t1 + t2 < 1.0, 1.0, 1.0 + phi_excess(t1, t2))
+    return float(out) if out.ndim == 0 else out
 
 
 def alpha2_exact() -> float:
-    """Exact minimum of the default instance over the upper triangle."""
+    """Exact minimum of phi over the upper triangle."""
     return 1.0 - 15.0 * 2.0 ** (-5.0 / 3.0)
 
 
-def alpha2_numeric(grid: int = 2000, fn: TestFunction2D = _DEFAULT) -> float:
+def alpha2_numeric(grid: int = 2000) -> float:
     """Dense-grid minimum over the upper triangle, refined along t1 = t2.
 
     The minimizer sits on the symmetric diagonal, so a bounded golden
-    scan of t -> fn(t, t) on [1/2, 1) sharpens the grid value.
+    scan of t -> phi(t, t) on [1/2, 1) sharpens the grid value.
     """
     t = (np.arange(grid, dtype=float) + 0.5) / grid
     t1, t2 = np.meshgrid(t, t, indexing="ij")
-    vals = fn.value(t1, t2)
+    vals = phi(t1, t2)
     upper = t1 + t2 >= 1.0
     grid_min = float(vals[upper].min())
     res = minimize_scalar(
-        lambda x: fn.value(x, x),
+        lambda x: phi(x, x),
         bounds=(0.5, 1.0 - 1e-12),
         method="bounded",
         options={"xatol": 1e-12},
@@ -171,8 +125,8 @@ def excess_row_integral(t1):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form coefficients (default instance only).  All three expressions
-# are rational in the integer frequencies and valid for negative arguments.
+# Closed-form coefficients.  All three expressions are rational in the
+# integer frequencies and valid for negative arguments.
 # ---------------------------------------------------------------------------
 
 
@@ -249,7 +203,7 @@ def _off_values(r, s):
 
 
 def coeff(r1: int, r2: int) -> complex:
-    """Closed-form Fourier coefficient of the default instance.
+    """Closed-form Fourier coefficient of phi.
 
     Dispatch: the origin is exactly 0 (zero mean), axes use the axial
     form (identical for (r, 0) and (0, r) by symmetry), the diagonal its
@@ -291,7 +245,7 @@ def _gauss_panels(m: int):
 
 
 @functools.lru_cache(maxsize=4)
-def _quad_pack(fn: TestFunction2D, m: int):
+def _quad_pack(m: int):
     """Precomputed grids for the split quadrature at node count m.
 
     The square is cut along t1 + t2 = 1 and each closed triangle is mapped
@@ -307,29 +261,26 @@ def _quad_pack(fn: TestFunction2D, m: int):
     b_low = (1.0 - u)[:, None] * s[None, :]
     b_up = 1.0 - u[:, None] * (1.0 - s[None, :])
     a = u[:, None] + np.zeros_like(s)[None, :]
-    w_low = W * (1.0 - u)[:, None] * fn.value(a, b_low)
-    w_up = W * u[:, None] * fn.value(a, b_up)
+    w_low = W * (1.0 - u)[:, None] * phi(a, b_low)
+    w_up = W * u[:, None] * phi(a, b_up)
     return u, b_low, b_up, w_low, w_up
 
 
-def _quadrature_coeff(fn: TestFunction2D, r1: int, r2: int, m: int) -> complex:
-    u, b_low, b_up, w_low, w_up = _quad_pack(fn, m)
-    total = 0j
-    for b, w in ((b_low, w_low), (b_up, w_up)):
-        phase = r1 * u[:, None] + r2 * b
-        total += np.sum(w * np.exp(-2j * _PI * phase))
-    return complex(total)
-
-
 def coeff_quadrature(r1: int, r2: int, m: int = 1024) -> complex:
-    """Direct numerical Fourier coefficient of the default instance.
+    """Direct numerical Fourier coefficient of phi.
 
     Independent of the closed forms: integrates phi * exp(-2 pi i (r1 t1
     + r2 t2)) over the two triangles with a fixed-order composite rule.
     """
     if m < 256:
         raise ValueError("quadrature grid too small (need m >= 256)")
-    return _quadrature_coeff(_DEFAULT, int(r1), int(r2), int(m))
+    u, b_low, b_up, w_low, w_up = _quad_pack(int(m))
+    r1, r2 = int(r1), int(r2)
+    total = 0j
+    for b, w in ((b_low, w_low), (b_up, w_up)):
+        phase = r1 * u[:, None] + r2 * b
+        total += np.sum(w * np.exp(-2j * _PI * phase))
+    return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +373,8 @@ def shell_lattice(R: int) -> tuple:
     Fixed traversal order (8R - 4 points): right side r1 = R with r2
     ascending over [-R, R] \\ {0}; left side r1 = -R likewise; then top
     r2 = R and bottom r2 = -R with r1 ascending over (-R, R) \\ {0}.
+    The lemma checks walk it, and the tests sum it as the reference for
+    the folded shell sums of c_main.
     """
     if R < 1:
         raise ValueError("shell radius must be positive")
@@ -446,44 +399,35 @@ def shell_lattice(R: int) -> tuple:
     return r1, r2
 
 
-def _shell_magnitudes(R: int) -> np.ndarray:
-    """|coefficient| on a shell in the documented traversal order."""
-    r1, r2 = shell_lattice(R)
-    out = np.empty(r1.size)
-    diag = r1 == r2
-    if diag.any():
-        out[diag] = np.hypot(*_diag_values(r1[diag]))
-    off = ~diag
-    out[off] = np.hypot(*_off_values(r1[off], r2[off]))
-    return out
+def _shell_partial(R: int) -> float:
+    """Sum of |coefficient| over shell R, evaluated on its right side alone.
+
+    The right side r1 = R, r2 ascending over [-R, R] \\ {0}, is one numpy
+    reduction (2R terms, the diagonal point (R, R) last).  The left side
+    mirrors it through |c(-r, -s)| = |c(r, s)|, and the top and bottom
+    sides mirror it through |c(r, s)| = |c(s, r)| minus the two corners
+    they do not own, hence 4 * right - 2 * (|c(R, R)| + |c(R, -R)|).
+    """
+    s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
+    vals = np.empty(2 * R)
+    vals[:-1] = np.hypot(*_off_values(R, s))
+    vals[-1] = np.hypot(*_diag_values(R))
+    right = float(np.add.reduce(vals))
+    return 4.0 * right - 2.0 * float(vals[-1] + vals[0])
 
 
-def _shell_partial(R: int) -> tuple:
-    vals = _shell_magnitudes(R)
-    return float(np.add.reduce(vals)), vals.size
-
-
-def c_main(N: int, threads: int = 1) -> ConstantInterval:
+def c_main(N: int) -> ConstantInterval:
     """Certified off-axis coefficient sum over shells R = 1..N.
 
-    Shells are concentric squares max(|r1|, |r2|) = R with min != 0.
-    Each shell's partial sum is one deterministic numpy reduction over the
-    documented traversal; partials are folded sequentially in ascending R
-    with Neumaier compensation, so any thread count gives identical bits.
-    Tail bound 40/N; slack counts all 4N^2 terms.
+    Shells are concentric squares max(|r1|, |r2|) = R with min != 0; each
+    shell's sum comes from _shell_partial, and the partials are folded
+    sequentially in ascending R with Neumaier compensation.  Tail bound
+    40/N; slack counts all 4N^2 lattice terms.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    threads = max(1, int(threads))
-    radii = range(1, N + 1)
-    if threads == 1:
-        partials = [_shell_partial(R) for R in radii]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_shell_partial, radii, chunksize=64))
-    total, peak = _compensated_fold(p for p, _ in partials)
-    n_terms = sum(c for _, c in partials)
-    slack = n_terms * _EPS * peak
+    total, peak = _compensated_fold(_shell_partial(R) for R in range(1, N + 1))
+    slack = 4 * N * N * _EPS * peak
     return _interval(total, MAIN_TAIL / N, slack, N)
 
 
@@ -602,7 +546,7 @@ def decay_envelope_check(sample) -> EnvelopeReport:
 
 
 def phi_grid_csv(path, m: int) -> None:
-    """Dump the surface of the default instance on an m x m uniform grid.
+    """Dump the surface of phi on an m x m uniform grid.
 
     Row-major CSV with header t1,t2,phi; grid points i/m for i < m.
     """

@@ -84,9 +84,6 @@ def as_basis(a) -> Basis:
     return Basis(tuple(elems))
 
 
-ap = as_basis  # short alias used by the demos
-
-
 @dataclass(frozen=True)
 class RepProfile:
     """Representation counts of a basis and their surplus over one-per-target.
@@ -163,7 +160,7 @@ def rep_profile(a) -> RepProfile:
     """Count representations and their surplus; checks the pair identity.
 
     The exact identity (k^2 + k) / 2 = n + delta_total holds for every
-    basis and is asserted here as a self-check.
+    basis and is checked here, raising AssertionError if it fails.
     """
     A = as_basis(a)
     if A.k == 0:
@@ -184,7 +181,8 @@ def rep_profile(a) -> RepProfile:
             delta[j] = d
     total = sum(delta.values())
     k = A.k
-    assert (k * k + k) // 2 == n + total, "pair-count identity violated"
+    if (k * k + k) // 2 != n + total:
+        raise AssertionError("pair-count identity violated")
     return RepProfile(n=n, counts=counts, delta=delta, delta_total=total)
 
 

@@ -22,4 +22,4 @@ def random_basis(rng, max_k=12, max_element=200, include_01=True):
 @pytest.fixture(scope="session")
 def full_scale_intervals():
     """Full-scale certified enclosures, computed once for the whole run."""
-    return ab.c_axial(50000), ab.c_main(4000, threads=2)
+    return ab.c_axial(50000), ab.c_main(4000)

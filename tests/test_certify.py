@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from additive_bases import (
     rho_from,
     rho_variation_bound,
 )
-from additive_bases.certify import _xi
+from additive_bases.certify import _xi, ceil4
 
 
 def test_rho_at_regime_corner():
@@ -83,6 +84,32 @@ def test_variation_lemma_randomized():
         t, t0 = rng.uniform(2.0, 10.0, 2)
         gap = abs(rho_from(k, t) - rho_from(k0, t0))
         assert gap <= rho_variation_bound(k, k0, t, t0) + 1e-12
+
+
+def test_ceil4_never_rounds_below_its_input():
+    # Just above a grid point must round up to the next grid point: a
+    # guard subtracted before ceil would round 0.4788000000001 down.
+    assert ceil4(0.4788000000001) == 0.4789
+    for k in range(4780, 4900):
+        x = k / 10000
+        for _ in range(4):
+            x = math.nextafter(x, math.inf)
+            assert ceil4(x) >= x
+        assert ceil4(x + 1e-13) >= x + 1e-13
+
+
+def test_ceil4_keeps_the_reported_decimals(full_scale_intervals):
+    # The values behind the three published decimals do not move.
+    assert ceil4(0.5 - 1.0 / 98.0) == 0.4898
+    ax, mn = full_scale_intervals
+    corner = (1.0 - certify(ax, mn, route="corner").rho_lower) / 2.0
+    lemma = (1.0 - certify(ax, mn, route="lemma").rho_lower) / 2.0
+    assert (ceil4(corner), ceil4(lemma)) == (0.4788, 0.4789)
+    # The rounding is exact: the double nearest 0.4789 lies below the
+    # decimal and stays, while the double nearest 0.4788 lies above it
+    # and so rounds up.
+    assert ceil4(0.4789) == 0.4789
+    assert ceil4(0.4788) == 0.4789
 
 
 def _synthetic(lo, hi, N=0):

@@ -84,18 +84,6 @@ def test_bound_two_var_route_flag(capsys):
     assert doc["route"] == "lemma"
 
 
-def test_two_var_output_is_thread_independent(capsys):
-    _, out1 = run_cli(
-        capsys, "bound", "two-var", "--n-axial", "500", "--n-main", "60",
-        "--threads", "1",
-    )
-    _, out2 = run_cli(
-        capsys, "bound", "two-var", "--n-axial", "500", "--n-main", "60",
-        "--threads", "4",
-    )
-    assert out1 == out2
-
-
 def test_basis_stats_trivial(capsys):
     code, out = run_cli(capsys, "basis", "stats", "--set", "0")
     assert code == 0
@@ -132,6 +120,16 @@ def test_verify_formulas_small(capsys):
     assert out.startswith("PASS")
 
 
+@pytest.mark.parametrize("rmax", ["0", "-1"])
+def test_verify_formulas_rejects_empty_range(capsys, rmax):
+    # a radius below 1 checks no coefficient, so it must not report PASS
+    code = main(["verify", "formulas", "--rmax", rmax])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --rmax must be at least 1")
+
+
 def test_verify_constants_fast(capsys):
     code, out = run_cli(capsys, "verify", "constants", "--fast")
     assert code == 0
@@ -151,17 +149,6 @@ def test_verify_constants_full_scale_report(full_scale_intervals):
     assert any("rho0" in line for line in lines)
 
 
-def test_threads_env_variable(capsys, monkeypatch):
-    _, baseline = run_cli(
-        capsys, "bound", "two-var", "--n-axial", "500", "--n-main", "60"
-    )
-    monkeypatch.setenv("ADDITIVE_BASES_THREADS", "3")
-    _, with_env = run_cli(
-        capsys, "bound", "two-var", "--n-axial", "500", "--n-main", "60"
-    )
-    assert with_env == baseline
-
-
 def test_dump_phi(tmp_path, capsys):
     out_file = tmp_path / "grid.csv"
     code, _ = run_cli(capsys, "dump", "phi", "--grid", "12", "--out", str(out_file))
@@ -169,6 +156,16 @@ def test_dump_phi(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "t1,t2,phi"
     assert len(lines) == 1 + 144
+
+
+@pytest.mark.parametrize("where", ["missing/grid.csv", "."])
+def test_dump_phi_unwritable_path_is_an_error(tmp_path, capsys, where):
+    # a missing parent directory, or a directory as the target
+    code = main(["dump", "phi", "--grid", "4", "--out", str(tmp_path / where)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -5,24 +5,24 @@ from additive_bases import (
     TestFunction1D,
     balance_fraction,
     moser_constant,
-    moser_phi,
     moser_test_function,
     one_var_bound,
 )
 
 
 def test_pointwise_values():
-    assert moser_phi(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert moser_phi(0.25) == pytest.approx(0.5, abs=1e-15)
-    assert moser_phi(0.75) == pytest.approx(-1.5, abs=1e-15)
+    f = moser_test_function()
+    assert f(0.0) == pytest.approx(0.5, abs=1e-15)
+    assert f(0.25) == pytest.approx(0.5, abs=1e-15)
+    assert f(0.75) == pytest.approx(-1.5, abs=1e-15)
     # reduction mod 1
-    assert moser_phi(1.25) == pytest.approx(moser_phi(0.25), abs=1e-15)
-    assert moser_phi(-0.25) == pytest.approx(moser_phi(0.75), abs=1e-15)
+    assert f(1.25) == pytest.approx(f(0.25), abs=1e-15)
+    assert f(-0.25) == pytest.approx(f(0.75), abs=1e-15)
 
 
 def test_piecewise_lower_bounds_on_dense_grid():
     t = np.arange(10**6) / 10**6
-    vals = moser_phi(t)
+    vals = moser_test_function()(t)
     lower_half = vals[t < 0.5]
     upper_half = vals[t >= 0.5]
     assert lower_half.min() >= 0.5 - 1e-9
@@ -34,10 +34,9 @@ def test_piecewise_lower_bounds_on_dense_grid():
 def test_series_instance_matches_direct_formula():
     f = moser_test_function()
     t = np.linspace(0.0, 1.0, 1001)
-    assert np.max(np.abs(f(t) - moser_phi(t))) < 1e-12
+    direct = 0.5 * np.cos(4.0 * np.pi * t) + np.sin(2.0 * np.pi * t)
+    assert np.max(np.abs(f(t) - direct)) < 1e-12
     assert f.weight_sum() == pytest.approx(1.5)
-    assert f.aliasing_sum(3) == 0.0
-    assert f.aliasing_sum(2) == pytest.approx(0.5)  # a_2 aliases when n = 2
 
 
 def test_constant_is_one_over_98():

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from additive_bases import (
     ConstantInterval,
-    TestFunction2D,
     alpha2_exact,
     alpha2_numeric,
     c_axial,
@@ -22,7 +21,12 @@ from additive_bases import (
     shell_lattice,
     shell_sum_bounds_check,
 )
-from additive_bases.fourier2d import _quadrature_coeff
+from additive_bases.fourier2d import (
+    _compensated_fold,
+    _diag_values,
+    _off_values,
+    _shell_partial,
+)
 
 # ---------------------------------------------------------------------------
 # Pointwise values and symmetries
@@ -220,11 +224,28 @@ def test_c_main_nesting():
     assert desk.width <= 0.08 + 3 * desk.rounding_slack
 
 
-def test_c_main_thread_count_does_not_change_bits():
-    one = c_main(120, threads=1)
-    three = c_main(120, threads=3)
-    assert one.lo == three.lo
-    assert one.hi == three.hi
+def test_shell_fold_matches_full_shell_reference():
+    # The symmetry fold evaluates only each shell's right side; the
+    # reference sums every one of the 8R - 4 shell points in the
+    # shell_lattice traversal.
+    for R in range(1, 201):
+        r1, r2 = shell_lattice(R)
+        mags = np.empty(r1.size)
+        diag = r1 == r2
+        mags[diag] = np.hypot(*_diag_values(r1[diag]))
+        mags[~diag] = np.hypot(*_off_values(r1[~diag], r2[~diag]))
+        ref = np.add.reduce(mags)
+        assert abs(_shell_partial(R) - ref) <= 1e-14 * ref, R
+
+
+def test_c_main_is_the_ascending_fold_of_shell_partials():
+    # Documented order: shells folded in ascending R with Neumaier
+    # compensation, all 4N^2 lattice terms counted in the slack.
+    N = 120
+    total, peak = _compensated_fold([_shell_partial(R) for R in range(1, N + 1)])
+    iv = c_main(N)
+    assert iv.lo == total - iv.rounding_slack
+    assert iv.rounding_slack == 4 * N * N * np.finfo(float).eps * peak
 
 
 def test_interval_validation():
@@ -289,24 +310,8 @@ def test_decay_envelope_rejects_origin():
 
 
 # ---------------------------------------------------------------------------
-# Parametrized instances and the grid dump
+# The grid dump
 # ---------------------------------------------------------------------------
-
-
-def test_non_certified_instance_routes_through_quadrature():
-    fn = TestFunction2D(amplitude=30.0, power=4)
-    assert not fn.certified
-    got = fn.coeff(1, 1, m=512)
-    direct = _quadrature_coeff(fn, 1, 1, 512)
-    assert got == direct
-    assert abs(got - coeff(1, 1)) > 1e-3  # genuinely different function
-    assert fn.alpha2() > alpha2_exact()  # weaker bump, higher minimum
-
-
-def test_default_instance_is_certified():
-    fn = TestFunction2D()
-    assert fn.certified
-    assert fn.coeff(2, 3) == coeff(2, 3)
 
 
 def test_phi_grid_csv(tmp_path):
