@@ -35,7 +35,6 @@ FAST_N_AXIAL = 5000
 FAST_N_MAIN = 500
 
 # Reference values the certified pipeline must reproduce at full scale.
-REF_ALPHA2 = -3.72470
 REF_AXIAL = (2.90278, 2.90289)
 REF_MAIN = (4.75145, 4.76146)
 REF_RHO0 = 0.04240
@@ -249,9 +248,7 @@ def _cmd_verify_formulas(args) -> int:
         for r2 in range(-rmax, rmax + 1):
             if r1 == 0 and r2 == 0:
                 continue
-            diff = abs(
-                fourier2d.coeff(r1, r2) - fourier2d.coeff_quadrature(r1, r2, m=args.m)
-            )
+            diff = abs(fourier2d.coeff(r1, r2) - fourier2d.coeff_quadrature(r1, r2))
             if diff > worst:
                 worst = diff
                 worst_pair = (r1, r2)
@@ -362,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     vc.set_defaults(func=_cmd_verify_constants)
     vf = vsub.add_parser("formulas")
     vf.add_argument("--rmax", type=int, default=8)
-    vf.add_argument("--m", type=int, default=1024)
     vf.set_defaults(func=_cmd_verify_formulas)
 
     sb = sub.add_parser("basis", help="statistics of a concrete basis")

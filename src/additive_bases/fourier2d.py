@@ -16,11 +16,21 @@ alpha1 = 1 on R1, and the exact minimum on R2 is 1 - 15/2^(5/3)
 (attained on the symmetric diagonal at 1 - t = 2^(-4/3)).
 
 Closed-form coefficients exist on the axes, on the diagonal, and off
-the diagonal; they are rational in the frequencies and are evaluated
-directly at negative integers too.  Two signs in the off-diagonal form
-(the (r-s)^-2 s^-4 real term and the sign joining the imaginary block)
-are pinned by the independent quadrature oracle in the test suite, and
-by the r <-> s symmetry of the function.
+the diagonal.  They are short polynomials with small rational
+coefficients in the scaled frequencies X = 1/(pi r), Y = 1/(pi s), so pi
+enters only through X, Y and D = 1/(pi (r - s)), and they hold at
+negative integers too.  The axis and diagonal forms are X^2 (even
+polynomial) + i X^3 (even polynomial); off the diagonal
+
+    c(r, s) = D^2 (F(X) + F(Y) + X Y G[X, Y]),
+
+where F is a one-variable polynomial and G is the divided difference
+(g(X) - g(Y)) / (X - Y) of a polynomial g, summed from the complete
+homogeneous polynomials h_k = sum_i X^i Y^(k-i) so that nothing cancels
+next to the diagonal.  Two signs in the off-diagonal form (the D^2 Y^4
+real term and the sign joining the imaginary block) are pinned by the
+independent quadrature oracle in the test suite, and by the r <-> s
+symmetry of the function.
 
 Certified sums.  The axial sum over 0 < |r| <= N of the two axis
 coefficient magnitudes differs from its limit by less than 5/N; the main
@@ -44,30 +54,22 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 _PI = np.pi
-_P2 = _PI**2
-_P3 = _PI**3
-_P4 = _PI**4
-_P5 = _PI**5
-_P6 = _PI**6
-_P7 = _PI**7
-_P8 = _PI**8
-_P9 = _PI**9
 
 _EPS = float(np.finfo(np.float64).eps)
 
 # Decay envelopes (per 1/r^2 resp. the stated rational expressions).
-AXIAL_ENVELOPE = (15.0 + 8.0 * np.sqrt(15.0)) / (4.0 * _P2)
-DIAGONAL_ENVELOPE = 30.0 / _P2
-GENERAL_ENVELOPE_CROSS = 105.0 / _P4
-GENERAL_ENVELOPE_SQUARES = 420.0 / _P4
+AXIAL_ENVELOPE = (15.0 + 8.0 * np.sqrt(15.0)) / (4.0 * _PI**2)
+DIAGONAL_ENVELOPE = 30.0 / _PI**2
+GENERAL_ENVELOPE_CROSS = 105.0 / _PI**4
+GENERAL_ENVELOPE_SQUARES = 420.0 / _PI**4
 
 # Certified truncation tails: limit minus partial sum is < TAIL / N.
 AXIAL_TAIL = 5.0
 MAIN_TAIL = 40.0
 
 # Shell-sum tail constants for the two lattice sums used above.
-SHELL_SQUARES_BOUND = 4.0 * _P2 / 3.0
-SHELL_CROSS_BOUND = 4.0 * (_P2 / 3.0 + 1.0)
+SHELL_SQUARES_BOUND = 4.0 * _PI**2 / 3.0
+SHELL_CROSS_BOUND = 4.0 * (_PI**2 / 3.0 + 1.0)
 
 
 def phi_excess(t1, t2):
@@ -93,17 +95,22 @@ def alpha2_exact() -> float:
     return 1.0 - 15.0 * 2.0 ** (-5.0 / 3.0)
 
 
+def _upper_grid_min(grid: int) -> float:
+    """Minimum of phi over the midpoint grid points with t1 + t2 >= 1.
+
+    Scanned one row t1 = x at a time, so memory stays O(grid).
+    """
+    t = (np.arange(grid, dtype=float) + 0.5) / grid
+    return min(float(phi(x, t[x + t >= 1.0]).min(initial=np.inf)) for x in t)
+
+
 def alpha2_numeric(grid: int = 2000) -> float:
     """Dense-grid minimum over the upper triangle, refined along t1 = t2.
 
     The minimizer sits on the symmetric diagonal, so a bounded golden
     scan of t -> phi(t, t) on [1/2, 1) sharpens the grid value.
     """
-    t = (np.arange(grid, dtype=float) + 0.5) / grid
-    t1, t2 = np.meshgrid(t, t, indexing="ij")
-    vals = phi(t1, t2)
-    upper = t1 + t2 >= 1.0
-    grid_min = float(vals[upper].min())
+    grid_min = _upper_grid_min(grid)
     res = minimize_scalar(
         lambda x: phi(x, x),
         bounds=(0.5, 1.0 - 1e-12),
@@ -125,81 +132,65 @@ def excess_row_integral(t1):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form coefficients.  All three expressions are rational in the
-# integer frequencies and valid for negative arguments.
+# Closed-form coefficients, Horner polynomials in X = 1/(pi r); valid for
+# negative arguments.
 # ---------------------------------------------------------------------------
+
+
+def _scaled(r):
+    """The scaled frequency 1 / (pi r) for a nonzero integer array r."""
+    return 1.0 / (_PI * np.asarray(r, dtype=float))
 
 
 def _axis_values(r):
     """Coefficient at (r, 0) for nonzero integer array r; equals (0, r)."""
-    rf = np.asarray(r, dtype=float)
-    x2 = 1.0 / (rf * rf)
-    x3 = x2 / rf
-    re = (15.0 / (4.0 * _P2)) * x2 * (
-        1.0 - (6.0 / _P2) * x2 + (45.0 / _P4) * x2**2 - (135.0 / _P6) * x2**3
-    )
-    im = -(60.0 / (7.0 * _P3)) * x3 * (
-        1.0
-        + (63.0 / (8.0 * _P2)) * x2
-        - (315.0 / (8.0 * _P4)) * x2**2
-        + (945.0 / (16.0 * _P6)) * x2**3
-    )
+    X = _scaled(r)
+    X2 = X * X
+    re = X2 * (15.0 / 4.0 + X2 * (-45.0 / 2.0 + X2 * (675.0 / 4.0 - (2025.0 / 4.0) * X2)))
+    im = -(X2 * X) * (60.0 / 7.0 + X2 * (135.0 / 2.0 + X2 * (-675.0 / 2.0 + (2025.0 / 4.0) * X2)))
     return re, im
 
 
 def _diag_values(r):
     """Coefficient at (r, r) for nonzero integer array r."""
-    rf = np.asarray(r, dtype=float)
-    x2 = 1.0 / (rf * rf)
-    x3 = x2 / rf
-    re = (10.0 / _P2) * x2 * (
-        1.0 - (21.0 / _P2) * x2 + (315.0 / (2.0 * _P4)) * x2**2 - (945.0 / (2.0 * _P6)) * x2**3
-    )
-    im = (55.0 / _P3) * x3 * (
-        1.0
-        - (126.0 / (11.0 * _P2)) * x2
-        + (630.0 / (11.0 * _P4)) * x2**2
-        - (945.0 / (11.0 * _P6)) * x2**3
-    )
+    X = _scaled(r)
+    X2 = X * X
+    re = X2 * (10.0 + X2 * (-210.0 + X2 * (1575.0 - 4725.0 * X2)))
+    im = (X2 * X) * (55.0 + X2 * (-630.0 + X2 * (3150.0 - 4725.0 * X2)))
+    return re, im
+
+
+def _off_edge(X):
+    """The one-variable part F(X) of the off-diagonal form, as (re, im)."""
+    X2 = X * X
+    re = X2 * (-35.0 / 2.0 + X2 * (525.0 / 4.0 - (1575.0 / 4.0) * X2))
+    im = (X2 * X) * (-105.0 / 2.0 + X2 * (525.0 / 2.0 - (1575.0 / 4.0) * X2))
     return re, im
 
 
 def _off_values(r, s):
-    """Coefficient at (r, s), r != s, both nonzero; symmetric in (r, s)."""
-    rf = np.asarray(r, dtype=float)
-    sf = np.asarray(s, dtype=float)
-    x = 1.0 / rf
-    y = 1.0 / sf
-    q = 1.0 / (rf - sf) ** 2
-    x2 = x * x
-    x3 = x2 * x
-    x4 = x2 * x2
-    x5 = x2 * x3
-    x6 = x3 * x3
-    x7 = x3 * x4
-    y2 = y * y
-    y3 = y2 * y
-    y4 = y2 * y2
-    y5 = y2 * y3
-    y6 = y3 * y3
-    y7 = y3 * y4
-    re = (
-        -(1575.0 / (4.0 * _P8)) * (x6 + y6)
-        + (525.0 / (4.0 * _P6)) * (x4 + y4)
-        - (35.0 / (2.0 * _P4)) * (x2 + y2)
-        + (225.0 / (2.0 * _P8)) * (x * y5 + x2 * y4 + x3 * y3 + x4 * y2 + x5 * y)
-        - (75.0 / (2.0 * _P6)) * (x * y3 + x2 * y2 + x3 * y)
-        + (5.0 / _P4) * x * y
-    )
-    im = (
-        -(1575.0 / (4.0 * _P9)) * (x7 + y7)
-        + (525.0 / (2.0 * _P7)) * (x5 + y5)
-        - (105.0 / (2.0 * _P5)) * (x3 + y3)
-        + (225.0 / (2.0 * _P9)) * (x * y6 + x2 * y5 + x3 * y4 + x4 * y3 + x5 * y2 + x6 * y)
-        - (75.0 / _P7) * (x * y4 + x2 * y3 + x3 * y2 + x4 * y)
-        + (15.0 / _P5) * (x * y2 + x2 * y)
-    )
-    return q * re, q * im
+    """Coefficient at (r, s), r != s, both nonzero; symmetric in (r, s).
+
+    D^2 (F(X) + F(Y) + X Y G[X, Y]) with D = 1 / (pi (r - s)); the divided
+    difference G is summed from the complete homogeneous h_k, never as a
+    difference quotient, which would cancel next to the diagonal.
+    """
+    X = _scaled(r)
+    Y = _scaled(s)
+    D = 1.0 / (_PI * (np.asarray(r, dtype=float) - np.asarray(s, dtype=float)))
+    X2 = X * X
+    h1 = X + Y
+    h2 = Y * h1 + X2
+    h3 = Y * h2 + X2 * X
+    h4 = Y * h3 + X2 * X2
+    h5 = Y * h4 + X2 * X2 * X
+    g_re = 5.0 + (-75.0 / 2.0) * h2 + (225.0 / 2.0) * h4
+    g_im = 15.0 * h1 - 75.0 * h3 + (225.0 / 2.0) * h5
+    fx_re, fx_im = _off_edge(X)
+    fy_re, fy_im = _off_edge(Y)
+    XY = X * Y
+    D2 = D * D
+    return D2 * (fx_re + fy_re + XY * g_re), D2 * (fx_im + fy_im + XY * g_im)
 
 
 def coeff(r1: int, r2: int) -> complex:
@@ -354,15 +345,10 @@ def c_axial(N: int) -> ConstantInterval:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    rs = np.arange(1, N + 1, dtype=np.int64)
-    mag_pos = np.hypot(*_axis_values(rs))
-    mag_neg = np.hypot(*_axis_values(-rs))
-    vals = np.empty(4 * N)
-    vals[0::4] = mag_pos
-    vals[1::4] = mag_neg
-    vals[2::4] = mag_pos
-    vals[3::4] = mag_neg
-    total, peak = _compensated_fold(vals)
+    # |c(-r, 0)| = |c(r, 0)| bit for bit: X flips sign exactly, re is even
+    # in X and im odd, so one magnitude serves all four points of a block.
+    mag = np.hypot(*_axis_values(np.arange(1, N + 1, dtype=np.int64)))
+    total, peak = _compensated_fold(np.repeat(mag, 4))
     slack = 4.0 * N * _EPS * peak
     return _interval(total, AXIAL_TAIL / N, slack, N)
 

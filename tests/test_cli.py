@@ -115,7 +115,7 @@ def test_basis_stats_explicit_modulus(capsys):
 
 
 def test_verify_formulas_small(capsys):
-    code, out = run_cli(capsys, "verify", "formulas", "--rmax", "2", "--m", "512")
+    code, out = run_cli(capsys, "verify", "formulas", "--rmax", "2")
     assert code == 0
     assert out.startswith("PASS")
 

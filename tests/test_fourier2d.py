@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.integrate import quad
 
 from additive_bases import (
@@ -22,10 +23,12 @@ from additive_bases import (
     shell_sum_bounds_check,
 )
 from additive_bases.fourier2d import (
+    _axis_values,
     _compensated_fold,
     _diag_values,
     _off_values,
     _shell_partial,
+    _upper_grid_min,
 )
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,14 @@ def test_alpha2_numeric_agrees():
     num = alpha2_numeric(grid=2000)
     assert num >= a2 - 1e-7  # a sampled minimum cannot undershoot the true one
     assert num <= a2 + 1e-6  # and the refinement attains it
+
+
+@pytest.mark.parametrize("grid", [1, 2, 7, 50, 101])
+def test_upper_grid_min_matches_full_mask(grid):
+    # reference: the whole grid at once, masked to t1 + t2 >= 1
+    t = (np.arange(grid, dtype=float) + 0.5) / grid
+    t1, t2 = np.meshgrid(t, t, indexing="ij")
+    assert _upper_grid_min(grid) == phi(t1, t2)[t1 + t2 >= 1.0].min()
 
 
 def test_phi_bounded_below_on_upper_triangle():
@@ -119,6 +130,86 @@ def test_coefficient_symmetries():
         a = coeff(r1, r2)
         assert abs(a - coeff(r2, r1)) < 1e-12
         assert abs(coeff(-r1, -r2) - a.conjugate()) < 1e-12
+
+
+with mp.workdps(50):
+    _MP_PI_POWERS = [mp.pi**k for k in range(10)]
+
+
+def _reference_magnitude(r1, r2):
+    """|c(r1, r2)| at 50 digits, from the unscaled closed forms in 1/r."""
+    p = _MP_PI_POWERS
+    with mp.workdps(50):
+        if r1 == 0 or r2 == 0:
+            x = 1 / mp.mpf(r1 or r2)
+            x2, x3 = x * x, x**3
+            re = 15 / (4 * p[2]) * x2 * (
+                1 - 6 / p[2] * x2 + 45 / p[4] * x2**2 - 135 / p[6] * x2**3
+            )
+            im = -60 / (7 * p[3]) * x3 * (
+                1 + 63 / (8 * p[2]) * x2 - 315 / (8 * p[4]) * x2**2 + 945 / (16 * p[6]) * x2**3
+            )
+        elif r1 == r2:
+            x = 1 / mp.mpf(r1)
+            x2, x3 = x * x, x**3
+            re = 10 / p[2] * x2 * (
+                1 - 21 / p[2] * x2 + 315 / (2 * p[4]) * x2**2 - 945 / (2 * p[6]) * x2**3
+            )
+            im = 55 / p[3] * x3 * (
+                1 - 126 / (11 * p[2]) * x2 + 630 / (11 * p[4]) * x2**2 - 945 / (11 * p[6]) * x2**3
+            )
+        else:
+            x, y = 1 / mp.mpf(r1), 1 / mp.mpf(r2)
+
+            def mixed(n):  # sum of x^i y^(n-i) over 0 < i < n
+                return sum(x**i * y ** (n - i) for i in range(1, n))
+
+            re = (
+                -1575 / (4 * p[8]) * (x**6 + y**6)
+                + 525 / (4 * p[6]) * (x**4 + y**4)
+                - 35 / (2 * p[4]) * (x**2 + y**2)
+                + 225 / (2 * p[8]) * mixed(6)
+                - 75 / (2 * p[6]) * mixed(4)
+                + 5 / p[4] * mixed(2)
+            )
+            im = (
+                -1575 / (4 * p[9]) * (x**7 + y**7)
+                + 525 / (2 * p[7]) * (x**5 + y**5)
+                - 105 / (2 * p[5]) * (x**3 + y**3)
+                + 225 / (2 * p[9]) * mixed(7)
+                - 75 / p[7] * mixed(5)
+                + 15 / p[5] * mixed(3)
+            )
+            q = 1 / (mp.mpf(r1) - r2) ** 2
+            re, im = q * re, q * im
+        return mp.sqrt(re * re + im * im)
+
+
+def test_closed_forms_audit_against_50_digit_reference():
+    # Every float |c| the sums use lies within 8 eps (relative) of the
+    # 50-digit reference: whole shells R <= 50 (right side, diagonal
+    # last, as _shell_partial evaluates them), the axis |r| <= 50, a
+    # seeded sample with |r|, |s| <= 4000, and (4000, 4000 - j) next to
+    # the diagonal, where a difference quotient for G would cancel.
+    checked = []
+    for R in range(1, 51):
+        s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
+        mags = np.hypot(*_off_values(R, s)).tolist() + [float(np.hypot(*_diag_values(R)))]
+        checked += zip([R] * (2 * R), s.tolist() + [R], mags)
+    r = np.concatenate([np.arange(-50, 0), np.arange(1, 51)])
+    checked += zip(r.tolist(), [0] * r.size, np.hypot(*_axis_values(r)).tolist())
+    rng = np.random.default_rng(29)
+    a, b = rng.integers(-4000, 4001, size=(2, 600))
+    keep = (a != 0) & (b != 0) & (a != b)
+    a, b = a[keep][:500], b[keep][:500]
+    checked += zip(a.tolist(), b.tolist(), np.hypot(*_off_values(a, b)).tolist())
+    j = np.arange(1, 41)
+    checked += zip([4000] * 40, (4000 - j).tolist(), np.hypot(*_off_values(4000, 4000 - j)).tolist())
+    assert len(checked) == 2550 + 100 + 500 + 40
+    eps = np.finfo(float).eps
+    for r1, r2, got in checked:
+        ref = _reference_magnitude(r1, r2)
+        assert abs(got - ref) <= 8 * eps * ref, (r1, r2, float(abs(got - ref) / ref / eps))
 
 
 def test_quadrature_grid_validation():
@@ -206,6 +297,21 @@ def test_c_axial_nesting():
     intervals = [c_axial(N) for N in (1, 10, 100, 1000, 50000)]
     for outer, inner in zip(intervals, intervals[1:]):
         assert outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def test_c_axial_is_the_ascending_fold_of_axis_blocks():
+    # Documented order: |r| ascending, each block (r,0), (-r,0), (0,r),
+    # (0,-r), with -r evaluated on its own in the reference.
+    N = 300
+    vals = []
+    for r in range(1, N + 1):
+        pos = float(np.hypot(*_axis_values(r)))
+        neg = float(np.hypot(*_axis_values(-r)))
+        vals += [pos, neg, pos, neg]
+    total, peak = _compensated_fold(vals)
+    iv = c_axial(N)
+    assert iv.lo == total - iv.rounding_slack
+    assert iv.rounding_slack == 4 * N * np.finfo(float).eps * peak
 
 
 def test_c_main_shell_one_explicit():
