@@ -5,7 +5,7 @@ sumset 2A = {a + a'} contains 0, 1, ..., n-1.  This walk-through shows
 the basic quantities on small sets.
 """
 
-from additive_bases import exp_sum_stats, m2, n2, rep_profile, sumset2
+from additive_bases.sumsets import exp_sum_stats, m2, n2, rep_profile, sumset2
 
 for elems in ([0, 1], [0, 1, 2], [0, 1, 3], [0, 2, 3]):
     profile = rep_profile(elems)

@@ -5,7 +5,8 @@ The search fixes {0, 1} in every candidate, restricts elements to
 pruning, so the witness lists are provably complete.
 """
 
-from additive_bases import n2, n2k_exact, verify_extremal
+from additive_bases.search import n2k_exact, verify_extremal
+from additive_bases.sumsets import n2
 
 print(" k   n_best   witnesses (complete list)            nodes")
 for k in range(1, 9):

@@ -7,12 +7,12 @@ k elements and its sumset covers the whole segment [0, r^2]; the ratio
 
 from fractions import Fraction
 
-from additive_bases import (
+from additive_bases.constructions import (
     MROSE_COEFFICIENT,
     lower_bound_coefficient,
-    n2,
     rohrbach_basis,
 )
+from additive_bases.sumsets import n2
 
 print(" k     |A|   n(2,A)   claimed   (r^2+1)/k^2")
 for k in (4, 6, 10, 20, 50, 100):

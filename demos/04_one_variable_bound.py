@@ -10,7 +10,7 @@ yields a surplus of k^2/98, i.e. the covering radius is at most
 
 import numpy as np
 
-from additive_bases import (
+from additive_bases.fourier1d import (
     balance_fraction,
     moser_constant,
     moser_test_function,

@@ -12,7 +12,8 @@ certificate already beats the best one-variable-plus-combinatorial
 value 0.4802.
 """
 
-from additive_bases import alpha2_exact, c_axial, c_main, certify, rho_from
+from additive_bases.certify import certify, rho_from
+from additive_bases.fourier2d import alpha2_exact, c_axial, c_main
 
 ax = c_axial(5000)
 mn = c_main(500)

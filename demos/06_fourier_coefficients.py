@@ -9,7 +9,7 @@ and the analytic decay envelopes hold with room to spare.
 
 import numpy as np
 
-from additive_bases import (
+from additive_bases.fourier2d import (
     coeff,
     coeff_quadrature,
     decay_envelope,

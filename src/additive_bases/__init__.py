@@ -1,99 +1,1 @@
 """Certified bounds and exact extremal computations for additive bases of order 2."""
-
-from .certify import (
-    KAPPA0,
-    KLOTZ_COEFFICIENT,
-    TAU0,
-    BoundCertificate,
-    certify,
-    rho_from,
-    rho_variation_bound,
-)
-from .constructions import MROSE_COEFFICIENT, lower_bound_coefficient, rohrbach_basis
-from .fourier1d import (
-    TestFunction1D,
-    balance_fraction,
-    moser_constant,
-    moser_test_function,
-    one_var_bound,
-)
-from .fourier2d import (
-    ConstantInterval,
-    EnvelopeReport,
-    ShellTailReport,
-    alpha2_exact,
-    alpha2_numeric,
-    c_axial,
-    c_main,
-    coeff,
-    coeff_quadrature,
-    decay_envelope,
-    decay_envelope_check,
-    excess_row_integral,
-    phi,
-    phi_excess,
-    phi_grid_csv,
-    shell_lattice,
-    shell_sum_bounds_check,
-)
-from .search import SearchResult, n2k_exact, verify_extremal
-from .sumsets import (
-    Basis,
-    ExpSumStats,
-    RepProfile,
-    as_basis,
-    exp_sum_stats,
-    m2,
-    n2,
-    rep_profile,
-    sumset2,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Basis",
-    "BoundCertificate",
-    "ConstantInterval",
-    "EnvelopeReport",
-    "ExpSumStats",
-    "KAPPA0",
-    "KLOTZ_COEFFICIENT",
-    "MROSE_COEFFICIENT",
-    "RepProfile",
-    "SearchResult",
-    "ShellTailReport",
-    "TAU0",
-    "TestFunction1D",
-    "alpha2_exact",
-    "alpha2_numeric",
-    "as_basis",
-    "balance_fraction",
-    "c_axial",
-    "c_main",
-    "certify",
-    "coeff",
-    "coeff_quadrature",
-    "decay_envelope",
-    "decay_envelope_check",
-    "excess_row_integral",
-    "exp_sum_stats",
-    "lower_bound_coefficient",
-    "m2",
-    "moser_constant",
-    "moser_test_function",
-    "n2",
-    "n2k_exact",
-    "one_var_bound",
-    "phi",
-    "phi_excess",
-    "phi_grid_csv",
-    "rep_profile",
-    "rho_from",
-    "rho_variation_bound",
-    "rohrbach_basis",
-    "shell_lattice",
-    "shell_sum_bounds_check",
-    "sumset2",
-    "verify_extremal",
-]

@@ -24,21 +24,28 @@ import json
 import sys
 
 from . import fourier1d, fourier2d
-from .certify import KAPPA0, KLOTZ_COEFFICIENT, TAU0, ceil4, certify, rho_from
+from .certify import (
+    KAPPA0,
+    KLOTZ_COEFFICIENT,
+    REF_AXIAL,
+    REF_COEFFICIENT,
+    REF_DESK_CEILING,
+    REF_MAIN,
+    REF_RHO0,
+    REF_RHO_FLOOR,
+    TAU0,
+    ceil4,
+    certify,
+    rho_from,
+)
 from .constructions import lower_bound_coefficient, rohrbach_basis
 from .search import DEFAULT_NODE_BUDGET, n2k_exact
-from .sumsets import as_basis, exp_sum_stats, n2, rep_profile, sumset2
+from .sumsets import as_basis, exp_sum_stats, n2, rep_profile
 
 FULL_N_AXIAL = 50000
 FULL_N_MAIN = 4000
 FAST_N_AXIAL = 5000
 FAST_N_MAIN = 500
-
-# Reference values the certified pipeline must reproduce at full scale.
-REF_AXIAL = (2.90278, 2.90289)
-REF_MAIN = (4.75145, 4.76146)
-REF_RHO0 = 0.04240
-REF_COEFFICIENT = 0.4789
 
 
 def _fmt(value) -> str:
@@ -197,11 +204,12 @@ def constants_report(ax, mn, fast: bool):
     if fast:
         _check(
             lines,
-            "fast pipeline beats 0.4802",
-            cert_corner.coefficient_upper <= 0.4798
-            and cert_lemma.coefficient_upper <= 0.4798,
+            f"fast pipeline beats {KLOTZ_COEFFICIENT}",
+            cert_corner.coefficient_upper <= REF_DESK_CEILING
+            and cert_lemma.coefficient_upper <= REF_DESK_CEILING,
             f"corner {cert_corner.coefficient_upper}, lemma "
-            f"{cert_lemma.coefficient_upper}, both <= 0.4798 < {KLOTZ_COEFFICIENT}",
+            f"{cert_lemma.coefficient_upper}, both <= {REF_DESK_CEILING} "
+            f"< {KLOTZ_COEFFICIENT}",
         )
     else:
         _check(
@@ -219,9 +227,10 @@ def constants_report(ax, mn, fast: bool):
         _check(
             lines,
             "rho lower bounds",
-            cert_lemma.rho_lower >= 0.0422 and cert_corner.rho_lower >= 0.0422,
+            cert_lemma.rho_lower >= REF_RHO_FLOOR
+            and cert_corner.rho_lower >= REF_RHO_FLOOR,
             f"lemma {cert_lemma.rho_lower:.6f}, corner "
-            f"{cert_corner.rho_lower:.6f}, both >= 0.0422",
+            f"{cert_corner.rho_lower:.6f}, both >= {REF_RHO_FLOOR}",
         )
 
     return all(ok for ok, _ in lines), [text for _, text in lines]

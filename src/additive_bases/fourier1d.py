@@ -86,6 +86,20 @@ def moser_constant():
     return c, 0.5 - c
 
 
+def ternary_argmin(f, lo: float, hi: float) -> float:
+    """Midpoint of the final bracket of a ternary search for the minimum
+    of a unimodal f on [lo, hi], narrowed until it is at most 1e-14 wide.
+    """
+    while hi - lo > 1e-14:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if f(m1) <= f(m2):
+            hi = m2
+        else:
+            lo = m1
+    return 0.5 * (lo + hi)
+
+
 def one_var_bound(f: TestFunction1D) -> float:
     """Upper-bound coefficient 1/2 - c produced by a one-variable function.
 
@@ -109,16 +123,7 @@ def one_var_bound(f: TestFunction1D) -> float:
         analytic = max(a1 - (a1 - a2) * lam, 0.0) / S
         return max(lam * lam / 2.0, analytic * analytic / 2.0)
 
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-14:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if worst(m1) <= worst(m2):
-            hi = m2
-        else:
-            lo = m1
-    c = worst(0.5 * (lo + hi))
-    return 0.5 - c
+    return 0.5 - worst(ternary_argmin(worst, 0.0, 1.0))
 
 
 def balance_fraction(f: TestFunction1D) -> float:

@@ -204,7 +204,9 @@ def exp_sum_stats(a, n: int) -> ExpSumStats:
     a_mod = np.array([x % n for x in A.elements], dtype=np.int64)
     mags = np.empty(n - 1)
     two_pi_over_n = 2.0 * np.pi / n
-    chunk = max(1, (1 << 22) // max(1, A.k))
+    # About 2^20 angles per chunk keeps each temporary near 16 MB; every
+    # row is still reduced whole, so the magnitudes do not depend on it.
+    chunk = max(1, (1 << 20) // A.k)
     for lo in range(1, n, chunk):
         r = np.arange(lo, min(n, lo + chunk), dtype=np.int64)
         theta = ((r[:, None] * a_mod[None, :]) % n) * two_pi_over_n

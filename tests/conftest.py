@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-import additive_bases as ab
+from additive_bases.fourier2d import c_axial, c_main
+from additive_bases.sumsets import as_basis
 
 
 def random_basis(rng, max_k=12, max_element=200, include_01=True):
@@ -16,10 +17,10 @@ def random_basis(rng, max_k=12, max_element=200, include_01=True):
         elems = {0, 1} | set(int(x) for x in pool[: max(0, k - 2)])
     else:
         elems = set(int(x) for x in pool[:k])
-    return ab.as_basis(sorted(elems))
+    return as_basis(sorted(elems))
 
 
 @pytest.fixture(scope="session")
 def full_scale_intervals():
     """Full-scale certified enclosures, computed once for the whole run."""
-    return ab.c_axial(50000), ab.c_main(4000)
+    return c_axial(50000), c_main(4000)

@@ -12,8 +12,25 @@ import time
 import numpy as np
 import pytest
 
-import additive_bases as ab
+from additive_bases.certify import (
+    KLOTZ_COEFFICIENT,
+    certify,
+    rho_from,
+    rho_variation_bound,
+)
 from additive_bases.cli import main as cli_main
+from additive_bases.constructions import rohrbach_basis
+from additive_bases.fourier1d import moser_constant, moser_test_function, one_var_bound
+from additive_bases.fourier2d import (
+    alpha2_exact,
+    alpha2_numeric,
+    c_axial,
+    coeff,
+    coeff_quadrature,
+    decay_envelope_check,
+    shell_sum_bounds_check,
+)
+from additive_bases.sumsets import as_basis, exp_sum_stats, n2, rep_profile, sumset2
 
 
 def _report(num, desc, ok, elapsed, limit=None):
@@ -42,7 +59,7 @@ def test_criterion_1_small_case_exactness(capsys):
     cap = 4 * 5 // 2
     best, naive_wit = 0, []
     for combo in itertools.combinations(range(cap), 4):
-        n = ab.n2(combo)
+        n = n2(combo)
         if n > best:
             best, naive_wit = n, [list(combo)]
         elif n == best:
@@ -61,11 +78,11 @@ def test_criterion_2_identity_suite():
     for _ in range(10**4):
         k = int(rng.integers(2, 13))
         extra = rng.choice(np.arange(2, 201), size=k - 2, replace=False)
-        basis = ab.as_basis({0, 1} | {int(x) for x in extra})
-        prof = ab.rep_profile(basis)
+        basis = as_basis({0, 1} | {int(x) for x in extra})
+        prof = rep_profile(basis)
         kk = basis.k
         ok &= (kk * kk + kk) // 2 == prof.n + prof.delta_total
-        stats = ab.exp_sum_stats(basis, prof.n)
+        stats = exp_sum_stats(basis, prof.n)
         floor = max(
             stats.ell * (stats.ell + 1) / 2.0,
             (stats.M**2 - kk) / 2.0 - 1e-9,
@@ -83,7 +100,7 @@ def test_criterion_3_rohrbach_construction():
     ok = True
     for k in range(4, 201):
         r = k // 2
-        covered = set(ab.sumset2(ab.rohrbach_basis(k)))
+        covered = set(sumset2(rohrbach_basis(k)))
         ok &= all(j in covered for j in range(r * r + 1))
     _report(3, "construction covers [0, floor(k/2)^2] for k in [4, 200]", ok,
             time.time() - t0, limit=10.0)
@@ -91,8 +108,8 @@ def test_criterion_3_rohrbach_construction():
 
 def test_criterion_4_moser_constant():
     t0 = time.time()
-    c, coefficient = ab.moser_constant()
-    computed = ab.one_var_bound(ab.moser_test_function())
+    c, coefficient = moser_constant()
+    computed = one_var_bound(moser_test_function())
     ok = abs(computed - (0.5 - 1.0 / 98.0)) < 1e-12
     ok &= c == 1.0 / 98.0
     reported = np.ceil(computed * 10000 - 1e-9) / 10000
@@ -103,8 +120,8 @@ def test_criterion_4_moser_constant():
 
 def test_criterion_5_alpha2():
     t0 = time.time()
-    exact = ab.alpha2_exact()
-    numeric = ab.alpha2_numeric(grid=2000)
+    exact = alpha2_exact()
+    numeric = alpha2_numeric(grid=2000)
     ok = abs(numeric - exact) < 1e-6
     ok &= abs(exact - (-3.72470)) < 1e-5
     _report(5, "numeric minimum of the test function matches 1 - 15/2^(5/3)", ok,
@@ -118,7 +135,7 @@ def test_criterion_6_coefficient_formulas():
         for r2 in range(-8, 9):
             if r1 == 0 and r2 == 0:
                 continue
-            diff = abs(ab.coeff(r1, r2) - ab.coeff_quadrature(r1, r2, m=1024))
+            diff = abs(coeff(r1, r2) - coeff_quadrature(r1, r2, m=1024))
             worst = max(worst, diff)
     _report(6, f"closed forms match quadrature on max|r| <= 8 (worst {worst:.2e})",
             worst < 1e-8, time.time() - t0, limit=120.0)
@@ -126,7 +143,7 @@ def test_criterion_6_coefficient_formulas():
 
 def test_criterion_7_constants_at_full_scale(full_scale_intervals):
     t0 = time.time()
-    ax_fresh = ab.c_axial(50000)
+    ax_fresh = c_axial(50000)
     axial_seconds = time.time() - t0
     ax, mn = full_scale_intervals
     ok = ax_fresh.lo == ax.lo and ax_fresh.hi == ax.hi
@@ -144,7 +161,7 @@ def test_criterion_8_desk_scale_fallback(capsys):
     ok &= doc["coefficient_upper"] <= 0.4798
     code, doc = _cli_json(capsys, "bound", "two-var", "--fast", "--route", "lemma")
     ok &= code == 0 and doc["coefficient_upper"] <= 0.4798
-    ok &= 0.4798 < ab.KLOTZ_COEFFICIENT
+    ok &= 0.4798 < KLOTZ_COEFFICIENT
     _report(8, "fast pipeline certifies <= 0.4798, strictly below 0.4802", ok,
             time.time() - t0, limit=60.0)
 
@@ -152,10 +169,10 @@ def test_criterion_8_desk_scale_fallback(capsys):
 def test_criterion_9_final_theorem(full_scale_intervals):
     t0 = time.time()
     ax, mn = full_scale_intervals
-    corner = ab.certify(ax, mn, route="corner")
-    lemma = ab.certify(ax, mn, route="lemma")
+    corner = certify(ax, mn, route="corner")
+    lemma = certify(ax, mn, route="lemma")
 
-    ok = ab.rho_from(9.48617, 2.90289) > 0.04240  # anchor value
+    ok = rho_from(9.48617, 2.90289) > 0.04240  # anchor value
     ok &= corner.rho_lower >= 0.0422 and lemma.rho_lower >= 0.0422
     ok &= abs(corner.rho_lower - lemma.rho_lower) < 0.0002  # routes agree
     # The anchor-plus-lemma route reproduces the published coefficient;
@@ -175,13 +192,13 @@ def test_criterion_10_lemma_suites():
     for _ in range(10**4):
         k, k0 = rng.uniform(3.0, 25.0, 2)
         t, t0_ = rng.uniform(2.0, 10.0, 2)
-        gap = abs(ab.rho_from(k, t) - ab.rho_from(k0, t0_))
-        ok &= gap <= ab.rho_variation_bound(k, k0, t, t0_) + 1e-12
+        gap = abs(rho_from(k, t) - rho_from(k0, t0_))
+        ok &= gap <= rho_variation_bound(k, k0, t, t0_) + 1e-12
         if not ok:
             break
 
     for N, rmax in ((1, 2000), (10, 5000), (100, 10000)):
-        rep = ab.shell_sum_bounds_check(N, rmax)
+        rep = shell_sum_bounds_check(N, rmax)
         ok &= rep.ok
 
     sample = [(r, 0) for r in range(1, 101)] + [(r, r) for r in range(1, 101)]
@@ -192,6 +209,6 @@ def test_criterion_10_lemma_suites():
         if r1 and r2 and r1 != r2:
             sample.append((r1, r2))
             count += 1
-    ok &= ab.decay_envelope_check(sample).ok
+    ok &= decay_envelope_check(sample).ok
     _report(10, "root-variation, shell-tail and decay-envelope suites", ok,
             time.time() - t0, limit=60.0)

@@ -4,19 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from additive_bases import (
+from additive_bases.certify import (
     KAPPA0,
     KLOTZ_COEFFICIENT,
     TAU0,
-    ConstantInterval,
-    alpha2_exact,
-    c_axial,
-    c_main,
+    _xi,
+    ceil4,
     certify,
     rho_from,
     rho_variation_bound,
 )
-from additive_bases.certify import _xi, ceil4
+from additive_bases.fourier2d import ConstantInterval, alpha2_exact, c_axial, c_main
 
 
 def test_rho_at_regime_corner():

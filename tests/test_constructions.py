@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from additive_bases import (
+from additive_bases.constructions import (
     MROSE_COEFFICIENT,
     lower_bound_coefficient,
-    n2,
     rohrbach_basis,
-    sumset2,
 )
+from additive_bases.sumsets import n2, sumset2
 
 
 def test_frozen_examples():

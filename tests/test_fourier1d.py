@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from additive_bases import (
+from additive_bases.fourier1d import (
     TestFunction1D,
     balance_fraction,
     moser_constant,

@@ -5,8 +5,14 @@ import pytest
 from mpmath import mp
 from scipy.integrate import quad
 
-from additive_bases import (
+from additive_bases.fourier2d import (
     ConstantInterval,
+    _axis_values,
+    _compensated_fold,
+    _diag_values,
+    _off_values,
+    _shell_partial,
+    _upper_grid_min,
     alpha2_exact,
     alpha2_numeric,
     c_axial,
@@ -21,14 +27,6 @@ from additive_bases import (
     phi_grid_csv,
     shell_lattice,
     shell_sum_bounds_check,
-)
-from additive_bases.fourier2d import (
-    _axis_values,
-    _compensated_fold,
-    _diag_values,
-    _off_values,
-    _shell_partial,
-    _upper_grid_min,
 )
 
 # ---------------------------------------------------------------------------

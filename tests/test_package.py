@@ -1,7 +1,23 @@
 import ast
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+SUBMODULES = sorted(p.stem for p in (SRC / "additive_bases").glob("*.py")
+                    if not p.stem.startswith("__"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _child_env():
+    """The environment for a child interpreter that imports the package from src."""
+    paths = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def test_no_assert_statements_in_the_package():
@@ -12,3 +28,31 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    # A fresh interpreter: this one has loaded scipy for the quadrature tests.
+    code = ("import sys, additive_bases.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_import_binds_the_module(name):
+    # `import a.b as m` reads the attribute b of a, which a same-named
+    # function re-exported by the package would shadow.
+    scope = {}
+    exec(f"import additive_bases.{name} as m", scope)
+    assert isinstance(scope["m"], types.ModuleType)
+    assert scope["m"].__name__ == f"additive_bases.{name}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    # Demo 06 writes phi_surface.csv into its working directory.
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,12 +2,9 @@ import itertools
 
 import pytest
 
-from additive_bases import (
-    n2,
-    n2k_exact,
-    rohrbach_basis,
-    verify_extremal,
-)
+from additive_bases.constructions import rohrbach_basis
+from additive_bases.search import n2k_exact, verify_extremal
+from additive_bases.sumsets import n2
 
 
 def naive_n2k(k):

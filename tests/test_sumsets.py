@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from additive_bases import (
+from additive_bases.constructions import rohrbach_basis
+from additive_bases.sumsets import (
     Basis,
     as_basis,
     exp_sum_stats,
@@ -154,6 +155,20 @@ def test_exp_sum_magnitudes_against_direct_evaluation():
         for r in range(1, n):
             direct = abs(sum(cmath.exp(2j * cmath.pi * r * a / n) for a in elems))
             assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-10)
+
+
+def test_exp_sum_magnitudes_across_chunk_boundaries():
+    # Rohrbach's k = 400 basis at its covering radius spans many chunks of
+    # about 2^20 angles; check the rows on both sides of every boundary.
+    basis = rohrbach_basis(400)
+    n = n2(basis)
+    stats = exp_sum_stats(basis, n)
+    chunk = (1 << 20) // basis.k
+    assert n > 10 * chunk
+    for r in sorted({m + d for m in range(chunk, n, chunk) for d in (-1, 0, 1)}):
+        if 1 <= r < n:
+            direct = abs(sum(cmath.exp(2j * cmath.pi * r * a / n) for a in basis.elements))
+            assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-9)
 
 
 def test_exp_sum_huge_elements_exact_reduction():
