@@ -18,10 +18,11 @@ from additive_bases.fourier2d import (
     shell_sum_bounds_check,
 )
 
+quad = coeff_quadrature(7)  # every coefficient with max(|r1|, |r2|) <= 7
 print("pair        closed form                     |closed - quadrature|")
 for pair in ((1, 0), (0, 3), (2, 2), (1, 2), (3, -5), (-4, 7)):
     c = coeff(*pair)
-    q = coeff_quadrature(*pair, m=512)
+    q = quad[pair[0] + 7, pair[1] + 7]
     print(f"{str(pair):10s}  {c.real:+.8f} {c.imag:+.8f}i   {abs(c - q):.2e}")
 
 print("\ndecay envelopes (|coeff| / envelope, closer to 1 = tighter):")

@@ -251,16 +251,12 @@ def _cmd_verify_formulas(args) -> int:
     rmax = args.rmax
     if rmax < 1:
         raise ValueError(f"--rmax must be at least 1, got {rmax}")
-    worst = 0.0
-    worst_pair = (0, 0)
-    for r1 in range(-rmax, rmax + 1):
-        for r2 in range(-rmax, rmax + 1):
-            if r1 == 0 and r2 == 0:
-                continue
-            diff = abs(fourier2d.coeff(r1, r2) - fourier2d.coeff_quadrature(r1, r2))
-            if diff > worst:
-                worst = diff
-                worst_pair = (r1, r2)
+    quad = fourier2d.coeff_quadrature(rmax)
+    r = range(-rmax, rmax + 1)
+    diffs = {(r1, r2): float(abs(fourier2d.coeff(r1, r2) - quad[r1 + rmax, r2 + rmax]))
+             for r1 in r for r2 in r if r1 or r2}
+    worst_pair = max(diffs, key=diffs.get)  # the first maximum in row-major order
+    worst = diffs[worst_pair]
     ok = worst < 1e-8
     print(
         f"{'PASS' if ok else 'FAIL'} closed forms vs quadrature on "

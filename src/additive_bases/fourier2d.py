@@ -47,7 +47,6 @@ R.  The slack still counts all 4N^2 lattice terms.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,15 +213,13 @@ def coeff(r1: int, r2: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_panels(m: int):
-    """Composite 8-point Gauss-Legendre nodes/weights on [0, 1].
+def _gauss_panels():
+    """Composite 8-point Gauss-Legendre nodes and weights on [0, 1].
 
-    m is the approximate node count per dimension; m // 8 panels of 8
-    nodes each.  Fixed order, so accuracy improves as panels shrink.
+    128 equal panels of 8 nodes each, 1024 nodes in all; the rule is fixed.
     """
-    panels = max(1, m // 8)
     x, w = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(0.0, 1.0, panels + 1)
+    edges = np.linspace(0.0, 1.0, 129)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -230,43 +227,32 @@ def _gauss_panels(m: int):
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=4)
-def _quad_pack(m: int):
-    """Precomputed grids for the split quadrature at node count m.
+def coeff_quadrature(rmax: int) -> np.ndarray:
+    """Direct numerical Fourier coefficients of phi on max(|r1|, |r2|) <= rmax.
 
+    Independent of the closed forms: integrates phi * exp(-2 pi i (r1 t1
+    + r2 t2)) with the composite rule of _gauss_panels in each variable.
     The square is cut along t1 + t2 = 1 and each closed triangle is mapped
     to the unit square, so the integrand is smooth on each piece:
       lower triangle: t2 = (1 - t1) s, Jacobian (1 - t1);
       upper triangle: t2 = 1 - t1 (1 - s), Jacobian t1.
-    Returns (u, B_low, B_up, W_low, W_up): u the 1D t1 nodes, B the 2D t2
-    grids, W the weight * Jacobian * function-value grids.
+    Each triangle's weight grid is built once.  For each r2 one grid
+    exp(-2 pi i r2 t2) is summed along s, and one matrix product with
+    exp(-2 pi i r1 t1) gives every r1 at once.
+
+    Returns the (2 rmax + 1) x (2 rmax + 1) complex array whose entry
+    [r1 + rmax, r2 + rmax] is the coefficient at (r1, r2).
     """
-    u, wu = _gauss_panels(m)
-    s, ws = _gauss_panels(m)
-    W = wu[:, None] * ws[None, :]
-    b_low = (1.0 - u)[:, None] * s[None, :]
-    b_up = 1.0 - u[:, None] * (1.0 - s[None, :])
-    a = u[:, None] + np.zeros_like(s)[None, :]
-    w_low = W * (1.0 - u)[:, None] * phi(a, b_low)
-    w_up = W * u[:, None] * phi(a, b_up)
-    return u, b_low, b_up, w_low, w_up
-
-
-def coeff_quadrature(r1: int, r2: int, m: int = 1024) -> complex:
-    """Direct numerical Fourier coefficient of phi.
-
-    Independent of the closed forms: integrates phi * exp(-2 pi i (r1 t1
-    + r2 t2)) over the two triangles with a fixed-order composite rule.
-    """
-    if m < 256:
-        raise ValueError("quadrature grid too small (need m >= 256)")
-    u, b_low, b_up, w_low, w_up = _quad_pack(int(m))
-    r1, r2 = int(r1), int(r2)
-    total = 0j
-    for b, w in ((b_low, w_low), (b_up, w_up)):
-        phase = r1 * u[:, None] + r2 * b
-        total += np.sum(w * np.exp(-2j * _PI * phase))
-    return complex(total)
+    t, w = _gauss_panels()
+    t1, s = t[:, None], t[None, :]
+    r = np.arange(-rmax, rmax + 1)
+    rows = np.exp(-2j * _PI * np.outer(r, t))
+    out = np.zeros((r.size, r.size), dtype=complex)
+    for jac, t2 in ((1.0 - t1, (1.0 - t1) * s), (t1, 1.0 - t1 * (1.0 - s))):
+        weights = jac * w[:, None] * w[None, :] * phi(t1, t2)
+        for j, r2 in enumerate(r):
+            out[:, j] += rows @ np.sum(weights * np.exp(-2j * _PI * r2 * t2), axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

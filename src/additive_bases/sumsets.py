@@ -131,13 +131,17 @@ def sumset2(a) -> list:
 def n2(a) -> int:
     """Length of the initial segment [0, n-1] covered by the sumset.
 
-    Returns 0 when 0 is not a pairwise sum (i.e. 0 not in A).
+    Returns 0 when 0 is not a pairwise sum (i.e. 0 not in A).  A k-element
+    basis has at most k(k+1)/2 pairwise sums, so n <= k(k+1)/2 and only the
+    elements below that bound enter the bitset of sums.
     """
-    s = set(sumset2(a))
-    n = 0
-    while n in s:
-        n += 1
-    return n
+    A = as_basis(a).elements
+    small = [x for x in A if x < len(A) * (len(A) + 1) // 2]
+    mask = sum(1 << x for x in small)
+    cover = 0
+    for x in small:
+        cover |= mask << x
+    return (~cover & (cover + 1)).bit_length() - 1  # the smallest uncovered value
 
 
 def m2(a) -> int:

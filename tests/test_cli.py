@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -118,6 +119,12 @@ def test_verify_formulas_small(capsys):
     code, out = run_cli(capsys, "verify", "formulas", "--rmax", "2")
     assert code == 0
     assert out.startswith("PASS")
+    match = re.search(r"worst \|diff\| = (\S+) at \((-?\d+), (-?\d+)\)$", out.strip())
+    assert match, out
+    worst, r1, r2 = float(match[1]), int(match[2]), int(match[3])
+    assert worst < 1e-8
+    assert max(abs(r1), abs(r2)) <= 2
+    assert (r1, r2) != (0, 0)
 
 
 @pytest.mark.parametrize("rmax", ["0", "-1"])

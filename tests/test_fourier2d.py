@@ -92,9 +92,18 @@ def test_phi_bounded_below_on_upper_triangle():
 # ---------------------------------------------------------------------------
 
 
-def test_zero_mean():
+QUAD_RMAX = 7
+
+
+@pytest.fixture(scope="module")
+def quad_block():
+    """Every oracle coefficient with max(|r1|, |r2|) <= QUAD_RMAX, from one call."""
+    return coeff_quadrature(QUAD_RMAX)
+
+
+def test_zero_mean(quad_block):
     assert coeff(0, 0) == 0j
-    assert abs(coeff_quadrature(0, 0, m=512)) < 1e-12
+    assert abs(quad_block[QUAD_RMAX, QUAD_RMAX]) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -102,9 +111,9 @@ def test_zero_mean():
     [(1, 0), (0, 1), (-2, 0), (0, -3), (1, 1), (-1, -1), (2, 2), (1, 2), (2, 1),
      (3, 5), (1, -1), (-2, 5), (4, -3), (-4, -7)],
 )
-def test_closed_forms_match_quadrature(pair):
+def test_closed_forms_match_quadrature(pair, quad_block):
     r1, r2 = pair
-    assert abs(coeff(r1, r2) - coeff_quadrature(r1, r2, m=512)) < 1e-10
+    assert abs(coeff(r1, r2) - quad_block[r1 + QUAD_RMAX, r2 + QUAD_RMAX]) < 1e-10
 
 
 def test_axis_coefficient_explicit_form():
@@ -208,11 +217,6 @@ def test_closed_forms_audit_against_50_digit_reference():
     for r1, r2, got in checked:
         ref = _reference_magnitude(r1, r2)
         assert abs(got - ref) <= 8 * eps * ref, (r1, r2, float(abs(got - ref) / ref / eps))
-
-
-def test_quadrature_grid_validation():
-    with pytest.raises(ValueError, match="too small"):
-        coeff_quadrature(1, 1, m=128)
 
 
 # ---------------------------------------------------------------------------

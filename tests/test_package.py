@@ -56,3 +56,17 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_quadrature_oracle_reads_no_closed_form():
+    # The oracle checks the closed forms, so it must integrate phi itself.
+    tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
+    reads = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("coeff_quadrature", "_gauss_panels"):
+            reads[node.name] = {n.id for n in ast.walk(node)
+                                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert sorted(reads) == ["_gauss_panels", "coeff_quadrature"]
+    closed_forms = {"coeff", "_axis_values", "_diag_values", "_off_values", "_off_edge", "_scaled"}
+    assert not closed_forms & (reads["coeff_quadrature"] | reads["_gauss_panels"])
+    assert "phi" in reads["coeff_quadrature"]

@@ -66,6 +66,7 @@ def test_n2_examples():
     assert n2([0, 1, 3]) == 5
     assert n2([1, 2]) == 0
     assert n2([]) == 0
+    assert n2([0, 1, 2**62 - 1]) == 3
 
 
 def test_m2_examples():
@@ -200,6 +201,7 @@ def test_covered_segment(A):
     n = n2(A)
     assert all(j in s for j in range(n))
     assert n not in s
+    assert n == brute_n2(A)
 
 
 @given(bases_01)
