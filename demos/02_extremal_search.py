@@ -1,8 +1,10 @@
 """Exact extremal values n_best(k) for small k, with all witnesses.
 
-The search fixes {0, 1} in every candidate, restricts elements to
-[0, n-1], and extends sets in increasing order with coverage-driven
-pruning, so the witness lists are provably complete.
+The search fixes {0, 1} in every candidate and extends sets in
+increasing order, each next element at most the smallest uncovered
+value; that bound restricts elements to [0, n-1].  One pass raises its
+target n as better sets appear and prunes by counting the sums still
+possible, so the witness lists are provably complete.
 """
 
 from additive_bases.search import n2k_exact, verify_extremal

@@ -4,29 +4,34 @@ For each k this computes
 
     n_best(k) = max { n2(A) : A subset of the nonnegative integers, |A| = k }
 
-by iterative deepening on the target segment length n.  Two facts prune
-the space without losing completeness: any covering set can be replaced,
-element by element, with one inside [0, n-1], and covering 0 and 1 forces
-0 and 1 into the set (k >= 2).  So feasibility of a target n reduces to a
-depth-first extension over increasing elements of subsets of [0, n-1]
-that contain {0, 1}.
+in one branch-and-bound pass over the k-sets inside [0, n2 - 1].  Covering
+0 and 1 forces 0 and 1 into the set (k >= 2), so the search extends {0, 1}
+by increasing elements.  If c is the smallest value the chosen prefix
+leaves uncovered, the next element x lies in (max chosen, c]: either
+c = n2 and every element is below it, or c must still be covered, while
+sums among chosen elements are fixed and sums that use an element > c
+exceed c.
 
-Soundness of the extension bound: if c is the smallest uncovered value,
-every later element x must satisfy x <= c, because sums formed from
-elements > c cannot equal c and sums among already-chosen elements are
-fixed.  A second prune fires when c < 2*(max_chosen + 1): then c can only
-be written as x + a with a already chosen, so the chosen set must contain
-c - x for some admissible x; if it does not, the node is dead.
+Conversely the bound keeps every element below the final n2.  Coverage
+only grows, so n2 >= c; and when x = c, the sum x + 0 covers c, so
+n2 > x.  The pass therefore enumerates exactly the k-sets inside
+[0, n2 - 1] that contain {0, 1}, with no padding step.
 
-Witnesses at the optimum are enumerated exhaustively and reported in
-lexicographic order.  Coverage is tracked in a single Python integer used
-as a bitset; sums of a chosen prefix extend by `(mask | 1<<x) << x` when
-x joins.
+One running target T starts at the trivially feasible 2k - 1 (witness
+[0, k-1]).  A leaf with n2 = c > T raises T to c and clears the witness
+list; a leaf with c == T joins it.  An inner node with j chosen elements
+and s slots left adds at most s*j + s(s+1)/2 new sums, so it is pruned
+when too few sums remain to cover [0, T-1]:
+
+    popcount(cover & (2^T - 1)) + s*j + s(s+1)/2 < T.
+
+Witnesses are reported in lexicographic order.  Coverage is a single
+Python integer used as a bitset; when x joins the chosen bitset `mask`,
+the sums extend by `(mask | 1<<x) << x`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .sumsets import Basis, as_basis, n2
@@ -49,74 +54,13 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _Found(Exception):
-    pass
-
-
-def _extend(chosen, mask, mx, cover, n, k, state, collect):
-    """DFS over increasing next elements.  chosen always contains {0, 1}.
-
-    mask:  bitset of chosen elements.
-    cover: bitset of pairwise sums restricted to [0, n-1].
-    """
-    state["nodes"] += 1
-    if state["nodes"] > state["budget"]:
-        raise _BudgetExceeded
-    full = state["full"]
-    if cover == full:
-        if len(chosen) == k:
-            state["found"].append(tuple(chosen))
-        else:
-            # Coverage closed early: any padding inside [0, n-1] with larger
-            # elements works (smaller ones belong to other DFS branches).
-            if not collect:
-                state["found"].append(tuple(chosen))
-            else:
-                for extra in itertools.combinations(range(mx + 1, n), k - len(chosen)):
-                    state["found"].append(tuple(chosen) + extra)
-        if not collect:
-            raise _Found
-        return
-    if len(chosen) == k:
-        return
-    miss = ~cover & full
-    c = (miss & -miss).bit_length() - 1  # smallest uncovered value
-    # Remaining slots must be able to contribute enough new sums.
-    s = k - len(chosen)
-    if cover.bit_count() + s * len(chosen) + s * (s + 1) // 2 < n:
-        return
-    if c <= 2 * mx + 1:
-        # c needs a partner already chosen: c = x + a, x > mx.
-        if not any(mx < c - a <= n - 1 for a in chosen):
-            return
-    hi = min(c, n - 1)
-    for x in range(mx + 1, hi + 1):
-        new_cover = cover | (((mask | (1 << x)) << x) & full)
-        chosen.append(x)
-        _extend(chosen, mask | (1 << x), x, new_cover, n, k, state, collect)
-        chosen.pop()
-
-
-def _run(n, k, state, collect):
-    """Search subsets of [0, n-1] containing {0, 1} that cover [0, n-1]."""
-    state["full"] = (1 << n) - 1
-    state["found"] = []
-    mask = 0b11
-    cover = 0b111 & state["full"]  # sums of {0, 1}: 0, 1, 2
-    try:
-        _extend([0, 1], mask, 1, cover, n, k, state, collect)
-    except _Found:
-        pass
-    return state["found"]
-
-
 def n2k_exact(k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
     """Exact extremal value n_best(k) with the complete witness list.
 
-    Iterative deepening: starting from the trivially feasible n = 2k - 1
-    (witness [0, k-1]), targets are raised while feasible; the witnesses
-    are then enumerated at the optimum.  If the node budget runs out the
-    partial result is returned with exhaustive=False, never silently wrong.
+    One depth-first pass whose target rises with each better leaf.  If the
+    node budget runs out, the partial result is returned with
+    exhaustive=False: n_best is the best value reached so far (a genuine
+    lower bound) and the witnesses are the leaves found at that value.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -127,20 +71,40 @@ def n2k_exact(k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
     if k == 1:
         return SearchResult(1, 1, (Basis((0,)),), 1, True)
 
-    state = {"nodes": 0, "budget": node_budget}
-    n = 2 * k - 1
-    cap = k * (k + 1) // 2
+    target = 2 * k - 1
+    found = []
+    nodes = 0
+
+    def extend(chosen, mask, cover):
+        nonlocal target, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise _BudgetExceeded
+        c = (~cover & (cover + 1)).bit_length() - 1  # smallest uncovered value
+        j = len(chosen)
+        if j == k:
+            if c > target:
+                target = c
+                found.clear()
+            if c == target:
+                found.append(tuple(chosen))
+            return
+        s = k - j
+        if (cover & ((1 << target) - 1)).bit_count() + s * j + s * (s + 1) // 2 < target:
+            return
+        for x in range(chosen[-1] + 1, c + 1):
+            grown = mask | (1 << x)
+            chosen.append(x)
+            extend(chosen, grown, cover | (grown << x))
+            chosen.pop()
+
     try:
-        while n + 1 <= cap and _run(n + 1, k, state, collect=False):
-            n += 1
-        witnesses = sorted(_run(n, k, state, collect=True))
-        return SearchResult(k, n, tuple(Basis(w) for w in witnesses), state["nodes"], True)
+        extend([0, 1], 0b11, 0b111)  # sums of {0, 1}: 0, 1, 2
+        exhaustive = True
     except _BudgetExceeded:
-        # Feasibility probes may record early-coverage stubs shorter than k;
-        # only complete witnesses may appear in the partial result.
-        complete = {w for w in state.get("found", []) if len(w) == k}
-        partial = tuple(Basis(w) for w in sorted(complete))
-        return SearchResult(k, n, partial, state["nodes"], False)
+        exhaustive = False
+    witnesses = tuple(Basis(w) for w in sorted(found))
+    return SearchResult(k, target, witnesses, nodes, exhaustive)
 
 
 def verify_extremal(a, claimed_n: int) -> bool:

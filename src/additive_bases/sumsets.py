@@ -163,8 +163,10 @@ def m2(a) -> int:
 def rep_profile(a) -> RepProfile:
     """Count representations and their surplus; checks the pair identity.
 
-    The exact identity (k^2 + k) / 2 = n + delta_total holds for every
-    basis and is checked here, raising AssertionError if it fails.
+    n comes from the bitset in `n2`, so the exact identity
+    (k^2 + k) / 2 = n + delta_total cross-checks it against the counts:
+    it holds only if every j < n has a representation.  A failure raises
+    AssertionError.
     """
     A = as_basis(a)
     if A.k == 0:
@@ -175,9 +177,7 @@ def rep_profile(a) -> RepProfile:
         for y in elems[i:]:
             j = x + y
             counts[j] = counts.get(j, 0) + 1
-    n = 0
-    while counts.get(n, 0) >= 1:
-        n += 1
+    n = n2(A)
     delta = {}
     for j, r in counts.items():
         d = r - 1 if j < n else r

@@ -37,7 +37,7 @@ def test_small_cases_match_known_values():
     assert all(r.exhaustive for r in (r1, r2, r3))
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_matches_naive_enumeration(k):
     best, witnesses = naive_n2k(k)
     res = n2k_exact(k)
@@ -53,7 +53,7 @@ def test_k4_value_and_witness():
 
 
 def test_witnesses_are_valid_and_canonical():
-    for k in range(2, 8):
+    for k in range(2, 11):
         res = n2k_exact(k)
         assert res.exhaustive
         elems = [w.elements for w in res.witnesses]
@@ -88,6 +88,16 @@ def test_budget_exhaustion_is_flagged():
     assert res.nodes_explored >= 3
     # The partial value must still be a genuine lower bound.
     assert res.n_best >= 11
+
+
+@pytest.mark.parametrize("budget", [10, 100, 1000])
+def test_partial_result_under_budget(budget):
+    res = n2k_exact(8, node_budget=budget)
+    assert not res.exhaustive
+    for w in res.witnesses:
+        assert w.k == 8
+        assert n2(w) == res.n_best
+    assert res.n_best <= n2k_exact(8).n_best
 
 
 def test_argument_validation():
