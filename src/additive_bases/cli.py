@@ -131,6 +131,9 @@ def _cmd_bound_two_var(args) -> int:
     n_main = args.n_main if args.n_main is not None else (
         FAST_N_MAIN if args.fast else FULL_N_MAIN
     )
+    for flag, n in (("--n-axial", n_axial), ("--n-main", n_main)):
+        if n < 1:
+            raise ValueError(f"{flag} must be at least 1, got {n}")
     cert = certify(
         fourier2d.c_axial(n_axial),
         fourier2d.c_main(n_main),

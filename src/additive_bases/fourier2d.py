@@ -43,11 +43,22 @@ interval ends.  Since phi is real and symmetric, |c(r, s)| = |c(s, r)| =
 r2 ascending, one numpy reduction) and expanded as
 4 * right - 2 * (|c(R, R)| + |c(R, -R)|); shells are folded in ascending
 R.  The slack still counts all 4N^2 lattice terms.
+
+Of the off-diagonal form on shell R, Y, F(Y) and D^2 depend on s or on
+R - s alone, so c_main builds them once per call as tables over
+s = -N..N and R - s = 1..2N (with the diagonal magnitudes), and each
+shell reads contiguous slices; only the h_k recursion, G, the
+combination and the hypot run per term, in reused buffers.  Every term
+keeps the bits of the scalar path _off_values: the tables apply the same
+elementwise formulas to the same arguments (R - s is exact in floats),
+and the per-term operations run in the same order, with only the
+operands of + and * swapped, which IEEE arithmetic permits bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -328,8 +339,8 @@ def c_axial(N: int) -> ConstantInterval:
         raise ValueError("N must be positive")
     # |c(-r, 0)| = |c(r, 0)| bit for bit: X flips sign exactly, re is even
     # in X and im odd, so one magnitude serves all four points of a block.
-    mag = np.hypot(*_axis_values(np.arange(1, N + 1, dtype=np.int64)))
-    total, peak = _compensated_fold(np.repeat(mag, 4))
+    m = np.hypot(*_axis_values(np.arange(1, N + 1, dtype=np.int64))).tolist()
+    total, peak = _compensated_fold(chain.from_iterable(zip(m, m, m, m)))
     slack = 4.0 * N * _EPS * peak
     return _interval(total, AXIAL_TAIL / N, slack, N)
 
@@ -352,19 +363,92 @@ def shell_lattice(R: int) -> tuple:
     return r1, r2
 
 
-def _shell_partial(R: int) -> float:
+@dataclass(frozen=True)
+class _ShellTables:
+    """Tables and work buffers of c_main's shell kernel, for shells R <= N.
+
+    Entry N + s of y, f_re and f_im holds Y = 1/(pi s) and F(Y) for
+    s = -N..N, with Y = F = 0 in the slot s = 0, which no term uses; entry
+    2N - m of d2 holds D^2 = (1/(pi m))^2 for m = 1..2N; diag[R - 1] is
+    |c(R, R)|.  Shell R reads the contiguous slices s = -R..R-1 and
+    m = R - s = 2R..1.  The six work rows of length 2N are overwritten by
+    every shell.
+    """
+
+    y: np.ndarray
+    f_re: np.ndarray
+    f_im: np.ndarray
+    d2: np.ndarray
+    diag: np.ndarray
+    work: np.ndarray
+
+
+def _shell_tables(N: int) -> _ShellTables:
+    """Build the tables of _ShellTables once for the shells R = 1..N."""
+    s = np.arange(-N, N + 1)
+    y = np.zeros(s.size)
+    y[s != 0] = _scaled(s[s != 0])
+    f_re, f_im = _off_edge(y)
+    d = _scaled(np.arange(2 * N, 0, -1))
+    diag = np.hypot(*_diag_values(np.arange(1, N + 1)))
+    return _ShellTables(y, f_re, f_im, d * d, diag, np.empty((6, 2 * N)))
+
+
+def _shell_terms(R: int, t: _ShellTables) -> np.ndarray:
+    """The 2R magnitudes |c(R, s)| of shell R's right side, from the tables.
+
+    Order: s ascending over [-R, R] \\ {0}, the diagonal point (R, R) last.
+    Every term has the bits of np.hypot(*_off_values(R, s)), resp.
+    np.hypot(*_diag_values(R)); the module docstring says why.  The
+    result is a view of t.work, valid until the next call.
+    """
+    N = t.diag.size
+    y = t.y[N - R : N + R]
+    d2 = t.d2[2 * N - 2 * R :]
+    a, b, u, g_re, g_im, out = t.work[:, : 2 * R]
+    X = float(t.y[N + R])
+    X2 = X * X
+    np.add(y, X, out=a)  # h1
+    np.multiply(a, 15.0, out=g_im)
+    np.multiply(y, a, out=b)  # h2
+    b += X2
+    np.multiply(b, -75.0 / 2.0, out=g_re)
+    g_re += 5.0
+    np.multiply(y, b, out=a)  # h3
+    a += X2 * X
+    np.multiply(a, 75.0, out=u)
+    g_im -= u
+    np.multiply(y, a, out=b)  # h4
+    b += X2 * X2
+    np.multiply(b, 225.0 / 2.0, out=u)
+    g_re += u
+    np.multiply(y, b, out=a)  # h5
+    a += X2 * X2 * X
+    np.multiply(a, 225.0 / 2.0, out=u)
+    g_im += u
+    np.multiply(y, X, out=a)  # X Y
+    for g, f in ((g_re, t.f_re), (g_im, t.f_im)):
+        g *= a
+        np.add(f[N - R : N + R], float(f[N + R]), out=u)  # F(Y) + F(X)
+        g += u
+        g *= d2
+    np.hypot(g_re[:R], g_im[:R], out=out[:R])
+    np.hypot(g_re[R + 1 :], g_im[R + 1 :], out=out[R:-1])
+    out[-1] = t.diag[R - 1]
+    return out
+
+
+def _shell_partial(R: int, tables: _ShellTables) -> float:
     """Sum of |coefficient| over shell R, evaluated on its right side alone.
 
     The right side r1 = R, r2 ascending over [-R, R] \\ {0}, is one numpy
-    reduction (2R terms, the diagonal point (R, R) last).  The left side
-    mirrors it through |c(-r, -s)| = |c(r, s)|, and the top and bottom
-    sides mirror it through |c(r, s)| = |c(s, r)| minus the two corners
-    they do not own, hence 4 * right - 2 * (|c(R, R)| + |c(R, -R)|).
+    reduction of _shell_terms (2R terms, the diagonal point (R, R) last),
+    read from tables = _shell_tables(N) for any N >= R.
+    The left side mirrors it through |c(-r, -s)| = |c(r, s)|, and the top
+    and bottom sides mirror it through |c(r, s)| = |c(s, r)| minus the two
+    corners they do not own, hence 4 * right - 2 * (|c(R, R)| + |c(R, -R)|).
     """
-    s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
-    vals = np.empty(2 * R)
-    vals[:-1] = np.hypot(*_off_values(R, s))
-    vals[-1] = np.hypot(*_diag_values(R))
+    vals = _shell_terms(R, tables)
     right = float(np.add.reduce(vals))
     return 4.0 * right - 2.0 * float(vals[-1] + vals[0])
 
@@ -373,13 +457,15 @@ def c_main(N: int) -> ConstantInterval:
     """Certified off-axis coefficient sum over shells R = 1..N.
 
     Shells are concentric squares max(|r1|, |r2|) = R with min != 0; each
-    shell's sum comes from _shell_partial, and the partials are folded
-    sequentially in ascending R with Neumaier compensation.  Tail bound
-    40/N; slack counts all 4N^2 lattice terms.
+    shell's sum comes from _shell_partial on tables built once for this
+    N, and the partials are folded sequentially in ascending R with
+    Neumaier compensation.  Tail bound 40/N; slack counts all 4N^2
+    lattice terms.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    total, peak = _compensated_fold(_shell_partial(R) for R in range(1, N + 1))
+    tables = _shell_tables(N)
+    total, peak = _compensated_fold(_shell_partial(R, tables) for R in range(1, N + 1))
     slack = 4 * N * N * _EPS * peak
     return _interval(total, MAIN_TAIL / N, slack, N)
 

@@ -137,6 +137,17 @@ def test_verify_formulas_rejects_empty_range(capsys, rmax):
     assert captured.err.startswith("error: --rmax must be at least 1")
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--n-main", "0"), ("--n-main", "-3"), ("--n-axial", "0")]
+)
+def test_bound_two_var_size_error_names_the_flag(capsys, flag, value):
+    code = main(["bound", "two-var", "--fast", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be at least 1, got {value}")
+
+
 def test_verify_constants_fast(capsys):
     code, out = run_cli(capsys, "verify", "constants", "--fast")
     assert code == 0

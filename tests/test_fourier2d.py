@@ -12,6 +12,8 @@ from additive_bases.fourier2d import (
     _diag_values,
     _off_values,
     _shell_partial,
+    _shell_tables,
+    _shell_terms,
     _upper_grid_min,
     alpha2_exact,
     alpha2_numeric,
@@ -198,6 +200,9 @@ def test_closed_forms_audit_against_50_digit_reference():
     # last, as _shell_partial evaluates them), the axis |r| <= 50, a
     # seeded sample with |r|, |s| <= 4000, and (4000, 4000 - j) next to
     # the diagonal, where a difference quotient for G would cancel.
+    # The audit reads _off_values; c_main sums the table kernel
+    # _shell_terms, which test_shell_kernel_matches_scalar_path_bit_for_bit
+    # holds to the same bits, so the audit covers what c_main sums.
     checked = []
     for R in range(1, 51):
         s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
@@ -332,10 +337,25 @@ def test_c_main_nesting():
     assert desk.width <= 0.08 + 3 * desk.rounding_slack
 
 
+@pytest.mark.parametrize(
+    "N, radii", [(200, range(1, 201)), (4000, (1, 2, 499, 500, 3999, 4000))]
+)
+def test_shell_kernel_matches_scalar_path_bit_for_bit(N, radii):
+    # Exact equality, no tolerance: the tables only hoist values the
+    # scalar path computes per term.  Tables built for N = 4000 serve
+    # small shells too, so their layout cannot depend on N.
+    tables = _shell_tables(N)
+    for R in radii:
+        s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
+        ref = np.append(np.hypot(*_off_values(R, s)), np.hypot(*_diag_values(R)))
+        assert np.array_equal(_shell_terms(R, tables), ref), R
+
+
 def test_shell_fold_matches_full_shell_reference():
     # The symmetry fold evaluates only each shell's right side; the
     # reference sums every one of the 8R - 4 shell points in the
     # shell_lattice traversal.
+    tables = _shell_tables(200)
     for R in range(1, 201):
         r1, r2 = shell_lattice(R)
         mags = np.empty(r1.size)
@@ -343,17 +363,27 @@ def test_shell_fold_matches_full_shell_reference():
         mags[diag] = np.hypot(*_diag_values(r1[diag]))
         mags[~diag] = np.hypot(*_off_values(r1[~diag], r2[~diag]))
         ref = np.add.reduce(mags)
-        assert abs(_shell_partial(R) - ref) <= 1e-14 * ref, R
+        assert abs(_shell_partial(R, tables) - ref) <= 1e-14 * ref, R
 
 
 def test_c_main_is_the_ascending_fold_of_shell_partials():
     # Documented order: shells folded in ascending R with Neumaier
     # compensation, all 4N^2 lattice terms counted in the slack.
     N = 120
-    total, peak = _compensated_fold([_shell_partial(R) for R in range(1, N + 1)])
+    tables = _shell_tables(N)
+    total, peak = _compensated_fold([_shell_partial(R, tables) for R in range(1, N + 1)])
     iv = c_main(N)
     assert iv.lo == total - iv.rounding_slack
     assert iv.rounding_slack == 4 * N * N * np.finfo(float).eps * peak
+
+
+def test_full_scale_bits_are_pinned(full_scale_intervals):
+    # Exact bits of the certified sums.  A deliberate change (a derived
+    # tail or rounding slack, say) updates these numbers and says so in
+    # CHANGES.md; anything else that moves them is a regression.
+    ax, mn = full_scale_intervals
+    assert (ax.lo, ax.hi) == (2.9027876588509041, 2.9028876591087238)
+    assert (mn.lo, mn.hi) == (4.7514546862405487, 4.7614548212850147)
 
 
 def test_interval_validation():
