@@ -39,7 +39,7 @@ from .certify import (
     rho_from,
 )
 from .constructions import lower_bound_coefficient, rohrbach_basis
-from .search import DEFAULT_NODE_BUDGET, n2k_exact
+from .search import DEFAULT_NODE_BUDGET, MAX_EXACT_K, n2k_exact
 from .sumsets import as_basis, exp_sum_stats, n2, rep_profile
 
 FULL_N_AXIAL = 50000
@@ -66,7 +66,16 @@ def _emit(obj) -> None:
     print(_fmt(obj))
 
 
+def _require(flag: str, value: int, lo: int, hi=None) -> None:
+    """Reject a size flag outside [lo, hi] with an error that names the flag."""
+    if value < lo or (hi is not None and value > hi):
+        bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+        raise ValueError(f"{flag} must be {bound}, got {value}")
+
+
 def _cmd_search(args) -> int:
+    _require("--k", args.k, 1, MAX_EXACT_K)
+    _require("--budget", args.budget, 1)
     res = n2k_exact(args.k, args.budget)
     _emit(
         {
@@ -81,6 +90,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    _require("--k", args.k, 4)
     basis = rohrbach_basis(args.k)
     r = args.k // 2
     covered = n2(basis)
@@ -125,15 +135,11 @@ def _cmd_bound_moser(args) -> int:
 
 
 def _cmd_bound_two_var(args) -> int:
-    n_axial = args.n_axial if args.n_axial is not None else (
-        FAST_N_AXIAL if args.fast else FULL_N_AXIAL
-    )
-    n_main = args.n_main if args.n_main is not None else (
-        FAST_N_MAIN if args.fast else FULL_N_MAIN
-    )
-    for flag, n in (("--n-axial", n_axial), ("--n-main", n_main)):
-        if n < 1:
-            raise ValueError(f"{flag} must be at least 1, got {n}")
+    scale = (FAST_N_AXIAL, FAST_N_MAIN) if args.fast else (FULL_N_AXIAL, FULL_N_MAIN)
+    n_axial = scale[0] if args.n_axial is None else args.n_axial
+    n_main = scale[1] if args.n_main is None else args.n_main
+    _require("--n-axial", n_axial, 1)
+    _require("--n-main", n_main, 1)
     cert = certify(
         fourier2d.c_axial(n_axial),
         fourier2d.c_main(n_main),
@@ -252,8 +258,7 @@ def _cmd_verify_constants(args) -> int:
 
 def _cmd_verify_formulas(args) -> int:
     rmax = args.rmax
-    if rmax < 1:
-        raise ValueError(f"--rmax must be at least 1, got {rmax}")
+    _require("--rmax", rmax, 1)
     quad = fourier2d.coeff_quadrature(rmax)
     r = range(-rmax, rmax + 1)
     diffs = {(r1, r2): float(abs(fourier2d.coeff(r1, r2) - quad[r1 + rmax, r2 + rmax]))
@@ -266,6 +271,12 @@ def _cmd_verify_formulas(args) -> int:
         f"max|r| <= {rmax}: worst |diff| = {worst:.3e} at {worst_pair}"
     )
     return 0 if ok else 1
+
+
+def _lemma(delta: int, bound: float, tol: float = 0.0) -> dict:
+    """One surplus lemma: its bound on delta_total, and whether it holds or is tight."""
+    tight = abs(delta - bound) < tol if tol else delta == bound
+    return {"bound": bound, "holds": delta >= bound - tol, "tight": tight}
 
 
 def _cmd_basis_stats(args) -> int:
@@ -285,14 +296,13 @@ def _cmd_basis_stats(args) -> int:
         },
     }
     if args.n is not None:
-        modulus = args.n  # explicit modulus, invalid values surface as errors
+        _require("--n", args.n, 2)
+    modulus = args.n if args.n is not None else (prof.n if prof.n >= 2 else None)
+    if modulus is None:
+        out["modulus"] = None
     else:
-        modulus = prof.n if prof.n >= 2 else None
-    if modulus is not None:
         st = exp_sum_stats(basis, modulus)
-        ell_bound = st.ell * (st.ell + 1) / 2.0
-        energy_bound = (st.M**2 - basis.k) / 2.0
-        pair_bound = st.L / 2.0
+        delta = prof.delta_total
         out.update(
             {
                 "modulus": modulus,
@@ -300,32 +310,20 @@ def _cmd_basis_stats(args) -> int:
                 "mu": st.mu,
                 "ell": st.ell,
                 "L": st.L,
-                "inequalities": {
-                    "ell_pairs": {
-                        "bound": ell_bound,
-                        "holds": prof.delta_total >= ell_bound,
-                        "tight": prof.delta_total == ell_bound,
-                    },
-                    "energy": {
-                        "bound": energy_bound,
-                        "holds": prof.delta_total >= energy_bound - 1e-9,
-                        "tight": abs(prof.delta_total - energy_bound) < 1e-9,
-                    },
-                    "ordered_pairs": {
-                        "bound": pair_bound,
-                        "holds": prof.delta_total >= pair_bound,
-                        "tight": prof.delta_total == pair_bound,
-                    },
+                # The lemmas bound delta_total only at the covering radius.
+                "inequalities": None if modulus != prof.n else {
+                    "ell_pairs": _lemma(delta, st.ell * (st.ell + 1) / 2.0),
+                    "energy": _lemma(delta, (st.M**2 - basis.k) / 2.0, tol=1e-9),
+                    "ordered_pairs": _lemma(delta, st.L / 2.0),
                 },
             }
         )
-    else:
-        out["modulus"] = None
     _emit(out)
     return 0
 
 
 def _cmd_dump_phi(args) -> int:
+    _require("--grid", args.grid, 2)
     fourier2d.phi_grid_csv(args.out, args.grid)
     print(f"wrote {args.grid}x{args.grid} grid to {args.out}", file=sys.stderr)
     return 0

@@ -247,22 +247,30 @@ def coeff_quadrature(rmax: int) -> np.ndarray:
     to the unit square, so the integrand is smooth on each piece:
       lower triangle: t2 = (1 - t1) s, Jacobian (1 - t1);
       upper triangle: t2 = 1 - t1 (1 - s), Jacobian t1.
-    Each triangle's weight grid is built once.  For each r2 one grid
-    exp(-2 pi i r2 t2) is summed along s, and one matrix product with
-    exp(-2 pi i r1 t1) gives every r1 at once.
+    Each triangle's weight grid is built in blocks of 128 t1 rows, and
+    exp(-2 pi i q t2) for q = 0..rmax is summed along s, row by row; the
+    weights are real, so the row sums for r2 = -q are their conjugates,
+    bit for bit.  One matrix product with exp(-2 pi i r1 t1) per r2 gives
+    every r1 at once.
 
     Returns the (2 rmax + 1) x (2 rmax + 1) complex array whose entry
     [r1 + rmax, r2 + rmax] is the coefficient at (r1, r2).
     """
     t, w = _gauss_panels()
-    t1, s = t[:, None], t[None, :]
+    s = t[None, :]
     r = np.arange(-rmax, rmax + 1)
     rows = np.exp(-2j * _PI * np.outer(r, t))
     out = np.zeros((r.size, r.size), dtype=complex)
-    for jac, t2 in ((1.0 - t1, (1.0 - t1) * s), (t1, 1.0 - t1 * (1.0 - s))):
-        weights = jac * w[:, None] * w[None, :] * phi(t1, t2)
+    for upper in (False, True):
+        blocks = []
+        for t1, w1 in zip(t.reshape(-1, 128, 1), w.reshape(-1, 128, 1)):
+            jac, t2 = (t1, 1.0 - t1 * (1.0 - s)) if upper else (1.0 - t1, (1.0 - t1) * s)
+            weights = jac * w1 * w[None, :] * phi(t1, t2)
+            blocks.append([np.sum(weights * np.exp(-2j * _PI * q * t2), axis=1)
+                           for q in range(rmax + 1)])
+        sums = np.concatenate(blocks, axis=1)  # [q, t1]
         for j, r2 in enumerate(r):
-            out[:, j] += rows @ np.sum(weights * np.exp(-2j * _PI * r2 * t2), axis=1)
+            out[:, j] += rows @ (sums[r2] if r2 >= 0 else np.conj(sums[-r2]))
     return out
 
 

@@ -115,6 +115,23 @@ def test_basis_stats_explicit_modulus(capsys):
     assert doc["ell"] == 1  # 2*2 >= 4
 
 
+@pytest.mark.parametrize("modulus", [2, 50, 5])
+def test_basis_stats_inequalities_only_at_the_covering_radius(capsys, modulus):
+    # The surplus lemmas assume the modulus is n2(A) = 5; at any other
+    # modulus the block would report false counterexamples.
+    code, out = run_cli(capsys, "basis", "stats", "--set", "0,1,3", "--n", str(modulus))
+    assert code == 0
+    keys = [k for k, _ in json.loads(out, object_pairs_hook=list)]
+    assert keys[-1] == "inequalities"
+    doc = json.loads(out)
+    assert doc["n2"] == 5
+    assert doc["modulus"] == modulus
+    if modulus == 5:
+        assert all(check["holds"] for check in doc["inequalities"].values())
+    else:
+        assert doc["inequalities"] is None
+
+
 def test_verify_formulas_small(capsys):
     code, out = run_cli(capsys, "verify", "formulas", "--rmax", "2")
     assert code == 0
@@ -146,6 +163,26 @@ def test_bound_two_var_size_error_names_the_flag(capsys, flag, value):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be at least 1, got {value}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "--k", "0"], "--k must be between 1 and 12, got 0"),
+        (["search", "--k", "13"], "--k must be between 1 and 12, got 13"),
+        (["search", "--k", "3", "--budget", "0"], "--budget must be at least 1, got 0"),
+        (["construct", "rohrbach", "--k", "3"], "--k must be at least 4, got 3"),
+        (["dump", "phi", "--grid", "1", "--out", "unused.csv"], "--grid must be at least 2, got 1"),
+        (["basis", "stats", "--set", "0,1,3", "--n", "0"], "--n must be at least 2, got 0"),
+        (["basis", "stats", "--set", "0,1,3", "--n", "1"], "--n must be at least 2, got 1"),
+    ],
+)
+def test_size_error_names_the_flag(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_constants_fast(capsys):

@@ -10,6 +10,7 @@ from additive_bases.fourier2d import (
     _axis_values,
     _compensated_fold,
     _diag_values,
+    _gauss_panels,
     _off_values,
     _shell_partial,
     _shell_tables,
@@ -116,6 +117,26 @@ def test_zero_mean(quad_block):
 def test_closed_forms_match_quadrature(pair, quad_block):
     r1, r2 = pair
     assert abs(coeff(r1, r2) - quad_block[r1 + QUAD_RMAX, r2 + QUAD_RMAX]) < 1e-10
+
+
+def _unblocked_oracle(rmax):
+    """The oracle on whole 1024 x 1024 grids, with exp(-2 pi i r2 t2) for every r2."""
+    t, w = _gauss_panels()
+    t1, s = t[:, None], t[None, :]
+    r = np.arange(-rmax, rmax + 1)
+    rows = np.exp(-2j * np.pi * np.outer(r, t))
+    out = np.zeros((r.size, r.size), dtype=complex)
+    for jac, t2 in ((1.0 - t1, (1.0 - t1) * s), (t1, 1.0 - t1 * (1.0 - s))):
+        weights = jac * w[:, None] * w[None, :] * phi(t1, t2)
+        for j, r2 in enumerate(r):
+            out[:, j] += rows @ np.sum(weights * np.exp(-2j * np.pi * r2 * t2), axis=1)
+    return out
+
+
+def test_quadrature_oracle_keeps_the_unblocked_bits():
+    # Row blocks leave each row's sum alone, and the r2 = -q row sums are
+    # exact conjugates, so the block must match to the last bit.
+    assert np.array_equal(coeff_quadrature(2), _unblocked_oracle(2))
 
 
 def test_axis_coefficient_explicit_form():

@@ -158,18 +158,48 @@ def test_exp_sum_magnitudes_against_direct_evaluation():
             assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-10)
 
 
-def test_exp_sum_magnitudes_across_chunk_boundaries():
-    # Rohrbach's k = 400 basis at its covering radius spans many chunks of
-    # about 2^20 angles; check the rows on both sides of every boundary.
+def _direct_magnitude(elems, n, r):
+    """|f_A(w^r)| summed term by term after exact integer angle reduction."""
+    return abs(sum(cmath.exp(2j * cmath.pi * (r * a % n) / n) for a in elems))
+
+
+def _rows_across_the_mirror(n):
+    """Sampled r in 1..n-1, including every r next to where the half spectrum is mirrored."""
+    joins = {1, n // 2, (n + 1) // 2, n - 1}
+    near = {r + d for r in joins for d in (-1, 0, 1)}
+    sampled = np.random.default_rng(n).integers(1, n, 64).tolist()
+    return sorted(r for r in near | set(sampled) if 1 <= r < n)
+
+
+def test_exp_sum_magnitudes_across_the_mirror():
+    # Rohrbach's k = 400 basis at its covering radius (n = 40001, odd).
     basis = rohrbach_basis(400)
     n = n2(basis)
     stats = exp_sum_stats(basis, n)
-    chunk = (1 << 20) // basis.k
-    assert n > 10 * chunk
-    for r in sorted({m + d for m in range(chunk, n, chunk) for d in (-1, 0, 1)}):
-        if 1 <= r < n:
-            direct = abs(sum(cmath.exp(2j * cmath.pi * r * a / n) for a in basis.elements))
-            assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-9)
+    assert stats.magnitudes.shape == (n - 1,)
+    for r in _rows_across_the_mirror(n):
+        direct = _direct_magnitude(basis.elements, n, r)
+        assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "elems, n",
+    [
+        ([0, 1, 3, 7, 12], 16),  # even n: r = n/2 is its own mirror
+        ([0, 1, 3, 7, 12], 17),  # odd n
+        ([0, 1, 3], 2),
+        ([0, 1, 3], 3),
+        ([0, 5, 10, 11, 23, 24], 5),  # elements >= n share residues
+        ([0, 1, 2**62 - 3, 2**62 - 1], 7),  # near the size cap
+        ([3, 2**61 + 5, 2**62 - 1], 1000003),
+    ],
+)
+def test_exp_sum_fft_matches_direct_evaluation(elems, n):
+    stats = exp_sum_stats(elems, n)
+    assert stats.magnitudes.shape == (n - 1,)
+    for r in _rows_across_the_mirror(n):
+        direct = _direct_magnitude(elems, n, r)
+        assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-12)
 
 
 def test_exp_sum_huge_elements_exact_reduction():
