@@ -5,7 +5,7 @@ sums -> the (kappa, tau) box -> a lower bound on rho = xi^2 through the
 positive root of kappa xi^2 + tau xi - 1 = 0 -> the final coefficient
 (1 - rho)/2 rounded up at the fourth decimal.
 
-At full scale (N = 50000 / 4000, a few minutes of shell sums) the same
+At full scale (N = 50000 / 4000, about a second of shell sums) the same
 pipeline reproduces the published interval endpoints and the headline
 coefficient 0.4789; at desk scale the intervals are wider but the
 certificate already beats the best one-variable-plus-combinatorial

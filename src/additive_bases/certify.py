@@ -19,8 +19,8 @@ enclosures propagate to a certified lower bound on rho in two ways:
                  |d xi/d tau| <= 1/12 and xi <= 1/3.
 
 The lemma route can never exceed the corner route (it bounds rho from
-below over the whole box), and the two agreeing within the variation
-bound is asserted as a sanity check.  The reported coefficient is
+below over the whole box); certify raises if it does by more than 1e-12,
+as a check on both routes.  The reported coefficient is
 (1 - rho_lower)/2 rounded up at the fourth decimal, which absorbs the
 arbitrarily small epsilon of the underlying asymptotic argument.
 """
@@ -127,10 +127,10 @@ def certify(
         raise ValueError("cannot certify: intervals leave the lemma regime")
 
     rho_corner = rho_from(kappa[1], tau[1])
-    # Worst deviation of any box point from the anchors feeds the lemma.
-    dev_kappa = max(abs(kappa[0] - KAPPA0), abs(kappa[1] - KAPPA0))
-    dev_tau = max(abs(tau[0] - TAU0), abs(tau[1] - TAU0))
-    rho_lemma = rho_from(KAPPA0, TAU0) - (dev_kappa / 54.0 + dev_tau / 18.0)
+    # The box ends farthest from the anchors bound every box point's deviation.
+    far_kappa = max(kappa, key=lambda k: abs(k - KAPPA0))
+    far_tau = max(tau, key=lambda t: abs(t - TAU0))
+    rho_lemma = rho_from(KAPPA0, TAU0) - rho_variation_bound(far_kappa, KAPPA0, far_tau, TAU0)
 
     # The anchor-based bound holds over the whole box, so it can never
     # beat the corner value; a violation would mean a bug in one route.

@@ -42,18 +42,18 @@ from .constructions import lower_bound_coefficient, rohrbach_basis
 from .search import DEFAULT_NODE_BUDGET, MAX_EXACT_K, n2k_exact
 from .sumsets import as_basis, exp_sum_stats, n2, rep_profile
 
-FULL_N_AXIAL = 50000
-FULL_N_MAIN = 4000
-FAST_N_AXIAL = 5000
-FAST_N_MAIN = 500
+# The (n_axial, n_main) truncation, keyed by --fast: full scale, else desk scale.
+SCALE = {False: (50000, 4000), True: (5000, 500)}
 
 
 def _fmt(value) -> str:
-    """Stable JSON: insertion-ordered keys, floats at 17 significant digits."""
+    """Stable JSON: insertion-ordered keys, floats at 17 significant digits;
+    a whole-valued float keeps a ".0", so a key's JSON type never varies."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return json.dumps(value)
     if isinstance(value, float):
-        return f"{value:.17g}"
+        text = f"{value:.17g}"
+        return text + ".0" if text.lstrip("-").isdigit() else text
     if isinstance(value, dict):
         inner = ", ".join(f"{json.dumps(k)}: {_fmt(v)}" for k, v in value.items())
         return "{" + inner + "}"
@@ -95,6 +95,7 @@ def _cmd_construct(args) -> int:
     r = args.k // 2
     covered = n2(basis)
     coeff = lower_bound_coefficient(args.k)
+    verified = covered >= r * r + 1
     _emit(
         {
             "k": args.k,
@@ -103,7 +104,7 @@ def _cmd_construct(args) -> int:
             "size": basis.k,
             "claimed_n_lower": r * r + 1,
             "verified_n": covered,
-            "verified": covered >= r * r + 1,
+            "verified": verified,
             "coefficient": {
                 "numerator": coeff.numerator,
                 "denominator": coeff.denominator,
@@ -111,13 +112,14 @@ def _cmd_construct(args) -> int:
             },
         }
     )
-    return 0 if covered >= r * r + 1 else 1
+    return 0 if verified else 1
 
 
 def _cmd_bound_moser(args) -> int:
     c, coefficient = fourier1d.moser_constant()
     f = fourier1d.moser_test_function()
     computed = fourier1d.one_var_bound(f)
+    agrees = abs(computed - coefficient) < 1e-12
     _emit(
         {
             "c": c,
@@ -128,128 +130,70 @@ def _cmd_bound_moser(args) -> int:
             "alpha1": f.alpha1,
             "alpha2": f.alpha2,
             "weight_sum": f.weight_sum(),
-            "closed_form_agrees": abs(computed - coefficient) < 1e-12,
+            "closed_form_agrees": agrees,
         }
     )
-    return 0 if abs(computed - coefficient) < 1e-12 else 1
+    return 0 if agrees else 1
 
 
 def _cmd_bound_two_var(args) -> int:
-    scale = (FAST_N_AXIAL, FAST_N_MAIN) if args.fast else (FULL_N_AXIAL, FULL_N_MAIN)
-    n_axial = scale[0] if args.n_axial is None else args.n_axial
-    n_main = scale[1] if args.n_main is None else args.n_main
+    n_axial, n_main = SCALE[args.fast]
+    n_axial = n_axial if args.n_axial is None else args.n_axial
+    n_main = n_main if args.n_main is None else args.n_main
     _require("--n-axial", n_axial, 1)
     _require("--n-main", n_main, 1)
-    cert = certify(
-        fourier2d.c_axial(n_axial),
-        fourier2d.c_main(n_main),
-        route=args.route,
-    )
+    cert = certify(fourier2d.c_axial(n_axial), fourier2d.c_main(n_main), route=args.route)
     _emit(cert.to_json_dict())
     return 0
-
-
-def _check(lines, label, ok, detail) -> None:
-    lines.append((ok, f"{'PASS' if ok else 'FAIL'} {label}: {detail}"))
 
 
 def constants_report(ax, mn, fast: bool):
     """PASS/FAIL lines for the certified-constants reproduction.
 
     ax, mn are the two enclosures (at desk or full scale); returns
-    (all_ok, list of text lines).
+    (all_ok, list of text lines).  At desk scale each enclosure must
+    contain its full-scale reference interval; at full scale it must lie
+    within the reference, widened by the tolerance.
     """
-    lines = []
-    a2 = fourier2d.alpha2_exact()
-    a2_num = fourier2d.alpha2_numeric(grid=2000)
-    _check(
-        lines,
-        "alpha2",
-        abs(a2_num - a2) < 1e-6,
-        f"numeric minimum {a2_num:.9f} vs exact {a2:.9f}",
-    )
-
-    n_axial = ax.N
-    n_main = mn.N
-    if fast:
-        # Desk scale cannot match the reference digits; nesting must hold:
-        # the full-scale reference interval sits inside the wider one.
-        _check(
-            lines,
-            f"c_axial({n_axial}) contains reference",
-            ax.lo <= REF_AXIAL[0] and REF_AXIAL[1] <= ax.hi + 1e-12,
-            f"[{ax.lo:.6f}, {ax.hi:.6f}] vs reference {REF_AXIAL}",
-        )
-        _check(
-            lines,
-            f"c_main({n_main}) contains reference",
-            mn.lo <= REF_MAIN[0] and REF_MAIN[1] <= mn.hi + 1e-12,
-            f"[{mn.lo:.6f}, {mn.hi:.6f}] vs reference {REF_MAIN}",
-        )
-    else:
-        _check(
-            lines,
-            f"c_axial({n_axial}) within reference",
-            REF_AXIAL[0] - 1e-5 <= ax.lo and ax.hi <= REF_AXIAL[1] + 1e-5,
-            f"[{ax.lo:.7f}, {ax.hi:.7f}] within {REF_AXIAL}",
-        )
-        _check(
-            lines,
-            f"c_main({n_main}) within reference",
-            REF_MAIN[0] - 1e-4 <= mn.lo and mn.hi <= REF_MAIN[1] + 1e-4,
-            f"[{mn.lo:.7f}, {mn.hi:.7f}] within {REF_MAIN}",
-        )
-
+    a2, a2_num = fourier2d.alpha2_exact(), fourier2d.alpha2_numeric(grid=2000)
+    rows = [("alpha2", abs(a2_num - a2) < 1e-6,
+             f"numeric minimum {a2_num:.9f} vs exact {a2:.9f}")]
+    for name, iv, ref, tol in (("c_axial", ax, REF_AXIAL, 1e-5), ("c_main", mn, REF_MAIN, 1e-4)):
+        if fast:
+            rows.append((f"{name}({iv.N}) contains reference", iv.lo <= ref[0] and ref[1] <= iv.hi,
+                         f"[{iv.lo:.6f}, {iv.hi:.6f}] vs reference {ref}"))
+        else:
+            rows.append((f"{name}({iv.N}) within reference",
+                         ref[0] - tol <= iv.lo and iv.hi <= ref[1] + tol,
+                         f"[{iv.lo:.7f}, {iv.hi:.7f}] within {ref}"))
     rho0 = rho_from(KAPPA0, TAU0)
-    _check(
-        lines,
-        "rho0 at anchors",
-        rho0 > REF_RHO0,
-        f"rho({KAPPA0}, {TAU0}) = {rho0:.7f} > {REF_RHO0}",
-    )
+    rows.append(("rho0 at anchors", rho0 > REF_RHO0,
+                 f"rho({KAPPA0}, {TAU0}) = {rho0:.7f} > {REF_RHO0}"))
 
-    cert_lemma = certify(ax, mn, route="lemma")
-    cert_corner = certify(ax, mn, route="corner")
+    lemma, corner = (certify(ax, mn, route=route) for route in ("lemma", "corner"))
+    c_lemma, c_corner = lemma.coefficient_upper, corner.coefficient_upper
     if fast:
-        _check(
-            lines,
-            f"fast pipeline beats {KLOTZ_COEFFICIENT}",
-            cert_corner.coefficient_upper <= REF_DESK_CEILING
-            and cert_lemma.coefficient_upper <= REF_DESK_CEILING,
-            f"corner {cert_corner.coefficient_upper}, lemma "
-            f"{cert_lemma.coefficient_upper}, both <= {REF_DESK_CEILING} "
-            f"< {KLOTZ_COEFFICIENT}",
-        )
+        rows.append((f"fast pipeline beats {KLOTZ_COEFFICIENT}",
+                     max(c_corner, c_lemma) <= REF_DESK_CEILING,
+                     f"corner {c_corner}, lemma {c_lemma}, both <= {REF_DESK_CEILING} "
+                     f"< {KLOTZ_COEFFICIENT}"))
     else:
-        _check(
-            lines,
-            "final coefficient (lemma route)",
-            cert_lemma.coefficient_upper == REF_COEFFICIENT,
-            f"{cert_lemma.coefficient_upper} == {REF_COEFFICIENT}",
-        )
-        _check(
-            lines,
-            "final coefficient (corner route)",
-            cert_corner.coefficient_upper <= REF_COEFFICIENT,
-            f"{cert_corner.coefficient_upper} <= {REF_COEFFICIENT}",
-        )
-        _check(
-            lines,
-            "rho lower bounds",
-            cert_lemma.rho_lower >= REF_RHO_FLOOR
-            and cert_corner.rho_lower >= REF_RHO_FLOOR,
-            f"lemma {cert_lemma.rho_lower:.6f}, corner "
-            f"{cert_corner.rho_lower:.6f}, both >= {REF_RHO_FLOOR}",
-        )
-
-    return all(ok for ok, _ in lines), [text for _, text in lines]
+        rows += [
+            ("final coefficient (lemma route)", c_lemma == REF_COEFFICIENT,
+             f"{c_lemma} == {REF_COEFFICIENT}"),
+            ("final coefficient (corner route)", c_corner <= REF_COEFFICIENT,
+             f"{c_corner} <= {REF_COEFFICIENT}"),
+            ("rho lower bounds", min(lemma.rho_lower, corner.rho_lower) >= REF_RHO_FLOOR,
+             f"lemma {lemma.rho_lower:.6f}, corner {corner.rho_lower:.6f}, "
+             f"both >= {REF_RHO_FLOOR}"),
+        ]
+    lines = [f"{'PASS' if ok else 'FAIL'} {label}: {detail}" for label, ok, detail in rows]
+    return all(ok for _, ok, _ in rows), lines
 
 
 def _cmd_verify_constants(args) -> int:
-    n_axial = FAST_N_AXIAL if args.fast else FULL_N_AXIAL
-    n_main = FAST_N_MAIN if args.fast else FULL_N_MAIN
-    ax = fourier2d.c_axial(n_axial)
-    mn = fourier2d.c_main(n_main)
+    n_axial, n_main = SCALE[args.fast]
+    ax, mn = fourier2d.c_axial(n_axial), fourier2d.c_main(n_main)
     ok_all, lines = constants_report(ax, mn, fast=args.fast)
     for text in lines:
         print(text)
@@ -283,26 +227,25 @@ def _cmd_basis_stats(args) -> int:
     text = args.set.strip().strip("{}")
     elements = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     basis = as_basis(elements)
+    # Free the profile's dict of every pair sum before the FFT.
     prof = rep_profile(basis)
+    n, delta = prof.n, prof.delta_total
+    del prof
+    pairs = (basis.k**2 + basis.k) // 2
     out = {
         "set": list(basis.elements),
         "k": basis.k,
-        "n2": prof.n,
-        "delta_total": prof.delta_total,
-        "identity": {
-            "pairs": (basis.k**2 + basis.k) // 2,
-            "n_plus_delta": prof.n + prof.delta_total,
-            "holds": (basis.k**2 + basis.k) // 2 == prof.n + prof.delta_total,
-        },
+        "n2": n,
+        "delta_total": delta,
+        "identity": {"pairs": pairs, "n_plus_delta": n + delta, "holds": pairs == n + delta},
     }
     if args.n is not None:
         _require("--n", args.n, 2)
-    modulus = args.n if args.n is not None else (prof.n if prof.n >= 2 else None)
+    modulus = args.n if args.n is not None else (n if n >= 2 else None)
     if modulus is None:
         out["modulus"] = None
     else:
         st = exp_sum_stats(basis, modulus)
-        delta = prof.delta_total
         out.update(
             {
                 "modulus": modulus,
@@ -311,7 +254,7 @@ def _cmd_basis_stats(args) -> int:
                 "ell": st.ell,
                 "L": st.L,
                 # The lemmas bound delta_total only at the covering radius.
-                "inequalities": None if modulus != prof.n else {
+                "inequalities": None if modulus != n else {
                     "ell_pairs": _lemma(delta, st.ell * (st.ell + 1) / 2.0),
                     "energy": _lemma(delta, (st.M**2 - basis.k) / 2.0, tol=1e-9),
                     "ordered_pairs": _lemma(delta, st.L / 2.0),

@@ -66,6 +66,7 @@ def test_bound_two_var_fast_schema_and_formatting(capsys):
         "route",
     ]
     doc = dict(pairs)
+    assert isinstance(doc["alpha1"], float)  # 1.0 prints as "1.0", not as the integer 1
     assert dict(doc["c_axial"])["N"] == 5000
     assert dict(doc["c_main"])["N"] == 500
     assert doc["route"] == "corner"
@@ -105,6 +106,9 @@ def test_basis_stats_full(capsys):
     assert doc["L"] == 1
     assert doc["inequalities"]["ell_pairs"]["tight"] is True
     assert doc["inequalities"]["ordered_pairs"]["holds"] is True
+    # whole-valued floats (here every lemma bound) still parse back as floats
+    assert isinstance(doc["M"], float)
+    assert all(isinstance(check["bound"], float) for check in doc["inequalities"].values())
 
 
 def test_basis_stats_explicit_modulus(capsys):
@@ -188,10 +192,16 @@ def test_size_error_names_the_flag(capsys, argv, message):
 def test_verify_constants_fast(capsys):
     code, out = run_cli(capsys, "verify", "constants", "--fast")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert all(line.startswith("PASS") for line in lines)
-    assert any("alpha2" in line for line in lines)
-    assert any("0.4802" in line for line in lines)
+    assert out.splitlines() == [
+        "PASS alpha2: numeric minimum -3.724703937 vs exact -3.724703937",
+        "PASS c_axial(5000) contains reference: [2.902514, 2.903514] "
+        "vs reference (2.90278, 2.90289)",
+        "PASS c_main(500) contains reference: [4.740988, 4.820988] "
+        "vs reference (4.75145, 4.76146)",
+        "PASS rho0 at anchors: rho(9.48617, 2.90289) = 0.0424027 > 0.0424",
+        "PASS fast pipeline beats 0.4802: corner 0.4789, lemma 0.4794, "
+        "both <= 0.4798 < 0.4802",
+    ]
 
 
 def test_verify_constants_full_scale_report(full_scale_intervals):
@@ -200,8 +210,17 @@ def test_verify_constants_full_scale_report(full_scale_intervals):
     ax, mn = full_scale_intervals
     ok, lines = constants_report(ax, mn, fast=False)
     assert ok, lines
-    assert any("0.4789" in line for line in lines)
-    assert any("rho0" in line for line in lines)
+    assert lines == [
+        "PASS alpha2: numeric minimum -3.724703937 vs exact -3.724703937",
+        "PASS c_axial(50000) within reference: [2.9027877, 2.9028877] "
+        "within (2.90278, 2.90289)",
+        "PASS c_main(4000) within reference: [4.7514547, 4.7614548] "
+        "within (4.75145, 4.76146)",
+        "PASS rho0 at anchors: rho(9.48617, 2.90289) = 0.0424027 > 0.0424",
+        "PASS final coefficient (lemma route): 0.4789 == 0.4789",
+        "PASS final coefficient (corner route): 0.4788 <= 0.4789",
+        "PASS rho lower bounds: lemma 0.042212, corner 0.042403, both >= 0.0422",
+    ]
 
 
 def test_dump_phi(tmp_path, capsys):

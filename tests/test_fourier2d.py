@@ -456,9 +456,6 @@ def test_decay_envelopes():
             count += 1
     rep = decay_envelope_check(sample)
     assert rep.ok
-    assert rep.checked_axis == 200
-    assert rep.checked_diagonal == 100
-    assert rep.checked_general == 1000
 
 
 def test_decay_envelope_rejects_origin():

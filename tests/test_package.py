@@ -70,3 +70,20 @@ def test_quadrature_oracle_reads_no_closed_form():
     closed_forms = {"coeff", "_axis_values", "_diag_values", "_off_values", "_off_edge", "_scaled"}
     assert not closed_forms & (reads["coeff_quadrature"] | reads["_gauss_panels"])
     assert "phi" in reads["coeff_quadrature"]
+
+
+def test_cli_writes_no_reference_literal():
+    # certify.py is the one source of the reference constants; a literal
+    # copy of one in cli.py would let the two drift apart.
+    from additive_bases import certify
+
+    refs = {certify.KAPPA0, certify.TAU0, certify.KLOTZ_COEFFICIENT}
+    for name in dir(certify):
+        if name.startswith("REF_"):
+            value = getattr(certify, name)
+            refs.update(value if isinstance(value, tuple) else (value,))
+    tree = ast.parse((SRC / "additive_bases" / "cli.py").read_text())
+    found = [f"cli.py:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+             and node.value in refs]
+    assert found == []
