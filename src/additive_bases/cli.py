@@ -13,8 +13,9 @@ Subcommands:
 JSON goes to stdout with fixed key order and floats printed at 17
 significant digits, so runs are diffable.  Exit status is 0 iff every
 requested check passed, and 2 with an "error: ..." line on stderr for
-bad input or a file that cannot be written.  Shell sums run in one fixed
-order (see fourier2d), so repeated runs print identical bits.
+bad input (a size too large to allocate, too) or a file that cannot be
+written.  Shell sums run in one fixed order (see fourier2d), so repeated
+runs print identical bits.
 """
 
 from __future__ import annotations
@@ -333,6 +334,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size flag too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -169,6 +169,17 @@ def test_bound_two_var_size_error_names_the_flag(capsys, flag, value):
     assert captured.err.startswith(f"error: {flag} must be at least 1, got {value}")
 
 
+def test_bound_two_var_unallocatable_size_is_an_error(capsys):
+    # The shell tables for N = 10^14 need petabytes, so the allocation
+    # fails before any page is touched; it must end in a message, not a
+    # traceback.
+    code = main(["bound", "two-var", "--fast", "--n-main", str(10**14)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -222,8 +222,9 @@ def test_closed_forms_audit_against_50_digit_reference():
     # seeded sample with |r|, |s| <= 4000, and (4000, 4000 - j) next to
     # the diagonal, where a difference quotient for G would cancel.
     # The audit reads _off_values; c_main sums the table kernel
-    # _shell_terms, which test_shell_kernel_matches_scalar_path_bit_for_bit
-    # holds to the same bits, so the audit covers what c_main sums.
+    # _shell_terms, which hands table values to the same _off_combine and
+    # which test_shell_kernel_matches_scalar_path_bit_for_bit holds to the
+    # same bits, so the audit covers what c_main sums.
     checked = []
     for R in range(1, 51):
         s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
@@ -372,6 +373,22 @@ def test_shell_kernel_matches_scalar_path_bit_for_bit(N, radii):
         assert np.array_equal(_shell_terms(R, tables), ref), R
 
 
+def test_shell_kernel_leaves_its_tables_alone_and_matches_coeff():
+    # _off_combine updates in place, but only temporaries it made: after
+    # every shell of N has run, each table is unchanged.  The numpy-scalar
+    # path coeff(R, s) gives each kernel entry bit for bit.
+    N = 4000
+    tables = _shell_tables(N)
+    before = {k: v.copy() for k, v in vars(tables).items()}
+    for R in range(1, N + 1):
+        _shell_terms(R, tables)
+    assert all(np.array_equal(v, before[k]) for k, v in vars(tables).items())
+    for R in (1, 2, 3, 17, 2000, 4000):
+        s = [*range(-R, 0), *range(1, R + 1)]
+        got = _shell_terms(R, tables).tolist()
+        assert got == [float(np.hypot(c.real, c.imag)) for c in map(coeff, [R] * len(s), s)], R
+
+
 def test_shell_fold_matches_full_shell_reference():
     # The symmetry fold evaluates only each shell's right side; the
     # reference sums every one of the 8R - 4 shell points in the
@@ -435,6 +452,29 @@ def test_shell_tail_bounds_hold():
     assert rep.cross_tail < rep.cross_bound
     # the cross-term bound is loose by a wide margin
     assert rep.cross_tail < 0.9 * rep.cross_bound
+
+
+def _shell_tails_over_full_lattice(N, Rmax):
+    # The unfolded reference: every one of the 8R - 4 points of each shell.
+    squares = 0.0
+    cross = 0.0
+    for R in range(N + 1, Rmax + 1):
+        r1, r2 = shell_lattice(R)
+        r1f = r1.astype(float)
+        r2f = r2.astype(float)
+        squares += float(np.add.reduce(1.0 / (r1f * r1f * r2f * r2f)))
+        off = r1 != r2
+        a = r1f[off]
+        b = r2f[off]
+        cross += float(np.add.reduce(1.0 / (np.abs(a * b) * (a - b) ** 2)))
+    return squares, cross
+
+
+def test_shell_tail_fold_matches_full_lattice_reference():
+    rep = shell_sum_bounds_check(5, 300)
+    squares, cross = _shell_tails_over_full_lattice(5, 300)
+    assert abs(rep.squares_tail - squares) <= 1e-13 * squares
+    assert abs(rep.cross_tail - cross) <= 1e-13 * cross
 
 
 def test_shell_tail_validation():

@@ -67,7 +67,8 @@ def test_quadrature_oracle_reads_no_closed_form():
             reads[node.name] = {n.id for n in ast.walk(node)
                                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert sorted(reads) == ["_gauss_panels", "coeff_quadrature"]
-    closed_forms = {"coeff", "_axis_values", "_diag_values", "_off_values", "_off_edge", "_scaled"}
+    closed_forms = {"coeff", "_axis_values", "_diag_values", "_off_values", "_off_edge",
+                    "_off_combine", "_scaled"}
     assert not closed_forms & (reads["coeff_quadrature"] | reads["_gauss_panels"])
     assert "phi" in reads["coeff_quadrature"]
 
