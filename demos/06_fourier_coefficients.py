@@ -3,19 +3,23 @@
 The coefficients of the piecewise-polynomial test function have exact
 rational-in-frequency expressions on the axes, the diagonal, and off the
 diagonal.  An independent split-domain Gauss-Legendre quadrature of
-phi * exp(-2 pi i (r1 t1 + r2 t2)) confirms them to machine precision,
-and the analytic decay envelopes hold with room to spare.
+phi * exp(-2 pi i (r1 t1 + r2 t2)) confirms them to machine precision.
+The truncation tails of the certified sums are derived from the same
+closed forms: 4 |c(r, 0)| <= A / r^2 and shell(R) <= M / R^2 for r, R >= 2.
 """
 
 import numpy as np
 
 from additive_bases.fourier2d import (
+    AXIAL_TAIL,
+    MAIN_TAIL,
+    _axis_values,
+    _shell_partial,
+    _shell_tables,
     coeff,
     coeff_quadrature,
-    decay_envelope,
-    decay_envelope_check,
     phi_grid_csv,
-    shell_sum_bounds_check,
+    tail_constants,
 )
 
 quad = coeff_quadrature(7)  # every coefficient with max(|r1|, |r2|) <= 7
@@ -25,25 +29,16 @@ for pair in ((1, 0), (0, 3), (2, 2), (1, 2), (3, -5), (-4, 7)):
     q = quad[pair[0] + 7, pair[1] + 7]
     print(f"{str(pair):10s}  {c.real:+.8f} {c.imag:+.8f}i   {abs(c - q):.2e}")
 
-print("\ndecay envelopes (|coeff| / envelope, closer to 1 = tighter):")
-for pair in ((1, 0), (10, 0), (1, 1), (10, 10), (2, 5), (7, -3)):
-    ratio = abs(coeff(*pair)) / decay_envelope(*pair)
-    print(f"  {str(pair):10s} ratio = {ratio:.3f}")
-
-sample = [(r, 0) for r in range(1, 51)] + [(r, r) for r in range(1, 51)]
-rng = np.random.default_rng(1)
-while len(sample) < 300:
-    r1, r2 = (int(x) for x in rng.integers(-200, 201, 2))
-    if r1 and r2 and r1 != r2:
-        sample.append((r1, r2))
-report = decay_envelope_check(sample)
-print(f"\nenvelope check on {len(sample)} pairs: worst ratio {report.worst_ratio:.3f} at {report.worst_pair}")
-
-tails = shell_sum_bounds_check(10, 2000)
-print(
-    f"shell tails beyond N=10: {tails.squares_tail:.4f} < {tails.squares_bound:.4f}"
-    f" and {tails.cross_tail:.4f} < {tails.cross_bound:.4f}"
-)
+A, M = tail_constants()
+print(f"\nderived tails: axial A = {float(A):.4f} (in use {AXIAL_TAIL}), "
+      f"main M = {float(M):.3f} (in use {MAIN_TAIL})")
+r = np.arange(2, 5001)
+axis = 4 * np.hypot(*_axis_values(r)) * r * r
+tables = _shell_tables(500)
+shells = [_shell_partial(R, tables) * R * R for R in range(2, 501)]
+R = int(np.argmax(shells)) + 2
+print(f"worst measured 4|c(r,0)| r^2 = {axis.max():.4f} at r = {r[axis.argmax()]}, "
+      f"shell(R) R^2 = {shells[R - 2]:.4f} at R = {R}")
 
 phi_grid_csv("phi_surface.csv", 128)
 print("\nwrote phi_surface.csv (128 x 128 grid, columns t1,t2,phi)")

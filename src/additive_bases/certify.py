@@ -58,7 +58,6 @@ class BoundCertificate:
     tau: tuple
     xi: tuple
     rho_lower: float
-    epsilon_note: str
     coefficient_upper: float
     route: str
 
@@ -148,8 +147,6 @@ def certify(
         tau=tau,
         xi=xi_interval,
         rho_lower=rho_lower,
-        epsilon_note="arbitrarily small epsilon absorbed by rounding the "
-        "coefficient up at the 4th decimal",
         coefficient_upper=ceil4((1.0 - rho_lower) / 2.0),
         route=route,
     )

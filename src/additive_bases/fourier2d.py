@@ -19,30 +19,32 @@ Closed-form coefficients exist on the axes, on the diagonal, and off
 the diagonal.  They are short polynomials with small rational
 coefficients in the scaled frequencies X = 1/(pi r), Y = 1/(pi s), so pi
 enters only through X, Y and D = 1/(pi (r - s)), and they hold at
-negative integers too.  The axis and diagonal forms are X^2 (even
-polynomial) + i X^3 (even polynomial); off the diagonal
+negative integers too.  The axis and diagonal forms are X^2 P(X^2) +
+i X^3 Q(X^2), with (P, Q) the tables _AXIS and _DIAG; off the diagonal
 
     c(r, s) = D^2 (F(X) + F(Y) + X Y G[X, Y]),
 
-where F is a one-variable polynomial and G is the divided difference
+where F has the same shape (table _EDGE) and G is the divided difference
 (g(X) - g(Y)) / (X - Y) of a polynomial g, summed from the complete
-homogeneous polynomials h_k = sum_i X^i Y^(k-i) so that nothing cancels
-next to the diagonal.  Two signs in the off-diagonal form (the D^2 Y^4
-real term and the sign joining the imaginary block) are pinned by the
-independent quadrature oracle in the test suite, and by the r <-> s
-symmetry of the function.
+homogeneous polynomials h_k = sum_i X^i Y^(k-i) (coefficients _G) so
+that nothing cancels next to the diagonal.  Two signs in the
+off-diagonal form (the D^2 Y^4 real term and the sign joining the
+imaginary block) are pinned by the independent quadrature oracle in the
+test suite, and by the r <-> s symmetry of the function.
 
 Certified sums.  The axial sum over 0 < |r| <= N of the two axis
 coefficient magnitudes differs from its limit by less than 5/N; the main
 sum over concentric square shells max(|r1|, |r2|) = R <= N (min != 0)
-differs by less than 40/N.  Both are accumulated with Neumaier
-compensation in a fixed documented order, and a conservative rounding
-slack of terms * eps_machine * peak_running_magnitude is folded into both
-interval ends.  Since phi is real and symmetric, |c(r, s)| = |c(s, r)| =
-|c(-r, -s)|, so each shell is evaluated on its right side alone (r1 = R,
-r2 ascending, one numpy reduction) and expanded to the whole shell by
-_shell_total; shells are folded in ascending R.  The slack still counts
-all 4N^2 lattice terms.
+differs by less than 40/N.  Both tails are derived: tail_constants
+bounds each form termwise from the coefficient tables the sums evaluate,
+giving A/N and M/N with A < 2.48 and M < 28.9.  Both sums are
+accumulated with Neumaier compensation in a fixed documented order, and
+a conservative rounding slack of terms * eps_machine *
+peak_running_magnitude is folded into both interval ends.  Since phi is
+real and symmetric, |c(r, s)| = |c(s, r)| = |c(-r, -s)|, so each shell
+is evaluated on its right side alone (r1 = R, r2 ascending, one numpy
+reduction) and expanded to the whole shell by _shell_total; shells are
+folded in ascending R.  The slack still counts all 4N^2 lattice terms.
 
 Of the off-diagonal form on shell R, Y, F(Y) and D^2 depend on s or on
 R - s alone, so c_main builds them once per call as tables over
@@ -57,6 +59,7 @@ paths hand them to the one combination _off_combine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -67,19 +70,10 @@ _PI = np.pi
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Decay envelopes (per 1/r^2 resp. the stated rational expressions).
-AXIAL_ENVELOPE = (15.0 + 8.0 * np.sqrt(15.0)) / (4.0 * _PI**2)
-DIAGONAL_ENVELOPE = 30.0 / _PI**2
-GENERAL_ENVELOPE_CROSS = 105.0 / _PI**4
-GENERAL_ENVELOPE_SQUARES = 420.0 / _PI**4
-
-# Certified truncation tails: limit minus partial sum is < TAIL / N.
+# Truncation tails: limit minus partial sum is < TAIL / N.  tail_constants
+# derives A <= AXIAL_TAIL and M <= MAIN_TAIL from the coefficient tables.
 AXIAL_TAIL = 5.0
 MAIN_TAIL = 40.0
-
-# Shell-sum tail constants for the two lattice sums used above.
-SHELL_SQUARES_BOUND = 4.0 * _PI**2 / 3.0
-SHELL_CROSS_BOUND = 4.0 * (_PI**2 / 3.0 + 1.0)
 
 
 def phi_excess(t1, t2):
@@ -147,30 +141,42 @@ def _scaled(r):
     return 1.0 / (_PI * np.asarray(r, dtype=float))
 
 
+# Coefficient tables (P, Q), lowest degree first, of the forms
+# X^2 P(X^2) + i X^3 Q(X^2) on the axis, on the diagonal and for the
+# off-diagonal edge F; _G holds G's coefficients on h_0..h_5.  The
+# evaluators and tail_constants both read them; no coefficient is
+# written anywhere else.
+_AXIS = ((15 / 4, -45 / 2, 675 / 4, -2025 / 4), (-60 / 7, -135 / 2, 675 / 2, -2025 / 4))
+_DIAG = ((10.0, -210.0, 1575.0, -4725.0), (55.0, -630.0, 3150.0, -4725.0))
+_EDGE = ((-35 / 2, 525 / 4, -1575 / 4), (-105 / 2, 525 / 2, -1575 / 4))
+_G = (5.0, 15.0, -75 / 2, -75.0, 225 / 2, 225 / 2)
+
+
+def _form(table, X):
+    """X^2 P(X^2) + i X^3 Q(X^2) as (re, im), by Horner in X^2, for table = (P, Q)."""
+    X2 = X * X
+    parts = []
+    for coeffs in table:
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = c + X2 * acc
+        parts.append(acc)
+    return X2 * parts[0], (X2 * X) * parts[1]
+
+
 def _axis_values(r):
     """Coefficient at (r, 0) for nonzero integer array r; equals (0, r)."""
-    X = _scaled(r)
-    X2 = X * X
-    re = X2 * (15.0 / 4.0 + X2 * (-45.0 / 2.0 + X2 * (675.0 / 4.0 - (2025.0 / 4.0) * X2)))
-    im = -(X2 * X) * (60.0 / 7.0 + X2 * (135.0 / 2.0 + X2 * (-675.0 / 2.0 + (2025.0 / 4.0) * X2)))
-    return re, im
+    return _form(_AXIS, _scaled(r))
 
 
 def _diag_values(r):
     """Coefficient at (r, r) for nonzero integer array r."""
-    X = _scaled(r)
-    X2 = X * X
-    re = X2 * (10.0 + X2 * (-210.0 + X2 * (1575.0 - 4725.0 * X2)))
-    im = (X2 * X) * (55.0 + X2 * (-630.0 + X2 * (3150.0 - 4725.0 * X2)))
-    return re, im
+    return _form(_DIAG, _scaled(r))
 
 
 def _off_edge(X):
     """The one-variable part F(X) of the off-diagonal form, as (re, im)."""
-    X2 = X * X
-    re = X2 * (-35.0 / 2.0 + X2 * (525.0 / 4.0 - (1575.0 / 4.0) * X2))
-    im = (X2 * X) * (-105.0 / 2.0 + X2 * (525.0 / 2.0 - (1575.0 / 4.0) * X2))
-    return re, im
+    return _form(_EDGE, X)
 
 
 def _off_combine(X, Y, fx, fy, d2):
@@ -182,22 +188,23 @@ def _off_combine(X, Y, fx, fy, d2):
     no input is written; the plain expression form, one new array per
     operation, runs c_main about 1.7x slower.
     """
+    g0, g1, g2, g3, g4, g5 = _G
     X2 = X * X
     h = X + Y  # h1
-    g_im = 15.0 * h
+    g_im = g1 * h
     h = Y * h
     h += X2  # h2
-    g_re = (-75.0 / 2.0) * h
-    g_re += 5.0
+    g_re = g2 * h
+    g_re += g0
     h *= Y
     h += X2 * X  # h3
-    g_im -= 75.0 * h
+    g_im += g3 * h
     h *= Y
     h += X2 * X2  # h4
-    g_re += (225.0 / 2.0) * h
+    g_re += g4 * h
     h *= Y
     h += X2 * X2 * X  # h5
-    g_im += (225.0 / 2.0) * h
+    g_im += g5 * h
     XY = X * Y
     g_re *= XY
     g_re += fx[0] + fy[0]
@@ -302,9 +309,9 @@ def coeff_quadrature(rmax: int) -> np.ndarray:
 class ConstantInterval:
     """A certified enclosure [lo, hi] of a limit of positive sums.
 
-    hi - lo covers the analytic truncation tail plus rounding slack on
-    both ends, so the limit lies inside the interval whenever the tail
-    bound is valid.
+    hi - lo covers the truncation tail plus rounding slack on both ends;
+    the tail is AXIAL_TAIL/N or MAIN_TAIL/N, which tail_constants derives,
+    so the limit lies inside the interval.
     """
 
     lo: float
@@ -355,12 +362,49 @@ def _interval(total: float, tail: float, slack: float, N: int) -> ConstantInterv
     return ConstantInterval(lo=lo, hi=hi, truncation_tail=tail, rounding_slack=slack, N=N)
 
 
+def tail_constants() -> tuple:
+    """Exact (A, M): c_axial(N) is within A/N and c_main(N) within M/N of its limit.
+
+    With (P, Q) a coefficient table, |X^2 P(X^2) + i X^3 Q(X^2)| <= X^2
+    m(u) for |X| <= u, where m(u) = sum |P_k| u^2k + u sum |Q_k| u^2k;
+    likewise |G[X, Y]| <= sum |g_k| h_k(u, v) =: m_G for |X| <= u, |Y| <= v.
+    Beyond R = 1, X = 1/(pi R) has |X| <= u = 1/(2 pi), and Y = 1/(pi s)
+    has |Y| <= v = 1/pi.  By _shell_total, shell(R) <= 4 sum_{s != R}
+    |c(R, s)| + 2 |c(R, R)|, and |c(R, s)| <= D^2 (|F(X)| + |F(Y)| + |XY G|)
+    meets three sums over s, by partial fractions with H_{R-1}/R <= 1/2
+    and H_R/R <= 3/4:
+
+        sum 1/(R - s)^2 <= zeta(2),
+        sum 1/(s (R - s))^2 <= (3 zeta(2) + 2) / R^2,
+        sum 1/(|s| (R - s)^2) <= (zeta(2) + 7/4) / R.
+
+    So shell(R) <= M/R^2 and, on the axis, 4 |c(r, 0)| <= A/r^2 for R,
+    r >= 2; as sum_{R > N} 1/R^2 < 1/N, the tails are below A/N and M/N.
+    Every step rounds up, with 333/106 < pi < 355/113 and zeta(2) = pi^2/6.
+    """
+    pi_lo, pi_hi = Fraction(333, 106), Fraction(355, 113)
+    zeta2 = pi_hi**2 / 6
+    u, v = 1 / (2 * pi_lo), 1 / pi_lo
+
+    def m(table, u):
+        P, Q = ([abs(Fraction(c)) * u ** (2 * k) for k, c in enumerate(part)] for part in table)
+        return sum(P) + u * sum(Q)
+
+    m_g = sum(abs(Fraction(g)) * u**i * v ** (k - i)
+              for k, g in enumerate(_G) for i in range(k + 1))
+    A = 4 * m(_AXIS, u) / pi_lo**2
+    M = (4 * (m(_EDGE, u) * zeta2 + m(_EDGE, v) * (3 * zeta2 + 2) + m_g * (zeta2 + Fraction(7, 4)))
+         / pi_lo**4 + 2 * m(_DIAG, u) / pi_lo**2)
+    return A, M
+
+
 def c_axial(N: int) -> ConstantInterval:
     """Certified axial coefficient sum over 0 < |r| <= N (both axes).
 
     Traversal: |r| ascending, within each |r| the block
     (r,0), (-r,0), (0,r), (0,-r), the last two via the axis symmetry.
-    Tail bound 5/N; rounding slack 4N * eps * peak running magnitude.
+    Tail bound AXIAL_TAIL/N = 5/N, above the derived A/N of tail_constants;
+    rounding slack 4N * eps * peak running magnitude.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -370,24 +414,6 @@ def c_axial(N: int) -> ConstantInterval:
     total, peak = _compensated_fold(chain.from_iterable(zip(m, m, m, m)))
     slack = 4.0 * N * _EPS * peak
     return _interval(total, AXIAL_TAIL / N, slack, N)
-
-
-def shell_lattice(R: int) -> tuple:
-    """Lattice points with max(|r1|, |r2|) = R and min(|r1|, |r2|) != 0.
-
-    Fixed traversal order (8R - 4 points): right side r1 = R with r2
-    ascending over [-R, R] \\ {0}; left side r1 = -R likewise; then top
-    r2 = R and bottom r2 = -R with r1 ascending over (-R, R) \\ {0}.
-    The tests sum it as the reference for the folded shell sums of
-    c_main and shell_sum_bounds_check.
-    """
-    if R < 1:
-        raise ValueError("shell radius must be positive")
-    side = np.concatenate([np.arange(-R, 0), np.arange(1, R + 1)])
-    inner = np.concatenate([np.arange(-R + 1, 0), np.arange(1, R)])
-    r1 = np.concatenate([np.full(side.size, R), np.full(side.size, -R), inner, inner])
-    r2 = np.concatenate([side, side, np.full(inner.size, R), np.full(inner.size, -R)])
-    return r1, r2
 
 
 def _shell_total(right) -> float:
@@ -452,8 +478,8 @@ def c_main(N: int) -> ConstantInterval:
     Shells are concentric squares max(|r1|, |r2|) = R with min != 0; each
     shell's sum comes from _shell_partial on tables built once for this
     N, and the partials are folded sequentially in ascending R with
-    Neumaier compensation.  Tail bound 40/N; slack counts all 4N^2
-    lattice terms.
+    Neumaier compensation.  Tail bound MAIN_TAIL/N = 40/N, above the
+    derived M/N of tail_constants; slack counts all 4N^2 lattice terms.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -461,99 +487,6 @@ def c_main(N: int) -> ConstantInterval:
     total, peak = _compensated_fold(_shell_partial(R, tables) for R in range(1, N + 1))
     slack = 4 * N * N * _EPS * peak
     return _interval(total, MAIN_TAIL / N, slack, N)
-
-
-# ---------------------------------------------------------------------------
-# Lemma verification utilities
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShellTailReport:
-    """Partial lattice-sum tails versus their closed-form shell bounds."""
-
-    N: int
-    Rmax: int
-    squares_tail: float
-    squares_bound: float
-    cross_tail: float
-    cross_bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.squares_tail < self.squares_bound and self.cross_tail < self.cross_bound
-
-
-def shell_sum_bounds_check(N: int, Rmax: int) -> ShellTailReport:
-    """Sum 1/(r1 r2)^2 and 1/(|r1 r2| (r1-r2)^2) over shells N < R <= Rmax.
-
-    The first runs over all shell points with min != 0, the second
-    additionally excludes the diagonal.  Both summands have the symmetries
-    of |c|, so each shell is _shell_total of its 2R right-side terms, with
-    a zero in the diagonal slot of the second.  Both partial tails must
-    stay under their respective bounds (4 pi^2 / 3) / N and
-    4 (pi^2 / 3 + 1) / N.
-    """
-    if Rmax <= N:
-        raise ValueError("Rmax must exceed N")
-    squares = cross = 0.0
-    for R in range(N + 1, Rmax + 1):
-        s = np.concatenate([np.arange(-R, 0), np.arange(1, R)]).astype(float)
-        squares += _shell_total(1.0 / (R * R * np.append(s, R) ** 2))
-        cross += _shell_total(np.append(1.0 / (np.abs(R * s) * (R - s) ** 2), 0.0))
-    return ShellTailReport(
-        N=N,
-        Rmax=Rmax,
-        squares_tail=squares,
-        squares_bound=SHELL_SQUARES_BOUND / N,
-        cross_tail=cross,
-        cross_bound=SHELL_CROSS_BOUND / N,
-    )
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    """Worst observed |coefficient| / envelope ratio over a sample."""
-
-    worst_ratio: float
-    worst_pair: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.worst_ratio <= 1.0
-
-
-def decay_envelope(r1: int, r2: int) -> float:
-    """The applicable decay envelope for a nonzero frequency pair."""
-    if r1 == 0 and r2 == 0:
-        raise ValueError("pair (0, 0) has no decay regime")
-    if r1 == 0 or r2 == 0:
-        r = r1 if r1 != 0 else r2
-        return AXIAL_ENVELOPE / (r * r)
-    if r1 == r2:
-        return DIAGONAL_ENVELOPE / (r1 * r1)
-    return GENERAL_ENVELOPE_CROSS / (abs(r1 * r2) * (r1 - r2) ** 2) + (
-        GENERAL_ENVELOPE_SQUARES / (r1 * r1 * r2 * r2)
-    )
-
-
-def decay_envelope_check(sample) -> EnvelopeReport:
-    """Measure the worst |coeff| / envelope ratio over the sample.
-
-    Each pair's envelope, and so its regime, comes from decay_envelope,
-    which rejects the origin; the report is ok when the ratio stays <= 1.
-    """
-    sample = list(sample)
-    if not sample:
-        raise ValueError("empty sample")
-    worst = 0.0
-    worst_pair = sample[0]
-    for r1, r2 in sample:
-        ratio = abs(coeff(r1, r2)) / decay_envelope(r1, r2)
-        if ratio > worst:
-            worst = ratio
-            worst_pair = (r1, r2)
-    return EnvelopeReport(worst_ratio=worst, worst_pair=tuple(worst_pair))
 
 
 def phi_grid_csv(path, m: int) -> None:

@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 
 from additive_bases.certify import (
+    KAPPA0,
     KLOTZ_COEFFICIENT,
+    REF_AXIAL,
+    REF_COEFFICIENT,
+    REF_DESK_CEILING,
+    REF_MAIN,
+    REF_RHO0,
+    REF_RHO_FLOOR,
+    TAU0,
+    ceil4,
     certify,
     rho_from,
     rho_variation_bound,
@@ -22,13 +31,17 @@ from additive_bases.cli import main as cli_main
 from additive_bases.constructions import rohrbach_basis
 from additive_bases.fourier1d import moser_constant, moser_test_function, one_var_bound
 from additive_bases.fourier2d import (
+    AXIAL_TAIL,
+    MAIN_TAIL,
+    _axis_values,
+    _shell_partial,
+    _shell_tables,
     alpha2_exact,
     alpha2_numeric,
     c_axial,
     coeff,
     coeff_quadrature,
-    decay_envelope_check,
-    shell_sum_bounds_check,
+    tail_constants,
 )
 from additive_bases.sumsets import as_basis, exp_sum_stats, n2, rep_profile, sumset2
 
@@ -112,8 +125,7 @@ def test_criterion_4_moser_constant():
     computed = one_var_bound(moser_test_function())
     ok = abs(computed - (0.5 - 1.0 / 98.0)) < 1e-12
     ok &= c == 1.0 / 98.0
-    reported = np.ceil(computed * 10000 - 1e-9) / 10000
-    ok &= reported == 0.4898
+    ok &= ceil4(computed) == 0.4898
     _report(4, "one-variable pipeline emits 1/2 - 1/98, reported 0.4898", ok,
             time.time() - t0)
 
@@ -143,8 +155,8 @@ def test_criterion_7_constants_at_full_scale(full_scale_intervals):
     axial_seconds = time.time() - t0
     ax, mn = full_scale_intervals
     ok = ax_fresh.lo == ax.lo and ax_fresh.hi == ax.hi
-    ok &= 2.90278 - 1e-5 <= ax.lo and ax.hi <= 2.90289 + 1e-5
-    ok &= 4.75145 - 1e-4 <= mn.lo and mn.hi <= 4.76146 + 1e-4
+    ok &= REF_AXIAL[0] - 1e-5 <= ax.lo and ax.hi <= REF_AXIAL[1] + 1e-5
+    ok &= REF_MAIN[0] - 1e-4 <= mn.lo and mn.hi <= REF_MAIN[1] + 1e-4
     ok &= axial_seconds < 10.0
     _report(7, f"axial [{ax.lo:.7f}, {ax.hi:.7f}] and main [{mn.lo:.7f}, {mn.hi:.7f}] "
             "inside reference intervals", ok, time.time() - t0)
@@ -154,11 +166,12 @@ def test_criterion_8_desk_scale_fallback(capsys):
     t0 = time.time()
     code, doc = _cli_json(capsys, "bound", "two-var", "--fast")
     ok = code == 0 and doc["c_axial"]["N"] == 5000 and doc["c_main"]["N"] == 500
-    ok &= doc["coefficient_upper"] <= 0.4798
+    ok &= doc["coefficient_upper"] <= REF_DESK_CEILING
     code, doc = _cli_json(capsys, "bound", "two-var", "--fast", "--route", "lemma")
-    ok &= code == 0 and doc["coefficient_upper"] <= 0.4798
-    ok &= 0.4798 < KLOTZ_COEFFICIENT
-    _report(8, "fast pipeline certifies <= 0.4798, strictly below 0.4802", ok,
+    ok &= code == 0 and doc["coefficient_upper"] <= REF_DESK_CEILING
+    ok &= REF_DESK_CEILING < KLOTZ_COEFFICIENT
+    _report(8, f"fast pipeline certifies <= {REF_DESK_CEILING}, "
+            f"strictly below {KLOTZ_COEFFICIENT}", ok,
             time.time() - t0, limit=60.0)
 
 
@@ -168,15 +181,15 @@ def test_criterion_9_final_theorem(full_scale_intervals):
     corner = certify(ax, mn, route="corner")
     lemma = certify(ax, mn, route="lemma")
 
-    ok = rho_from(9.48617, 2.90289) > 0.04240  # anchor value
-    ok &= corner.rho_lower >= 0.0422 and lemma.rho_lower >= 0.0422
+    ok = rho_from(KAPPA0, TAU0) > REF_RHO0  # anchor value
+    ok &= corner.rho_lower >= REF_RHO_FLOOR and lemma.rho_lower >= REF_RHO_FLOOR
     ok &= abs(corner.rho_lower - lemma.rho_lower) < 0.0002  # routes agree
     # The anchor-plus-lemma route reproduces the published coefficient;
     # the pessimal-corner route is strictly sharper by one decimal step.
-    ok &= lemma.coefficient_upper == 0.4789
+    ok &= lemma.coefficient_upper == REF_COEFFICIENT
     ok &= corner.coefficient_upper == 0.4788
-    ok &= corner.coefficient_upper <= 0.4789
-    _report(9, f"rho >= 0.0422 on both routes; coefficients corner "
+    ok &= corner.coefficient_upper <= REF_COEFFICIENT
+    _report(9, f"rho >= {REF_RHO_FLOOR} on both routes; coefficients corner "
             f"{corner.coefficient_upper} / lemma {lemma.coefficient_upper}",
             ok, time.time() - t0)
 
@@ -193,18 +206,15 @@ def test_criterion_10_lemma_suites():
         if not ok:
             break
 
-    for N, rmax in ((1, 2000), (10, 5000), (100, 10000)):
-        rep = shell_sum_bounds_check(N, rmax)
-        ok &= rep.ok
-
-    sample = [(r, 0) for r in range(1, 101)] + [(r, r) for r in range(1, 101)]
-    count = 0
-    while count < 1000:
-        r1 = int(rng.integers(-500, 501))
-        r2 = int(rng.integers(-500, 501))
-        if r1 and r2 and r1 != r2:
-            sample.append((r1, r2))
-            count += 1
-    ok &= decay_envelope_check(sample).ok
-    _report(10, "root-variation, shell-tail and decay-envelope suites", ok,
+    # The derived tails cover the constants the sums use, and bound every
+    # computed shell and axis term they speak for: shell(R) <= M/R^2 and
+    # 4 |c(r, 0)| <= A/r^2 for R, r >= 2.
+    A, M = tail_constants()
+    ok &= A <= AXIAL_TAIL and M <= MAIN_TAIL
+    tables = _shell_tables(4000)
+    ok &= max(_shell_partial(R, tables) * R * R for R in range(2, 4001)) <= M
+    r = np.arange(2, 50001)
+    ok &= float(np.max(4 * np.hypot(*_axis_values(r)) * r * r)) <= A
+    _report(10, f"root-variation suite; derived tails A = {float(A):.4f} <= {AXIAL_TAIL} "
+            f"and M = {float(M):.3f} <= {MAIN_TAIL} bound every axis term and shell", ok,
             time.time() - t0, limit=60.0)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,10 @@ from mpmath import mp
 from scipy.integrate import quad
 
 from additive_bases.fourier2d import (
+    _AXIS,
+    _DIAG,
+    _EDGE,
+    _G,
     ConstantInterval,
     _axis_values,
     _compensated_fold,
@@ -22,14 +27,11 @@ from additive_bases.fourier2d import (
     c_main,
     coeff,
     coeff_quadrature,
-    decay_envelope,
-    decay_envelope_check,
     excess_row_integral,
     phi,
     phi_excess,
     phi_grid_csv,
-    shell_lattice,
-    shell_sum_bounds_check,
+    tail_constants,
 )
 
 # ---------------------------------------------------------------------------
@@ -389,6 +391,21 @@ def test_shell_kernel_leaves_its_tables_alone_and_matches_coeff():
         assert got == [float(np.hypot(c.real, c.imag)) for c in map(coeff, [R] * len(s), s)], R
 
 
+def shell_lattice(R: int) -> tuple:
+    """Lattice points with max(|r1|, |r2|) = R and min(|r1|, |r2|) != 0.
+
+    Fixed traversal order (8R - 4 points): right side r1 = R with r2
+    ascending over [-R, R] \\ {0}; left side r1 = -R likewise; then top
+    r2 = R and bottom r2 = -R with r1 ascending over (-R, R) \\ {0}.  The
+    tests sum it as the reference for c_main's folded shell sums.
+    """
+    side = np.concatenate([np.arange(-R, 0), np.arange(1, R + 1)])
+    inner = np.concatenate([np.arange(-R + 1, 0), np.arange(1, R)])
+    r1 = np.concatenate([np.full(side.size, R), np.full(side.size, -R), inner, inner])
+    r2 = np.concatenate([side, side, np.full(inner.size, R), np.full(inner.size, -R)])
+    return r1, r2
+
+
 def test_shell_fold_matches_full_shell_reference():
     # The symmetry fold evaluates only each shell's right side; the
     # reference sums every one of the 8R - 4 shell points in the
@@ -432,7 +449,7 @@ def test_interval_validation():
 
 
 # ---------------------------------------------------------------------------
-# Shell lattice and lemma checks
+# Shell lattice and derived tails
 # ---------------------------------------------------------------------------
 
 
@@ -445,64 +462,26 @@ def test_shell_lattice_structure():
         assert len({(a, b) for a, b in zip(r1.tolist(), r2.tolist())}) == r1.size
 
 
-def test_shell_tail_bounds_hold():
-    rep = shell_sum_bounds_check(5, 800)
-    assert rep.ok
-    assert rep.squares_tail < rep.squares_bound
-    assert rep.cross_tail < rep.cross_bound
-    # the cross-term bound is loose by a wide margin
-    assert rep.cross_tail < 0.9 * rep.cross_bound
+def test_tail_constants_match_a_50_digit_recomputation():
+    # The same inequalities as tail_constants, at 50 digits with exact pi
+    # and zeta(2); each Fraction bounds its value from above, and tightly.
+    with mp.workdps(50):
+        u, v = 1 / (2 * mp.pi), 1 / mp.pi
 
+        def m(table, u):
+            P, Q = table
+            return (sum(abs(mp.mpf(c)) * u ** (2 * k) for k, c in enumerate(P))
+                    + u * sum(abs(mp.mpf(c)) * u ** (2 * k) for k, c in enumerate(Q)))
 
-def _shell_tails_over_full_lattice(N, Rmax):
-    # The unfolded reference: every one of the 8R - 4 points of each shell.
-    squares = 0.0
-    cross = 0.0
-    for R in range(N + 1, Rmax + 1):
-        r1, r2 = shell_lattice(R)
-        r1f = r1.astype(float)
-        r2f = r2.astype(float)
-        squares += float(np.add.reduce(1.0 / (r1f * r1f * r2f * r2f)))
-        off = r1 != r2
-        a = r1f[off]
-        b = r2f[off]
-        cross += float(np.add.reduce(1.0 / (np.abs(a * b) * (a - b) ** 2)))
-    return squares, cross
-
-
-def test_shell_tail_fold_matches_full_lattice_reference():
-    rep = shell_sum_bounds_check(5, 300)
-    squares, cross = _shell_tails_over_full_lattice(5, 300)
-    assert abs(rep.squares_tail - squares) <= 1e-13 * squares
-    assert abs(rep.cross_tail - cross) <= 1e-13 * cross
-
-
-def test_shell_tail_validation():
-    with pytest.raises(ValueError, match="exceed"):
-        shell_sum_bounds_check(10, 10)
-
-
-def test_decay_envelopes():
-    sample = [(r, 0) for r in range(1, 101)]
-    sample += [(0, r) for r in range(1, 101)]
-    sample += [(r, r) for r in range(1, 101)]
-    rng = np.random.default_rng(23)
-    count = 0
-    while count < 1000:
-        r1 = int(rng.integers(-500, 501))
-        r2 = int(rng.integers(-500, 501))
-        if r1 and r2 and r1 != r2:
-            sample.append((r1, r2))
-            count += 1
-    rep = decay_envelope_check(sample)
-    assert rep.ok
-
-
-def test_decay_envelope_rejects_origin():
-    with pytest.raises(ValueError, match="no decay regime"):
-        decay_envelope(0, 0)
-    with pytest.raises(ValueError, match="empty"):
-        decay_envelope_check([])
+        m_g = sum(abs(mp.mpf(g)) * u**i * v ** (k - i)
+                  for k, g in enumerate(_G) for i in range(k + 1))
+        z = mp.zeta(2)
+        A = 4 * m(_AXIS, u) / mp.pi**2
+        M = (4 * (m(_EDGE, u) * z + m(_EDGE, v) * (3 * z + 2) + m_g * (z + mp.mpf(7) / 4))
+             / mp.pi**4 + 2 * m(_DIAG, u) / mp.pi**2)
+        for exact, ref in zip(tail_constants(), (A, M)):
+            assert isinstance(exact, Fraction)
+            assert ref <= mp.mpf(exact.numerator) / exact.denominator <= ref * (1 + mp.mpf("1e-3"))
 
 
 # ---------------------------------------------------------------------------

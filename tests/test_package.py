@@ -68,9 +68,24 @@ def test_quadrature_oracle_reads_no_closed_form():
                                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert sorted(reads) == ["_gauss_panels", "coeff_quadrature"]
     closed_forms = {"coeff", "_axis_values", "_diag_values", "_off_values", "_off_edge",
-                    "_off_combine", "_scaled"}
+                    "_off_combine", "_scaled", "_form", "_AXIS", "_DIAG", "_EDGE", "_G",
+                    "tail_constants"}
     assert not closed_forms & (reads["coeff_quadrature"] | reads["_gauss_panels"])
     assert "phi" in reads["coeff_quadrature"]
+
+
+def test_closed_form_coefficients_live_only_in_the_tables():
+    # tail_constants derives the truncation tails from _AXIS, _DIAG, _EDGE
+    # and _G, so an evaluator writing a coefficient of its own would sum
+    # a form the derivation does not bound.
+    tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
+    evaluators = ("_axis_values", "_diag_values", "_off_edge", "_off_combine")
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in evaluators:
+            found[node.name] = [n.value for n in ast.walk(node)
+                                if isinstance(n, ast.Constant) and isinstance(n.value, float)]
+    assert found == {name: [] for name in evaluators}
 
 
 def test_cli_writes_no_reference_literal():
