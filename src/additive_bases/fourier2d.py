@@ -33,14 +33,16 @@ imaginary block) are pinned by the independent quadrature oracle in the
 test suite, and by the r <-> s symmetry of the function.
 
 Certified sums.  The axial sum over 0 < |r| <= N of the two axis
-coefficient magnitudes differs from its limit by less than 5/N; the main
-sum over concentric square shells max(|r1|, |r2|) = R <= N (min != 0)
-differs by less than 40/N.  Both tails are derived: tail_constants
-bounds each form termwise from the coefficient tables the sums evaluate,
-giving A/N and M/N with A < 2.48 and M < 28.9.  Both sums are
-accumulated with Neumaier compensation in a fixed documented order, and
-a conservative rounding slack of terms * eps_machine *
-peak_running_magnitude is folded into both interval ends.  Since phi is
+coefficient magnitudes, and the main sum over concentric square shells
+max(|r1|, |r2|) = R <= N (min != 0), each fall short of their limits by
+a truncation tail with derived bounds on both sides: tail_constants
+bounds each term beyond N from above and below, times 1/r^2 or 1/R^2,
+from the coefficient tables the sums evaluate.  At N = 500 the main
+tail lies between about 5.89/N and 6.09/N (5.99/N measured), and the
+axial tail is O(1/N^2) wide.  Both sums are accumulated with Neumaier
+compensation in a fixed documented order, and a conservative rounding
+slack of terms * eps_machine * peak_running_magnitude is folded into
+both interval ends, each rounded outward to a float.  Since phi is
 real and symmetric, |c(r, s)| = |c(s, r)| = |c(-r, -s)|, so each shell
 is evaluated on its right side alone (r1 = R, r2 ascending, one numpy
 reduction) and expanded to the whole shell by _shell_total; shells are
@@ -58,6 +60,7 @@ paths hand them to the one combination _off_combine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -70,10 +73,12 @@ _PI = np.pi
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Truncation tails: limit minus partial sum is < TAIL / N.  tail_constants
-# derives A <= AXIAL_TAIL and M <= MAIN_TAIL from the coefficient tables.
-AXIAL_TAIL = 5.0
-MAIN_TAIL = 40.0
+# Continued-fraction convergents with _PI_LO < pi < _PI_HI, for the
+# derived truncation tails.
+_PI_LO, _PI_HI = Fraction(103993, 33102), Fraction(104348, 33215)
+
+# tail_constants bounds the terms (R, s) with 0 < |s| <= _NEAR_AXIS one by one.
+_NEAR_AXIS = 8
 
 
 def phi_excess(t1, t2):
@@ -309,21 +314,25 @@ def coeff_quadrature(rmax: int) -> np.ndarray:
 class ConstantInterval:
     """A certified enclosure [lo, hi] of a limit of positive sums.
 
-    hi - lo covers the truncation tail plus rounding slack on both ends;
-    the tail is AXIAL_TAIL/N or MAIN_TAIL/N, which tail_constants derives,
-    so the limit lies inside the interval.
+    The limit is the partial sum, which lies within rounding_slack of the
+    computed one, plus a truncation tail in [tail_lo, tail_hi], which
+    tail_constants derives.  lo and hi are those ends rounded outward, so
+    the limit lies inside and hi - lo covers the tail's width.
     """
 
     lo: float
     hi: float
-    truncation_tail: float
+    tail_lo: float
+    tail_hi: float
     rounding_slack: float
     N: int
 
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise ValueError("empty interval")
-        if self.hi - self.lo < self.truncation_tail:
+        if not 0 <= self.tail_lo <= self.tail_hi:
+            raise ValueError("truncation tail outside 0 <= tail_lo <= tail_hi")
+        if self.hi - self.lo < self.tail_hi - self.tail_lo:
             raise ValueError("interval narrower than its truncation tail")
         if self.N < 0:
             raise ValueError("negative truncation radius")
@@ -351,51 +360,161 @@ def _compensated_fold(values) -> tuple:
     return total, max(peak, abs(total))
 
 
-def _interval(total: float, tail: float, slack: float, N: int) -> ConstantInterval:
-    total, tail, slack = float(total), float(tail), float(slack)
-    lo = total - slack
-    hi = total + tail + slack
-    # Construction in floats may round hi - lo a few ulps under the tail;
-    # bump hi upward (conservative) until the enclosure property holds.
-    while hi - lo < tail:
-        hi = float(np.nextafter(hi, np.inf))
-    return ConstantInterval(lo=lo, hi=hi, truncation_tail=tail, rounding_slack=slack, N=N)
+def _round(q: Fraction, up: bool) -> float:
+    """The float nearest q on the safe side: never below q if up, never above it else."""
+    f = float(q)  # correctly rounded
+    if (Fraction(f) < q) if up else (Fraction(f) > q):
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
 
 
-def tail_constants() -> tuple:
-    """Exact (A, M): c_axial(N) is within A/N and c_main(N) within M/N of its limit.
+def _inverse_square_tail(a: int) -> tuple:
+    """Exact bounds (1/a + 1/(2a^2), 1/(a - 1/2)) on sum_{k >= a} 1/k^2, a >= 1.
 
-    With (P, Q) a coefficient table, |X^2 P(X^2) + i X^3 Q(X^2)| <= X^2
-    m(u) for |X| <= u, where m(u) = sum |P_k| u^2k + u sum |Q_k| u^2k;
-    likewise |G[X, Y]| <= sum |g_k| h_k(u, v) =: m_G for |X| <= u, |Y| <= v.
-    Beyond R = 1, X = 1/(pi R) has |X| <= u = 1/(2 pi), and Y = 1/(pi s)
-    has |Y| <= v = 1/pi.  By _shell_total, shell(R) <= 4 sum_{s != R}
-    |c(R, s)| + 2 |c(R, R)|, and |c(R, s)| <= D^2 (|F(X)| + |F(Y)| + |XY G|)
-    meets three sums over s, by partial fractions with H_{R-1}/R <= 1/2
-    and H_R/R <= 3/4:
-
-        sum 1/(R - s)^2 <= zeta(2),
-        sum 1/(s (R - s))^2 <= (3 zeta(2) + 2) / R^2,
-        sum 1/(|s| (R - s)^2) <= (zeta(2) + 7/4) / R.
-
-    So shell(R) <= M/R^2 and, on the axis, 4 |c(r, 0)| <= A/r^2 for R,
-    r >= 2; as sum_{R > N} 1/R^2 < 1/N, the tails are below A/N and M/N.
-    Every step rounds up, with 333/106 < pi < 355/113 and zeta(2) = pi^2/6.
+    The trapezoid rule overestimates, and the midpoint rule
+    underestimates, the integral of the convex 1/x^2 (the Euler-Maclaurin
+    comparison of a sum with its integral).
     """
-    pi_lo, pi_hi = Fraction(333, 106), Fraction(355, 113)
-    zeta2 = pi_hi**2 / 6
-    u, v = 1 / (2 * pi_lo), 1 / pi_lo
+    a = Fraction(a)
+    return 1 / a + 1 / (2 * a * a), 1 / (a - Fraction(1, 2))
 
-    def m(table, u):
-        P, Q = ([abs(Fraction(c)) * u ** (2 * k) for k, c in enumerate(part)] for part in table)
-        return sum(P) + u * sum(Q)
 
-    m_g = sum(abs(Fraction(g)) * u**i * v ** (k - i)
-              for k, g in enumerate(_G) for i in range(k + 1))
-    A = 4 * m(_AXIS, u) / pi_lo**2
-    M = (4 * (m(_EDGE, u) * zeta2 + m(_EDGE, v) * (3 * zeta2 + 2) + m_g * (zeta2 + Fraction(7, 4)))
-         / pi_lo**4 + 2 * m(_DIAG, u) / pi_lo**2)
-    return A, M
+def _interval(total: float, slack: float, per_term: tuple, N: int) -> ConstantInterval:
+    """Enclosure of a sum truncated at N whose terms beyond N lie in per_term / k^2."""
+    k_lo, k_hi = _inverse_square_tail(N + 1)
+    tail_lo = _round(per_term[0] * k_lo, up=False)
+    tail_hi = _round(per_term[1] * k_hi, up=True)
+    lo = _round(Fraction(total) - Fraction(slack) + Fraction(tail_lo), up=False)
+    hi = _round(Fraction(total) + Fraction(slack) + Fraction(tail_hi), up=True)
+    return ConstantInterval(lo=lo, hi=hi, tail_lo=tail_lo, tail_hi=tail_hi,
+                            rounding_slack=float(slack), N=N)
+
+
+def _lead_rest(table, u) -> tuple:
+    """(|P_0|, rest): |x^2 P(x^2) + i x^3 Q(x^2) - P_0 x^2| <= rest x^2 for |x| <= u."""
+    P, Q = ([Fraction(c) for c in part] for part in table)
+    rest = (sum(abs(c) * u ** (2 * k) for k, c in enumerate(P) if k)
+            + u * sum(abs(c) * u ** (2 * k) for k, c in enumerate(Q)))
+    return abs(P[0]), rest
+
+
+def _g_rest(u, v) -> Fraction:
+    """sum_{k >= 1} |g_k| h_k(u, v), which bounds |G[X, Y] - g_0| for |X| <= u, |Y| <= v."""
+    total, h, u_k = Fraction(0), Fraction(1), Fraction(1)
+    for g in _G[1:]:
+        u_k *= u
+        h = v * h + u_k  # h_k = v h_(k-1) + u^k
+        total += abs(Fraction(g)) * h
+    return total
+
+
+def _magnitude_bounds(table, lo, hi) -> tuple:
+    """Bounds on |x^2 P(x^2) + i x^3 Q(x^2)| over 0 < lo <= x <= hi, monomial by
+    monomial; the square roots are taken on the dyadic grid 2^-64, outward."""
+    lo2, hi2 = lo * lo, hi * hi
+    squares = []
+    for part, lo_k, hi_k in zip(table, (lo2, lo2 * lo), (hi2, hi2 * hi)):
+        a = b = 0
+        for c in map(Fraction, part):
+            ends = sorted((c * lo_k, c * hi_k))
+            a, b = a + ends[0], b + ends[1]
+            lo_k, hi_k = lo_k * lo2, hi_k * hi2
+        squares.append((max(a, -b, 0) ** 2, max(-a, b) ** 2))
+    (re_lo, re_hi), (im_lo, im_hi) = squares
+    lo_root, hi_root = (math.isqrt(q.numerator * 4**64 // q.denominator)
+                        for q in (re_lo + im_lo, re_hi + im_hi))
+    return Fraction(lo_root, 2**64), Fraction(hi_root + 1, 2**64)
+
+
+def _over_pi(q: Fraction, power: int, up: bool) -> Fraction:
+    """q / pi^power, rounded up (or down) whatever the sign of q."""
+    return q / (_PI_LO if (q >= 0) == up else _PI_HI) ** power
+
+
+def _axis_constants(N: int) -> tuple:
+    """The (a_lo, a_hi) of tail_constants, which c_axial needs alone."""
+    a0, rest = _lead_rest(_AXIS, 1 / (_PI_LO * (N + 1)))
+    return (max(Fraction(0), _over_pi(4 * (a0 - rest), 2, up=False)),
+            _over_pi(4 * (a0 + rest), 2, up=True))
+
+
+def tail_constants(N: int) -> tuple:
+    """Exact ((a_lo, a_hi), (m_lo, m_hi)) with, for every r, R > N >= 1,
+
+        a_lo <= 4 |c(r, 0)| r^2 <= a_hi,    m_lo <= shell(R) R^2 <= m_hi,
+
+    so the tails of c_axial(N) and c_main(N) lie in a_* and m_* times
+    sum_{k > N} 1/k^2 (see _inverse_square_tail).  Everything is read
+    from the tables _AXIS, _DIAG, _EDGE and _G.
+
+    Each form is P_0 x^2 + rest with |rest| <= x^2 rest(u) for |x| <= u
+    (_lead_rest); beyond N, |X| = 1/(pi R) <= u = 1/(pi (N + 1)).  So on
+    the axis 4 |c| r^2 = (4/pi^2) (|P_0| +- rest(u)), and likewise
+    2 |c(R, R)| R^2 on the diagonal.  By _shell_total, shell(R) also holds
+    4 |c(R, s)| for s in [-R, R - 1] \\ {0} (weight 2 at s = -R), each
+    D^2 |E| with E = F(X) + F(Y) + X Y G, in three ranges:
+
+    * near the axis, 0 < |s| <= S = min(_NEAR_AXIS, N // 2): |E| is
+      |F(Y)| (bounded over 1/(pi_hi |s|) <= |Y| <= 1/(pi_lo |s|) by
+      _magnitude_bounds) +- (|F(X)| + |X Y G|), and the pair +-s carries
+      (R / (R - s))^2 + (R / (R + s))^2 in [2, f(|s| / (N + 1))], f
+      rising (a negative lower bound of a term stays valid);
+    * the band R/2 <= s < R (|Y| <= 2u) and the middle (|Y| <= v =
+      1/(pi (S + 1))): E = -(p_0 (X^2 + Y^2) - g_0 X Y) + rho, with
+      p_0 = -P_0 = 35/2 > g_0 / 2 = 5/2, so the lead is negative
+      definite, and |rho| <= X^2 rest(u) + Y^2 rest(2u or v) + |X Y|
+      g_rest (_g_rest).
+      pi^4 R^2 D^2 times X^2, Y^2 and X Y are a = 1/m^2, b = (1/s +
+      1/m)^2 and c = (1/s + 1/m)/m with m = R - s, summed over each range
+      by partial fractions, zeta(2) = pi^2/6, _inverse_square_tail and
+      ell = (2 + 0.7 bitlen(N + 1)) / (N + 1) >= (1 + H_R) / R (as
+      H_R <= 1 + ln R, ln 2 < 0.7 and (2 + ln x)/x falls).  The lower
+      bound drops the term s = -R and the negative-s part of -g_0 c.
+
+    Every step rounds the safe way, with _PI_LO < pi < _PI_HI; a lower
+    bound that comes out negative is replaced by 0.
+    """
+    if N < 1:
+        raise ValueError("N must be positive")
+    S = min(_NEAR_AXIS, N // 2)
+    u = 1 / (_PI_LO * (N + 1))
+    ell = (2 + Fraction(7, 10) * (N + 1).bit_length()) / (N + 1)
+    zeta_lo, zeta_hi = _PI_LO**2 / 6, _PI_HI**2 / 6
+    zero = Fraction(0)
+
+    p0, rx = _lead_rest(_EDGE, u)
+    g0 = Fraction(_G[0])
+    near_lo = near_hi = zero
+    f_x, xy_g = u * u * (p0 + rx), u * (abs(g0) + _g_rest(u, 1 / _PI_LO)) / _PI_LO
+    for j in range(1, S + 1):
+        f_lo, f_hi = _magnitude_bounds(_EDGE, 1 / (_PI_HI * j), 1 / (_PI_LO * j))
+        delta = f_x + xy_g / j  # >= |F(X)| + |X Y G|
+        t = Fraction(j, N + 1)
+        near_lo += 2 * (f_lo - delta)
+        near_hi += 2 * (1 + t * t) / (1 - t * t) ** 2 * (f_hi + delta)
+
+    def summed(v, a, b, c):
+        """Bounds on pi^4 R^2 sum D^2 |E| over a range with |Y| <= v.
+
+        a, b and c are (lo, hi) bounds on the sums of a, b and c over the
+        range, and c[1] also bounds the sum of |c|.
+        """
+        rest = a[1] * rx + b[1] * _lead_rest(_EDGE, v)[1] + c[1] * _g_rest(u, v)
+        return (p0 * (a[0] + b[0]) - g0 * c[1] - rest, p0 * (a[1] + b[1]) - g0 * c[0] + rest)
+
+    a = (zeta_lo - Fraction(2, N + 1), zeta_hi)
+    band = summed(2 * u, a, (a[0], zeta_hi + 2 * ell + Fraction(2, N)), (a[0], zeta_hi + ell))
+    k_lo, k_hi = _inverse_square_tail(S + 1)
+    c_abs = 2 * ell + Fraction(2, N + 1)
+    middle = summed(1 / (_PI_LO * (S + 1)), (0, Fraction(3, N + 1)),
+                    (2 * k_lo - Fraction(3, N) - 2 * ell, 2 * k_hi + 2 * ell + Fraction(2, N + 1)),
+                    (-c_abs, c_abs))
+
+    d0, rd = _lead_rest(_DIAG, u)
+    shell = [_over_pi(2 * (d0 + sign * rd) + 4 * near, 2, up) + _over_pi(4 * (b + m), 4, up)
+             for sign, near, b, m, up in ((-1, near_lo, band[0], middle[0], False),
+                                          (1, near_hi, band[1], middle[1], True))]
+    return _axis_constants(N), (max(zero, shell[0]), shell[1])
 
 
 def c_axial(N: int) -> ConstantInterval:
@@ -403,8 +522,8 @@ def c_axial(N: int) -> ConstantInterval:
 
     Traversal: |r| ascending, within each |r| the block
     (r,0), (-r,0), (0,r), (0,-r), the last two via the axis symmetry.
-    Tail bound AXIAL_TAIL/N = 5/N, above the derived A/N of tail_constants;
-    rounding slack 4N * eps * peak running magnitude.
+    Two-sided tail from tail_constants; rounding slack 4N * eps * peak
+    running magnitude.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -413,7 +532,7 @@ def c_axial(N: int) -> ConstantInterval:
     m = np.hypot(*_axis_values(np.arange(1, N + 1, dtype=np.int64))).tolist()
     total, peak = _compensated_fold(chain.from_iterable(zip(m, m, m, m)))
     slack = 4.0 * N * _EPS * peak
-    return _interval(total, AXIAL_TAIL / N, slack, N)
+    return _interval(total, slack, _axis_constants(N), N)
 
 
 def _shell_total(right) -> float:
@@ -478,15 +597,15 @@ def c_main(N: int) -> ConstantInterval:
     Shells are concentric squares max(|r1|, |r2|) = R with min != 0; each
     shell's sum comes from _shell_partial on tables built once for this
     N, and the partials are folded sequentially in ascending R with
-    Neumaier compensation.  Tail bound MAIN_TAIL/N = 40/N, above the
-    derived M/N of tail_constants; slack counts all 4N^2 lattice terms.
+    Neumaier compensation.  Two-sided tail from tail_constants; slack
+    counts all 4N^2 lattice terms.
     """
     if N < 1:
         raise ValueError("N must be positive")
     tables = _shell_tables(N)
     total, peak = _compensated_fold(_shell_partial(R, tables) for R in range(1, N + 1))
     slack = 4 * N * N * _EPS * peak
-    return _interval(total, MAIN_TAIL / N, slack, N)
+    return _interval(total, slack, tail_constants(N)[1], N)
 
 
 def phi_grid_csv(path, m: int) -> None:

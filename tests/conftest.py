@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from additive_bases.cli import SCALE
 from additive_bases.fourier2d import c_axial, c_main
 from additive_bases.sumsets import as_basis
 
@@ -23,4 +24,4 @@ def random_basis(rng, max_k=12, max_element=200, include_01=True):
 @pytest.fixture(scope="session")
 def full_scale_intervals():
     """Full-scale certified enclosures, computed once for the whole run."""
-    return c_axial(50000), c_main(4000)
+    return c_axial(SCALE[0]), c_main(SCALE[1])

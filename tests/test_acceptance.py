@@ -8,6 +8,7 @@ complete.  The full-scale certified sums are computed once per session
 import itertools
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,12 +28,12 @@ from additive_bases.certify import (
     rho_from,
     rho_variation_bound,
 )
+from additive_bases.cli import SCALE
 from additive_bases.cli import main as cli_main
 from additive_bases.constructions import rohrbach_basis
 from additive_bases.fourier1d import moser_constant, moser_test_function, one_var_bound
 from additive_bases.fourier2d import (
-    AXIAL_TAIL,
-    MAIN_TAIL,
+    _NEAR_AXIS,
     _axis_values,
     _shell_partial,
     _shell_tables,
@@ -151,7 +152,7 @@ def test_criterion_6_coefficient_formulas():
 
 def test_criterion_7_constants_at_full_scale(full_scale_intervals):
     t0 = time.time()
-    ax_fresh = c_axial(50000)
+    ax_fresh = c_axial(SCALE[0])
     axial_seconds = time.time() - t0
     ax, mn = full_scale_intervals
     ok = ax_fresh.lo == ax.lo and ax_fresh.hi == ax.hi
@@ -206,15 +207,25 @@ def test_criterion_10_lemma_suites():
         if not ok:
             break
 
-    # The derived tails cover the constants the sums use, and bound every
-    # computed shell and axis term they speak for: shell(R) <= M/R^2 and
-    # 4 |c(r, 0)| <= A/r^2 for R, r >= 2.
-    A, M = tail_constants()
-    ok &= A <= AXIAL_TAIL and M <= MAIN_TAIL
+    # The derived tails bound every computed shell and axis term they
+    # speak for, from both sides: m_lo <= shell(R) R^2 <= m_hi for
+    # N < R <= 4000 and a_lo <= 4 |c(r, 0)| r^2 <= a_hi for N < r <= 50000,
+    # at N = 1, where the near-axis count stops growing, one past it,
+    # and both truncations in use.
     tables = _shell_tables(4000)
-    ok &= max(_shell_partial(R, tables) * R * R for R in range(2, 4001)) <= M
-    r = np.arange(2, 50001)
-    ok &= float(np.max(4 * np.hypot(*_axis_values(r)) * r * r)) <= A
-    _report(10, f"root-variation suite; derived tails A = {float(A):.4f} <= {AXIAL_TAIL} "
-            f"and M = {float(M):.3f} <= {MAIN_TAIL} bound every axis term and shell", ok,
+    R = np.arange(1, 4001)
+    shells = np.array([_shell_partial(int(k), tables) for k in R]) * R * R
+    r = np.arange(1, 50001)
+    axis = 4 * np.hypot(*_axis_values(r)) * r * r
+    for N in (1, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, *SCALE):
+        (a_lo, a_hi), (m_lo, m_hi) = tail_constants(N)
+        ok &= bool(a_lo <= Fraction(float(axis[N:].min())))
+        ok &= bool(Fraction(float(axis[N:].max())) <= a_hi)
+        if N < R.size:
+            ok &= bool(m_lo <= Fraction(float(shells[N:].min())))
+            ok &= bool(Fraction(float(shells[N:].max())) <= m_hi)
+    (a_lo, a_hi), (m_lo, m_hi) = tail_constants(SCALE[1])
+    _report(10, f"root-variation suite; derived per-term bounds hold on every measured "
+            f"term, at N = {SCALE[1]}: {float(m_lo):.3f} <= shell(R) R^2 <= {float(m_hi):.3f} "
+            f"and {float(a_lo):.4f} <= 4|c(r,0)| r^2 <= {float(a_hi):.4f}", ok,
             time.time() - t0, limit=60.0)

@@ -111,7 +111,7 @@ def test_ceil4_keeps_the_reported_decimals(full_scale_intervals):
 
 
 def _synthetic(lo, hi, N=0):
-    return ConstantInterval(lo=lo, hi=hi, truncation_tail=0.0, rounding_slack=0.0, N=N)
+    return ConstantInterval(lo=lo, hi=hi, tail_lo=0.0, tail_hi=0.0, rounding_slack=0.0, N=N)
 
 
 def test_degenerate_corner_certificate():

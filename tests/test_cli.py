@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from additive_bases.cli import main
+from additive_bases.cli import SCALE, main
+from additive_bases.fourier2d import _NEAR_AXIS
 
 
 def run_cli(capsys, *argv):
@@ -205,12 +206,12 @@ def test_verify_constants_fast(capsys):
     assert code == 0
     assert out.splitlines() == [
         "PASS alpha2: numeric minimum -3.724703937 vs exact -3.724703937",
-        "PASS c_axial(5000) contains reference: [2.902514, 2.903514] "
-        "vs reference (2.90278, 2.90289)",
-        "PASS c_main(500) contains reference: [4.740988, 4.820988] "
-        "vs reference (4.75145, 4.76146)",
+        f"PASS c_axial({SCALE[0]}) within reference: [2.9028180, 2.9028181] "
+        "within (2.90278, 2.90289)",
+        f"PASS c_main({SCALE[1]}) within reference: [4.7527495, 4.7531622] "
+        "within (4.75145, 4.76146)",
         "PASS rho0 at anchors: rho(9.48617, 2.90289) = 0.0424027 > 0.0424",
-        "PASS fast pipeline beats 0.4802: corner 0.4789, lemma 0.4794, "
+        "PASS fast pipeline beats 0.4802: corner 0.4788, lemma 0.4789, "
         "both <= 0.4798 < 0.4802",
     ]
 
@@ -223,15 +224,34 @@ def test_verify_constants_full_scale_report(full_scale_intervals):
     assert ok, lines
     assert lines == [
         "PASS alpha2: numeric minimum -3.724703937 vs exact -3.724703937",
-        "PASS c_axial(50000) within reference: [2.9027877, 2.9028877] "
+        f"PASS c_axial({SCALE[0]}) within reference: [2.9028180, 2.9028181] "
         "within (2.90278, 2.90289)",
-        "PASS c_main(4000) within reference: [4.7514547, 4.7614548] "
+        f"PASS c_main({SCALE[1]}) within reference: [4.7527495, 4.7531622] "
         "within (4.75145, 4.76146)",
         "PASS rho0 at anchors: rho(9.48617, 2.90289) = 0.0424027 > 0.0424",
         "PASS final coefficient (lemma route): 0.4789 == 0.4789",
         "PASS final coefficient (corner route): 0.4788 <= 0.4789",
-        "PASS rho lower bounds: lemma 0.042212, corner 0.042403, both >= 0.0422",
+        "PASS rho lower bounds: lemma 0.042237, corner 0.042425, both >= 0.0422",
     ]
+
+
+def test_bound_two_var_fast_flag_keeps_the_truncation(capsys):
+    # The full scale is the desk scale; --fast stays accepted.
+    outputs = [run_cli(capsys, "bound", "two-var", *flag) for flag in ((), ("--fast",))]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["c_main"]["N"] == SCALE[1]
+
+
+@pytest.mark.parametrize("n", [1, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1])
+def test_bound_two_var_at_small_truncations(capsys, n):
+    # Below 2 * _NEAR_AXIS the near-axis count shrinks with N; the tails
+    # stay two-sided, so even N = 1 lifts tau above 2 and certifies.
+    code, out = run_cli(capsys, "bound", "two-var", "--n-axial", str(n), "--n-main", str(n))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["c_axial"]["N"] == doc["c_main"]["N"] == n
+    assert doc["tau"]["lo"] >= 2.0 and doc["kappa"]["lo"] >= 3.0
+    assert 0.4788 <= doc["coefficient_upper"] < 0.5
 
 
 def test_dump_phi(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,16 +7,19 @@ import pytest
 from mpmath import mp
 from scipy.integrate import quad
 
+from additive_bases.cli import SCALE
 from additive_bases.fourier2d import (
     _AXIS,
     _DIAG,
     _EDGE,
     _G,
+    _NEAR_AXIS,
     ConstantInterval,
     _axis_values,
     _compensated_fold,
     _diag_values,
     _gauss_panels,
+    _inverse_square_tail,
     _off_values,
     _shell_partial,
     _shell_tables,
@@ -317,17 +321,45 @@ def test_boundary_derivative_profiles():
 
 
 def test_c_axial_width_and_tail():
+    # The axial tail is 15/(pi^2 N) to leading order and its two sides
+    # differ by O(1/N^2): 4 |c(r, 0)| r^2 = (4/pi^2)(15/4 +- O(1/r)).
     iv = c_axial(1000)
-    assert iv.truncation_tail == pytest.approx(0.005)
-    assert iv.width <= 0.005 + 3 * iv.rounding_slack
-    assert iv.hi - iv.lo >= iv.truncation_tail
+    assert iv.tail_lo == pytest.approx(15 / (np.pi**2 * 1000), rel=2e-3)
+    assert 0 < iv.tail_hi - iv.tail_lo < 2.5 / 1000**2
+    assert iv.width <= iv.tail_hi - iv.tail_lo + 3 * iv.rounding_slack
+    assert iv.hi - iv.lo >= iv.tail_hi - iv.tail_lo
 
 
-def test_c_axial_nesting():
-    # chain down to full scale: every later interval sits inside every earlier
-    intervals = [c_axial(N) for N in (1, 10, 100, 1000, 50000)]
-    for outer, inner in zip(intervals, intervals[1:]):
-        assert outer.lo <= inner.lo and inner.hi <= outer.hi
+def test_two_sided_tails_sharpen_the_one_sided_enclosures():
+    # At equal N the two-sided enclosure lies inside the one-sided one the
+    # sums used before, [partial - slack, partial + 5/N (40/N) + slack];
+    # enclosures at different N need not nest, but they all contain the
+    # limit, so they pairwise intersect; and the full-scale c_main meets
+    # the one-sided c_main(4000) of before, whose bits are below.
+    for make, tail, radii in ((c_axial, 5, (1, 10, 100, 1000, SCALE[0])),
+                              (c_main, 40, (1, 17, 50, 200, SCALE[1]))):
+        intervals = [make(N) for N in radii]
+        for iv in intervals:
+            partial = iv.lo + iv.rounding_slack - iv.tail_lo  # to within an ulp
+            ulp = 4 * np.spacing(partial)
+            assert partial - iv.rounding_slack - ulp <= iv.lo
+            assert iv.hi <= partial + tail / iv.N + iv.rounding_slack + ulp
+        for a, b in itertools.combinations(intervals, 2):
+            assert max(a.lo, b.lo) <= min(a.hi, b.hi), (a.N, b.N)
+    mn = c_main(SCALE[1])
+    assert max(mn.lo, 4.7514546862405487) <= min(mn.hi, 4.7614548212850147)
+
+
+def assert_outward(iv, total, per_term):
+    """iv's tails are per_term times the bounds on sum_{k > N} 1/k^2, and its
+    ends total -+ slack plus those tails, each rounded outward to a float."""
+    k_lo, k_hi = _inverse_square_tail(iv.N + 1)
+    ends = [(iv.tail_lo, per_term[0] * k_lo, iv.tail_hi, per_term[1] * k_hi)]
+    ends.append((iv.lo, Fraction(total) - Fraction(iv.rounding_slack) + Fraction(iv.tail_lo),
+                 iv.hi, Fraction(total) + Fraction(iv.rounding_slack) + Fraction(iv.tail_hi)))
+    for lo, exact_lo, hi, exact_hi in ends:
+        assert Fraction(lo) <= exact_lo < Fraction(np.nextafter(lo, np.inf))
+        assert Fraction(np.nextafter(hi, -np.inf)) < exact_hi <= Fraction(hi)
 
 
 def test_c_axial_is_the_ascending_fold_of_axis_blocks():
@@ -341,8 +373,8 @@ def test_c_axial_is_the_ascending_fold_of_axis_blocks():
         vals += [pos, neg, pos, neg]
     total, peak = _compensated_fold(vals)
     iv = c_axial(N)
-    assert iv.lo == total - iv.rounding_slack
     assert iv.rounding_slack == 4 * N * np.finfo(float).eps * peak
+    assert_outward(iv, total, tail_constants(N)[0])
 
 
 def test_c_main_shell_one_explicit():
@@ -354,11 +386,13 @@ def test_c_main_shell_one_explicit():
 
 
 def test_c_main_nesting():
+    # Two-sided tails need not nest across N, but at these radii they do.
+    # At N = 500 the one-sided tail alone was 0.08 wide.
     intervals = [c_main(N) for N in (50, 200, 500)]
     for outer, inner in zip(intervals, intervals[1:]):
         assert outer.lo <= inner.lo and inner.hi <= outer.hi
     desk = intervals[-1]
-    assert desk.width <= 0.08 + 3 * desk.rounding_slack
+    assert desk.width <= 1e-3
 
 
 @pytest.mark.parametrize(
@@ -428,8 +462,8 @@ def test_c_main_is_the_ascending_fold_of_shell_partials():
     tables = _shell_tables(N)
     total, peak = _compensated_fold([_shell_partial(R, tables) for R in range(1, N + 1)])
     iv = c_main(N)
-    assert iv.lo == total - iv.rounding_slack
     assert iv.rounding_slack == 4 * N * N * np.finfo(float).eps * peak
+    assert_outward(iv, total, tail_constants(N)[1])
 
 
 def test_full_scale_bits_are_pinned(full_scale_intervals):
@@ -437,15 +471,22 @@ def test_full_scale_bits_are_pinned(full_scale_intervals):
     # tail or rounding slack, say) updates these numbers and says so in
     # CHANGES.md; anything else that moves them is a regression.
     ax, mn = full_scale_intervals
-    assert (ax.lo, ax.hi) == (2.9027876588509041, 2.9028876591087238)
-    assert (mn.lo, mn.hi) == (4.7514546862405487, 4.7614548212850147)
+    assert (ax.lo, ax.hi) == (2.9028180107925561, 2.9028180992711476)
+    assert (mn.lo, mn.hi) == (4.7527494873694263, 4.7531621866599618)
 
 
 def test_interval_validation():
+    def interval(lo, hi, tail_lo=0.0, tail_hi=0.0):
+        return ConstantInterval(lo=lo, hi=hi, tail_lo=tail_lo, tail_hi=tail_hi,
+                                rounding_slack=0.0, N=1)
+
     with pytest.raises(ValueError, match="empty interval"):
-        ConstantInterval(lo=2.0, hi=1.0, truncation_tail=0.0, rounding_slack=0.0, N=1)
+        interval(2.0, 1.0)
     with pytest.raises(ValueError, match="narrower"):
-        ConstantInterval(lo=1.0, hi=1.5, truncation_tail=1.0, rounding_slack=0.0, N=1)
+        interval(1.0, 1.5, 0.5, 1.5)
+    for tail in ((-0.1, 0.1), (0.2, 0.1)):
+        with pytest.raises(ValueError, match="tail_lo <= tail_hi"):
+            interval(1.0, 2.0, *tail)
 
 
 # ---------------------------------------------------------------------------
@@ -462,26 +503,83 @@ def test_shell_lattice_structure():
         assert len({(a, b) for a, b in zip(r1.tolist(), r2.tolist())}) == r1.size
 
 
+def _mp_tail_constants(N):
+    """The inequalities of tail_constants at 50 digits, with exact pi and zeta(2).
+
+    Independent of the Fraction code in what it can be: |F(Y)| is taken at
+    Y = 1/(pi j) itself, and the h_k as double sums.
+    """
+    pi, zeta = mp.pi, mp.zeta(2)
+    S = min(_NEAR_AXIS, N // 2)
+    u = 1 / (pi * (N + 1))
+    ell = (2 + mp.mpf(7) / 10 * (N + 1).bit_length()) / (N + 1)
+
+    def lead_rest(table, x):
+        P, Q = ([mp.mpf(c) for c in part] for part in table)
+        return abs(P[0]), (sum(abs(c) * x ** (2 * k) for k, c in enumerate(P) if k)
+                           + x * sum(abs(c) * x ** (2 * k) for k, c in enumerate(Q)))
+
+    def g_rest(x, y):
+        return sum(abs(mp.mpf(g)) * x**i * y ** (k - i)
+                   for k, g in enumerate(_G) if k for i in range(k + 1))
+
+    def magnitude(table, x):
+        P, Q = table
+        return abs(mp.mpc(x**2 * sum(mp.mpf(c) * x ** (2 * k) for k, c in enumerate(P)),
+                          x**3 * sum(mp.mpf(c) * x ** (2 * k) for k, c in enumerate(Q))))
+
+    a0, ra = lead_rest(_AXIS, u)
+    axis = (max(0, 4 * (a0 - ra) / pi**2), 4 * (a0 + ra) / pi**2)
+    p0, rx = lead_rest(_EDGE, u)
+    g0 = mp.mpf(_G[0])
+    m_g = g0 + g_rest(u, 1 / pi)
+    near = [0, 0]
+    for j in range(1, S + 1):
+        y = 1 / (pi * j)
+        f, delta, t = magnitude(_EDGE, y), u * u * (p0 + rx) + u * y * m_g, mp.mpf(j) / (N + 1)
+        near[0] += 2 * (f - delta)
+        near[1] += (1 / (1 - t) ** 2 + 1 / (1 + t) ** 2) * (f + delta)
+
+    def summed(v, a, b, c):
+        rest = a[1] * rx + b[1] * lead_rest(_EDGE, v)[1] + c[1] * g_rest(u, v)
+        return (p0 * (a[0] + b[0]) - g0 * c[1] - rest, p0 * (a[1] + b[1]) - g0 * c[0] + rest)
+
+    a = (zeta - mp.mpf(2) / (N + 1), zeta)
+    band = summed(2 * u, a, (a[0], zeta + 2 * ell + mp.mpf(2) / N), (a[0], zeta + ell))
+    k_lo, k_hi = 1 / mp.mpf(S + 1) + 1 / (2 * mp.mpf(S + 1) ** 2), 1 / (S + mp.mpf(1) / 2)
+    c_abs = 2 * ell + mp.mpf(2) / (N + 1)
+    rest = summed(1 / (pi * (S + 1)), (0, mp.mpf(3) / (N + 1)),
+                  (2 * k_lo - mp.mpf(3) / N - 2 * ell, 2 * k_hi + 2 * ell + mp.mpf(2) / (N + 1)),
+                  (-c_abs, c_abs))
+    d0, rd = lead_rest(_DIAG, u)
+    shell = [(2 * (d0 + sign * rd) + 4 * near[i]) / pi**2 + 4 * (band[i] + rest[i]) / pi**4
+             for i, sign in ((0, -1), (1, 1))]
+    return axis, (max(0, shell[0]), shell[1])
+
+
 def test_tail_constants_match_a_50_digit_recomputation():
-    # The same inequalities as tail_constants, at 50 digits with exact pi
-    # and zeta(2); each Fraction bounds its value from above, and tightly.
+    # At N = 1, 2, where the near-axis count stops growing, one past it,
+    # and both truncations in use: each Fraction bound lies on its safe
+    # side of the 50-digit value and within 1e-8 of it (the pi bounds and
+    # the sqrt grid cost less), and so do the c_axial and c_main tails,
+    # whose sum_{k > N} 1/k^2 factors bracket the Hurwitz zeta(2, N + 1).
+    def mpf(q):
+        assert isinstance(q, Fraction)
+        return mp.mpf(q.numerator) / q.denominator
+
     with mp.workdps(50):
-        u, v = 1 / (2 * mp.pi), 1 / mp.pi
-
-        def m(table, u):
-            P, Q = table
-            return (sum(abs(mp.mpf(c)) * u ** (2 * k) for k, c in enumerate(P))
-                    + u * sum(abs(mp.mpf(c)) * u ** (2 * k) for k, c in enumerate(Q)))
-
-        m_g = sum(abs(mp.mpf(g)) * u**i * v ** (k - i)
-                  for k, g in enumerate(_G) for i in range(k + 1))
-        z = mp.zeta(2)
-        A = 4 * m(_AXIS, u) / mp.pi**2
-        M = (4 * (m(_EDGE, u) * z + m(_EDGE, v) * (3 * z + 2) + m_g * (z + mp.mpf(7) / 4))
-             / mp.pi**4 + 2 * m(_DIAG, u) / mp.pi**2)
-        for exact, ref in zip(tail_constants(), (A, M)):
-            assert isinstance(exact, Fraction)
-            assert ref <= mp.mpf(exact.numerator) / exact.denominator <= ref * (1 + mp.mpf("1e-3"))
+        tol = mp.mpf("1e-8")
+        for N in (1, 2, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, *SCALE):
+            k_lo, k_hi = map(mpf, _inverse_square_tail(N + 1))
+            assert k_lo <= mp.zeta(2, N + 1) <= k_hi
+            pairs = zip(tail_constants(N), _mp_tail_constants(N), (c_axial, c_main))
+            for exact, ref, make in pairs:
+                lo, hi = map(mpf, exact)
+                assert ref[0] * (1 - tol) <= lo <= ref[0] and ref[1] <= hi <= ref[1] * (1 + tol)
+                if make is c_axial or N <= SCALE[1]:
+                    iv = make(N)
+                    assert ref[0] * k_lo * (1 - tol) <= iv.tail_lo <= ref[0] * k_lo
+                    assert ref[1] * k_hi <= iv.tail_hi <= ref[1] * k_hi * (1 + tol)
 
 
 # ---------------------------------------------------------------------------

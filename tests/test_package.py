@@ -12,6 +12,9 @@ SRC = ROOT / "src"
 SUBMODULES = sorted(p.stem for p in (SRC / "additive_bases").glob("*.py")
                     if not p.stem.startswith("__"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# The functions of fourier2d that derive the truncation tails.
+TAIL_DERIVATION = ("tail_constants", "_axis_constants", "_lead_rest", "_g_rest",
+                   "_magnitude_bounds", "_over_pi", "_inverse_square_tail")
 
 
 def _child_env():
@@ -69,23 +72,43 @@ def test_quadrature_oracle_reads_no_closed_form():
     assert sorted(reads) == ["_gauss_panels", "coeff_quadrature"]
     closed_forms = {"coeff", "_axis_values", "_diag_values", "_off_values", "_off_edge",
                     "_off_combine", "_scaled", "_form", "_AXIS", "_DIAG", "_EDGE", "_G",
-                    "tail_constants"}
+                    *TAIL_DERIVATION}
     assert not closed_forms & (reads["coeff_quadrature"] | reads["_gauss_panels"])
     assert "phi" in reads["coeff_quadrature"]
 
 
+def _fourier2d_functions(names):
+    tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in names}
+
+
 def test_closed_form_coefficients_live_only_in_the_tables():
     # tail_constants derives the truncation tails from _AXIS, _DIAG, _EDGE
-    # and _G, so an evaluator writing a coefficient of its own would sum
-    # a form the derivation does not bound.
+    # and _G, so an evaluator, or a step of the derivation, writing a
+    # coefficient of its own would break the link between the forms the
+    # sums evaluate and the forms the tails bound.
+    names = ("_axis_values", "_diag_values", "_off_edge", "_off_combine", *TAIL_DERIVATION)
+    found = {name: [n.value for n in ast.walk(node)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, float)]
+             for name, node in _fourier2d_functions(names).items()}
+    assert found == {name: [] for name in names}
+
+
+def test_tail_derivation_reads_the_tables_not_the_evaluators():
+    # The derivation works in exact rationals from the four tables and
+    # the rational bounds on pi; it reads no float evaluator and not the
+    # float pi of the closed forms.
+    reads = set()
+    for node in _fourier2d_functions(TAIL_DERIVATION).values():
+        reads |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
     tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
-    evaluators = ("_axis_values", "_diag_values", "_off_edge", "_off_combine")
-    found = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in evaluators:
-            found[node.name] = [n.value for n in ast.walk(node)
-                                if isinstance(n, ast.Constant) and isinstance(n.value, float)]
-    assert found == {name: [] for name in evaluators}
+    module_names = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets for t in ast.walk(target)
+                    if isinstance(t, ast.Name)}
+    module_names |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert reads & module_names == {"_AXIS", "_DIAG", "_EDGE", "_G", "_PI_LO", "_PI_HI",
+                                    "_NEAR_AXIS", *TAIL_DERIVATION} - {"tail_constants"}
 
 
 def test_cli_writes_no_reference_literal():
