@@ -13,8 +13,7 @@ import numpy as np
 
 from additive_bases.fourier2d import (
     _axis_values,
-    _shell_partial,
-    _shell_tables,
+    _shell_sums,
     coeff,
     coeff_quadrature,
     phi_grid_csv,
@@ -32,12 +31,12 @@ N = 100
 (a_lo, a_hi), (m_lo, m_hi) = (map(float, pair) for pair in tail_constants(N))
 r = np.arange(N + 1, 5001)
 axis = 4 * np.hypot(*_axis_values(r)) * r * r
-tables = _shell_tables(500)
-shells = [_shell_partial(R, tables) * R * R for R in range(N + 1, 501)]
+R = np.arange(N + 1, 501)
+shells = np.array(_shell_sums(500)[N:]) * R * R
 print(f"\nderived, for r, R > {N}: {a_lo:.4f} <= 4|c(r,0)| r^2 <= {a_hi:.4f}, "
       f"{m_lo:.3f} <= shell(R) R^2 <= {m_hi:.3f}")
 print(f"measured on r <= 5000, R <= 500: 4|c(r,0)| r^2 in [{axis.min():.4f}, {axis.max():.4f}], "
-      f"shell(R) R^2 in [{min(shells):.4f}, {max(shells):.4f}]")
+      f"shell(R) R^2 in [{shells.min():.4f}, {shells.max():.4f}]")
 
 phi_grid_csv("phi_surface.csv", 128)
 print("\nwrote phi_surface.csv (128 x 128 grid, columns t1,t2,phi)")

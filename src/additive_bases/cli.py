@@ -5,7 +5,7 @@ Subcommands:
   construct rohrbach --k K         lower-bound witness + verified coverage
   bound moser                      one-variable certificate (0.4898)
   bound two-var [...]              two-variable certificate (JSON)
-  verify constants [--fast]        reproduce the certified constants, PASS/FAIL
+  verify constants                 reproduce the certified constants, PASS/FAIL
   verify formulas [--rmax R]       closed forms vs quadrature oracle
   basis stats --set "0,1,3"        combinatorial + exponential-sum statistics
   dump phi --grid M --out FILE     CSV surface grid of the test function
@@ -27,10 +27,8 @@ import sys
 from . import fourier1d, fourier2d
 from .certify import (
     KAPPA0,
-    KLOTZ_COEFFICIENT,
     REF_AXIAL,
     REF_COEFFICIENT,
-    REF_DESK_CEILING,
     REF_MAIN,
     REF_RHO0,
     REF_RHO_FLOOR,
@@ -44,9 +42,8 @@ from .search import DEFAULT_NODE_BUDGET, MAX_EXACT_K, n2k_exact
 from .sumsets import as_basis, exp_sum_stats, n2, rep_profile
 
 # The (n_axial, n_main) truncation of the certificate.  With the derived
-# two-sided tails it passes every full-scale check (the smallest values
-# that do are 152 and 161), so the full scale is the desk scale and --fast
-# no longer changes the truncation.
+# two-sided tails it passes every check with margin (the smallest values
+# that do are 152 and 161).
 SCALE = (5000, 500)
 
 
@@ -141,23 +138,20 @@ def _cmd_bound_moser(args) -> int:
 
 
 def _cmd_bound_two_var(args) -> int:
-    n_axial, n_main = SCALE
-    n_axial = n_axial if args.n_axial is None else args.n_axial
-    n_main = n_main if args.n_main is None else args.n_main
-    _require("--n-axial", n_axial, 1)
-    _require("--n-main", n_main, 1)
-    cert = certify(fourier2d.c_axial(n_axial), fourier2d.c_main(n_main), route=args.route)
+    _require("--n-axial", args.n_axial, 1)
+    _require("--n-main", args.n_main, 1)
+    cert = certify(fourier2d.c_axial(args.n_axial), fourier2d.c_main(args.n_main),
+                   route=args.route)
     _emit(cert.to_json_dict())
     return 0
 
 
-def constants_report(ax, mn, fast: bool):
+def constants_report(ax, mn):
     """PASS/FAIL lines for the certified-constants reproduction.
 
     ax, mn are the two enclosures; returns (all_ok, list of text lines).
     Each enclosure must lie within its reference interval, widened by the
-    tolerance.  fast replaces the final-coefficient rows by the desk
-    ceiling.
+    tolerance.
     """
     a2, a2_num = fourier2d.alpha2_exact(), fourier2d.alpha2_numeric(grid=2000)
     rows = [("alpha2", abs(a2_num - a2) < 1e-6,
@@ -172,28 +166,22 @@ def constants_report(ax, mn, fast: bool):
 
     lemma, corner = (certify(ax, mn, route=route) for route in ("lemma", "corner"))
     c_lemma, c_corner = lemma.coefficient_upper, corner.coefficient_upper
-    if fast:
-        rows.append((f"fast pipeline beats {KLOTZ_COEFFICIENT}",
-                     max(c_corner, c_lemma) <= REF_DESK_CEILING,
-                     f"corner {c_corner}, lemma {c_lemma}, both <= {REF_DESK_CEILING} "
-                     f"< {KLOTZ_COEFFICIENT}"))
-    else:
-        rows += [
-            ("final coefficient (lemma route)", c_lemma == REF_COEFFICIENT,
-             f"{c_lemma} == {REF_COEFFICIENT}"),
-            ("final coefficient (corner route)", c_corner <= REF_COEFFICIENT,
-             f"{c_corner} <= {REF_COEFFICIENT}"),
-            ("rho lower bounds", min(lemma.rho_lower, corner.rho_lower) >= REF_RHO_FLOOR,
-             f"lemma {lemma.rho_lower:.6f}, corner {corner.rho_lower:.6f}, "
-             f"both >= {REF_RHO_FLOOR}"),
-        ]
+    rows += [
+        ("final coefficient (lemma route)", c_lemma == REF_COEFFICIENT,
+         f"{c_lemma} == {REF_COEFFICIENT}"),
+        ("final coefficient (corner route)", c_corner <= REF_COEFFICIENT,
+         f"{c_corner} <= {REF_COEFFICIENT}"),
+        ("rho lower bounds", min(lemma.rho_lower, corner.rho_lower) >= REF_RHO_FLOOR,
+         f"lemma {lemma.rho_lower:.6f}, corner {corner.rho_lower:.6f}, "
+         f"both >= {REF_RHO_FLOOR}"),
+    ]
     lines = [f"{'PASS' if ok else 'FAIL'} {label}: {detail}" for label, ok, detail in rows]
     return all(ok for _, ok, _ in rows), lines
 
 
 def _cmd_verify_constants(args) -> int:
     ax, mn = fourier2d.c_axial(SCALE[0]), fourier2d.c_main(SCALE[1])
-    ok_all, lines = constants_report(ax, mn, fast=args.fast)
+    ok_all, lines = constants_report(ax, mn)
     for text in lines:
         print(text)
     return 0 if ok_all else 1
@@ -294,17 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
     mp = bsub.add_parser("moser")
     mp.set_defaults(func=_cmd_bound_moser)
     tp = bsub.add_parser("two-var")
-    tp.add_argument("--n-axial", type=int, default=None)
-    tp.add_argument("--n-main", type=int, default=None)
+    tp.add_argument("--n-axial", type=int, default=SCALE[0])
+    tp.add_argument("--n-main", type=int, default=SCALE[1])
     tp.add_argument("--route", choices=("corner", "lemma"), default="corner")
-    tp.add_argument("--fast", action="store_true", help="accepted; the truncation is the same")
     tp.set_defaults(func=_cmd_bound_two_var)
 
     vp = sub.add_parser("verify", help="verification suites")
     vsub = vp.add_subparsers(dest="suite", required=True)
     vc = vsub.add_parser("constants")
-    vc.add_argument("--fast", action="store_true")
     vc.set_defaults(func=_cmd_verify_constants)
+    for parser in (tp, vc):  # older scripts pass --fast; both run at SCALE
+        parser.add_argument("--fast", action="store_true", help="ignored")
     vf = vsub.add_parser("formulas")
     vf.add_argument("--rmax", type=int, default=8)
     vf.set_defaults(func=_cmd_verify_formulas)

@@ -44,18 +44,9 @@ compensation in a fixed documented order, and a conservative rounding
 slack of terms * eps_machine * peak_running_magnitude is folded into
 both interval ends, each rounded outward to a float.  Since phi is
 real and symmetric, |c(r, s)| = |c(s, r)| = |c(-r, -s)|, so each shell
-is evaluated on its right side alone (r1 = R, r2 ascending, one numpy
-reduction) and expanded to the whole shell by _shell_total; shells are
-folded in ascending R.  The slack still counts all 4N^2 lattice terms.
-
-Of the off-diagonal form on shell R, Y, F(Y) and D^2 depend on s or on
-R - s alone, so c_main builds them once per call as tables over
-s = -N..N and R - s = 1..2N (with the diagonal magnitudes), and each
-shell reads contiguous slices; only the h_k recursion, G, the
-combination and the hypot run per term.  Every term keeps the bits of
-the scalar path _off_values: the tables apply the same elementwise
-formulas to the same arguments (R - s is exact in floats), and both
-paths hand them to the one combination _off_combine.
+is evaluated on its right side alone and expanded to the whole shell
+(_shell_sums); shells are folded in ascending R.  The slack still
+counts all 4N^2 lattice terms.
 """
 
 from __future__ import annotations
@@ -450,7 +441,7 @@ def tail_constants(N: int) -> tuple:
     Each form is P_0 x^2 + rest with |rest| <= x^2 rest(u) for |x| <= u
     (_lead_rest); beyond N, |X| = 1/(pi R) <= u = 1/(pi (N + 1)).  So on
     the axis 4 |c| r^2 = (4/pi^2) (|P_0| +- rest(u)), and likewise
-    2 |c(R, R)| R^2 on the diagonal.  By _shell_total, shell(R) also holds
+    2 |c(R, R)| R^2 on the diagonal.  By _shell_sums, shell(R) also holds
     4 |c(R, s)| for s in [-R, R - 1] \\ {0} (weight 2 at s = -R), each
     D^2 |E| with E = F(X) + F(Y) + X Y G, in three ranges:
 
@@ -535,75 +526,54 @@ def c_axial(N: int) -> ConstantInterval:
     return _interval(total, slack, _axis_constants(N), N)
 
 
-def _shell_total(right) -> float:
-    """Sum over shell R of a term with the symmetries of |c|, from its right side.
+def _shell_sums(N: int) -> list:
+    """Sums of |c| over the shells R = 1..N, in ascending R.
 
-    right holds the terms at (R, s) for s ascending over [-R, R] \\ {0},
-    so the diagonal point (R, R) is last and (R, -R) first.  The left side
-    mirrors it through (r, s) -> (-r, -s), and the top and bottom sides
-    through (r, s) -> (s, r) minus the two corners they do not own, hence
-    4 * right - 2 * (right[-1] + right[0]).
+    Shell R is evaluated on its right side alone: the 2R terms at
+    (R, s) for s ascending over [-R, R] \\ {0}, so (R, -R) comes first
+    and the diagonal point (R, R) last.  The left side mirrors it through
+    (r, s) -> (-r, -s), and the top and bottom sides through
+    (r, s) -> (s, r) minus the two corners they do not own, hence the
+    shell sum 4 * right - 2 * (right[-1] + right[0]).
+
+    Of the off-diagonal form on shell R, Y, F(Y) and D^2 depend on s or
+    on R - s alone, so they are built once as tables: entry N + s of y,
+    and column N + s of f, hold Y = 1/(pi s) and F(Y) for s = -N..N, with
+    Y = F = 0 in the slot s = 0, whose term is dropped; entry 2N - m of
+    d2 holds D^2 = (1/(pi m))^2 for m = 1..2N; diag[R - 1] is |c(R, R)|.
+    Shell R reads the contiguous slices s = -R..R-1 and m = 2R..1 and
+    writes to none, so only the h_k recursion, G, the combination and
+    the hypot run per term.  Every term keeps the bits of the scalar path
+    np.hypot(*_off_values(R, s)): the tables apply the same elementwise
+    formulas to the same arguments (R - s is exact in floats), and both
+    paths hand them to the one combination _off_combine.
     """
-    return 4.0 * float(np.add.reduce(right)) - 2.0 * float(right[-1] + right[0])
-
-
-@dataclass(frozen=True)
-class _ShellTables:
-    """Tables of c_main's shell kernel, for shells R <= N.
-
-    Entry N + s of y, and column N + s of f, hold Y = 1/(pi s) and F(Y)
-    as (re, im) for s = -N..N, with Y = F = 0 in the slot s = 0, whose
-    term is dropped; entry 2N - m of d2 holds D^2 = (1/(pi m))^2 for
-    m = 1..2N; diag[R - 1] is |c(R, R)|.  Shell R reads the contiguous
-    slices s = -R..R-1 and m = R - s = 2R..1.  No shell writes to them.
-    """
-
-    y: np.ndarray
-    f: np.ndarray
-    d2: np.ndarray
-    diag: np.ndarray
-
-
-def _shell_tables(N: int) -> _ShellTables:
-    """Build the tables of _ShellTables once for the shells R = 1..N."""
     y = np.concatenate([_scaled(np.arange(-N, 0)), [0.0], _scaled(np.arange(1, N + 1))])
+    f = np.array(_off_edge(y))
     d = _scaled(np.arange(2 * N, 0, -1))
+    d2 = d * d
     diag = np.hypot(*_diag_values(np.arange(1, N + 1)))
-    return _ShellTables(y, np.array(_off_edge(y)), d * d, diag)
-
-
-def _shell_terms(R: int, t: _ShellTables) -> np.ndarray:
-    """The 2R magnitudes |c(R, s)| of shell R's right side, from the tables.
-
-    Order: s ascending over [-R, R] \\ {0}, the diagonal point (R, R) last.
-    Every term has the bits of np.hypot(*_off_values(R, s)), resp.
-    np.hypot(*_diag_values(R)); the module docstring says why.
-    """
-    N = t.diag.size
-    row = slice(N - R, N + R)
-    re, im = _off_combine(t.y[N + R], t.y[row], t.f[:, N + R], t.f[:, row], t.d2[2 * N - 2 * R :])
-    mags = np.hypot(re, im)
-    return np.concatenate([mags[:R], mags[R + 1 :], t.diag[R - 1 : R]])
-
-
-def _shell_partial(R: int, tables: _ShellTables) -> float:
-    """Sum of |coefficient| over shell R, from tables = _shell_tables(N), N >= R."""
-    return _shell_total(_shell_terms(R, tables))
+    sums = []
+    for R in range(1, N + 1):
+        row = slice(N - R, N + R)
+        re, im = _off_combine(y[N + R], y[row], f[:, N + R], f[:, row], d2[2 * N - 2 * R :])
+        mags = np.hypot(re, im)
+        right = np.concatenate([mags[:R], mags[R + 1 :], diag[R - 1 : R]])
+        sums.append(4.0 * float(np.add.reduce(right)) - 2.0 * float(right[-1] + right[0]))
+    return sums
 
 
 def c_main(N: int) -> ConstantInterval:
     """Certified off-axis coefficient sum over shells R = 1..N.
 
-    Shells are concentric squares max(|r1|, |r2|) = R with min != 0; each
-    shell's sum comes from _shell_partial on tables built once for this
-    N, and the partials are folded sequentially in ascending R with
+    Shells are concentric squares max(|r1|, |r2|) = R with min != 0; the
+    shell sums of _shell_sums are folded sequentially in ascending R with
     Neumaier compensation.  Two-sided tail from tail_constants; slack
     counts all 4N^2 lattice terms.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    tables = _shell_tables(N)
-    total, peak = _compensated_fold(_shell_partial(R, tables) for R in range(1, N + 1))
+    total, peak = _compensated_fold(_shell_sums(N))
     slack = 4 * N * N * _EPS * peak
     return _interval(total, slack, tail_constants(N)[1], N)
 

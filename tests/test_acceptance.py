@@ -18,7 +18,6 @@ from additive_bases.certify import (
     KLOTZ_COEFFICIENT,
     REF_AXIAL,
     REF_COEFFICIENT,
-    REF_DESK_CEILING,
     REF_MAIN,
     REF_RHO0,
     REF_RHO_FLOOR,
@@ -35,8 +34,7 @@ from additive_bases.fourier1d import moser_constant, moser_test_function, one_va
 from additive_bases.fourier2d import (
     _NEAR_AXIS,
     _axis_values,
-    _shell_partial,
-    _shell_tables,
+    _shell_sums,
     alpha2_exact,
     alpha2_numeric,
     c_axial,
@@ -164,14 +162,16 @@ def test_criterion_7_constants_at_full_scale(full_scale_intervals):
 
 
 def test_criterion_8_desk_scale_fallback(capsys):
+    # The desk scale is the certificate's one scale: --fast prints the
+    # same certificate, at N = SCALE, on both routes.
     t0 = time.time()
-    code, doc = _cli_json(capsys, "bound", "two-var", "--fast")
-    ok = code == 0 and doc["c_axial"]["N"] == 5000 and doc["c_main"]["N"] == 500
-    ok &= doc["coefficient_upper"] <= REF_DESK_CEILING
-    code, doc = _cli_json(capsys, "bound", "two-var", "--fast", "--route", "lemma")
-    ok &= code == 0 and doc["coefficient_upper"] <= REF_DESK_CEILING
-    ok &= REF_DESK_CEILING < KLOTZ_COEFFICIENT
-    _report(8, f"fast pipeline certifies <= {REF_DESK_CEILING}, "
+    ok = REF_COEFFICIENT < KLOTZ_COEFFICIENT
+    for route in ("corner", "lemma"):
+        code, doc = _cli_json(capsys, "bound", "two-var", "--route", route)
+        ok &= (code, doc) == _cli_json(capsys, "bound", "two-var", "--fast", "--route", route)
+        ok &= code == 0 and (doc["c_axial"]["N"], doc["c_main"]["N"]) == SCALE
+        ok &= doc["coefficient_upper"] <= REF_COEFFICIENT
+    _report(8, f"--fast certifies the same <= {REF_COEFFICIENT} at N = {SCALE}, "
             f"strictly below {KLOTZ_COEFFICIENT}", ok,
             time.time() - t0, limit=60.0)
 
@@ -212,9 +212,8 @@ def test_criterion_10_lemma_suites():
     # N < R <= 4000 and a_lo <= 4 |c(r, 0)| r^2 <= a_hi for N < r <= 50000,
     # at N = 1, where the near-axis count stops growing, one past it,
     # and both truncations in use.
-    tables = _shell_tables(4000)
     R = np.arange(1, 4001)
-    shells = np.array([_shell_partial(int(k), tables) for k in R]) * R * R
+    shells = np.array(_shell_sums(4000)) * R * R
     r = np.arange(1, 50001)
     axis = 4 * np.hypot(*_axis_values(r)) * r * r
     for N in (1, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, *SCALE):

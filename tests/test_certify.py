@@ -7,6 +7,7 @@ import pytest
 from additive_bases.certify import (
     KAPPA0,
     KLOTZ_COEFFICIENT,
+    REF_COEFFICIENT,
     TAU0,
     _xi,
     ceil4,
@@ -140,13 +141,12 @@ def test_route_validation():
         certify(_synthetic(2.5, 2.5), _synthetic(5.0, 5.0), route="magic")
 
 
-def test_desk_scale_pipeline_beats_klotz():
-    ca = c_axial(5000)
-    cm = c_main(500)
+def test_desk_scale_pipeline_beats_klotz(full_scale_intervals):
+    ca, cm = full_scale_intervals
     corner = certify(ca, cm, route="corner")
     lemma = certify(ca, cm, route="lemma")
     for cert in (corner, lemma):
-        assert cert.coefficient_upper <= 0.4798
+        assert cert.coefficient_upper <= REF_COEFFICIENT
         assert cert.coefficient_upper < KLOTZ_COEFFICIENT
         assert cert.rho_lower <= 1.0 / 9.0
         assert cert.coefficient_upper < 0.5

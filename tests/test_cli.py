@@ -1,11 +1,14 @@
+import importlib
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from additive_bases.cli import SCALE, main
+from additive_bases.certify import REF_COEFFICIENT
+from additive_bases.cli import SCALE, build_parser, main
 from additive_bases.fourier2d import _NEAR_AXIS
 
 
@@ -71,7 +74,7 @@ def test_bound_two_var_fast_schema_and_formatting(capsys):
     assert dict(doc["c_axial"])["N"] == 5000
     assert dict(doc["c_main"])["N"] == 500
     assert doc["route"] == "corner"
-    assert doc["coefficient_upper"] <= 0.4798
+    assert doc["coefficient_upper"] <= REF_COEFFICIENT
     # floats carry 17 significant digits
     alpha2_text = out.split('"alpha2": ')[1].split(",")[0]
     assert len(alpha2_text.replace("-", "").replace(".", "")) == 17
@@ -163,7 +166,7 @@ def test_verify_formulas_rejects_empty_range(capsys, rmax):
     "flag, value", [("--n-main", "0"), ("--n-main", "-3"), ("--n-axial", "0")]
 )
 def test_bound_two_var_size_error_names_the_flag(capsys, flag, value):
-    code = main(["bound", "two-var", "--fast", flag, value])
+    code = main(["bound", "two-var", flag, value])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -174,7 +177,7 @@ def test_bound_two_var_unallocatable_size_is_an_error(capsys):
     # The shell tables for N = 10^14 need petabytes, so the allocation
     # fails before any page is touched; it must end in a message, not a
     # traceback.
-    code = main(["bound", "two-var", "--fast", "--n-main", str(10**14)])
+    code = main(["bound", "two-var", "--n-main", str(10**14)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -201,28 +204,10 @@ def test_size_error_names_the_flag(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-def test_verify_constants_fast(capsys):
-    code, out = run_cli(capsys, "verify", "constants", "--fast")
+def test_verify_constants_full_scale_report(capsys):
+    code, out = run_cli(capsys, "verify", "constants")
     assert code == 0
     assert out.splitlines() == [
-        "PASS alpha2: numeric minimum -3.724703937 vs exact -3.724703937",
-        f"PASS c_axial({SCALE[0]}) within reference: [2.9028180, 2.9028181] "
-        "within (2.90278, 2.90289)",
-        f"PASS c_main({SCALE[1]}) within reference: [4.7527495, 4.7531622] "
-        "within (4.75145, 4.76146)",
-        "PASS rho0 at anchors: rho(9.48617, 2.90289) = 0.0424027 > 0.0424",
-        "PASS fast pipeline beats 0.4802: corner 0.4788, lemma 0.4789, "
-        "both <= 0.4798 < 0.4802",
-    ]
-
-
-def test_verify_constants_full_scale_report(full_scale_intervals):
-    from additive_bases.cli import constants_report
-
-    ax, mn = full_scale_intervals
-    ok, lines = constants_report(ax, mn, fast=False)
-    assert ok, lines
-    assert lines == [
         "PASS alpha2: numeric minimum -3.724703937 vs exact -3.724703937",
         f"PASS c_axial({SCALE[0]}) within reference: [2.9028180, 2.9028181] "
         "within (2.90278, 2.90289)",
@@ -235,11 +220,25 @@ def test_verify_constants_full_scale_report(full_scale_intervals):
     ]
 
 
-def test_bound_two_var_fast_flag_keeps_the_truncation(capsys):
-    # The full scale is the desk scale; --fast stays accepted.
-    outputs = [run_cli(capsys, "bound", "two-var", *flag) for flag in ((), ("--fast",))]
+@pytest.mark.parametrize(
+    "command", [("bound", "two-var"), ("verify", "constants")], ids="-".join
+)
+def test_bound_two_var_fast_flag_keeps_the_truncation(capsys, command):
+    # The certificate has one truncation, SCALE; --fast is accepted and ignored.
+    outputs = [run_cli(capsys, *command, *flag) for flag in ((), ("--fast",))]
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][1])["c_main"]["N"] == SCALE[1]
+    assert outputs[0][0] == 0
+
+
+def test_parser_accepts_every_benchmark_command(monkeypatch):
+    # The benchmark runs these argument vectors; dropping a flag they pass
+    # must fail here, not only as a lower pass rate in a benchmark run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    parser = build_parser()
+    for workload in workloads.WORKLOADS:
+        for cmd in workloads.commands(workload, 1):
+            parser.parse_args(list(cmd.argv))
 
 
 @pytest.mark.parametrize("n", [1, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1])

@@ -21,9 +21,7 @@ from additive_bases.fourier2d import (
     _gauss_panels,
     _inverse_square_tail,
     _off_values,
-    _shell_partial,
-    _shell_tables,
-    _shell_terms,
+    _shell_sums,
     _upper_grid_min,
     alpha2_exact,
     alpha2_numeric,
@@ -224,13 +222,13 @@ def _reference_magnitude(r1, r2):
 def test_closed_forms_audit_against_50_digit_reference():
     # Every float |c| the sums use lies within 8 eps (relative) of the
     # 50-digit reference: whole shells R <= 50 (right side, diagonal
-    # last, as _shell_partial evaluates them), the axis |r| <= 50, a
+    # last, as _shell_sums evaluates them), the axis |r| <= 50, a
     # seeded sample with |r|, |s| <= 4000, and (4000, 4000 - j) next to
     # the diagonal, where a difference quotient for G would cancel.
     # The audit reads _off_values; c_main sums the table kernel
-    # _shell_terms, which hands table values to the same _off_combine and
-    # which test_shell_kernel_matches_scalar_path_bit_for_bit holds to the
-    # same bits, so the audit covers what c_main sums.
+    # _shell_sums, which hands table values to the same _off_combine and
+    # whose shell sums test_shell_kernel_matches_scalar_path_bit_for_bit
+    # holds to the same bits, so the audit covers what c_main sums.
     checked = []
     for R in range(1, 51):
         s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
@@ -395,34 +393,46 @@ def test_c_main_nesting():
     assert desk.width <= 1e-3
 
 
+def _fold_right_side(right) -> float:
+    """The shell sum from its right side, as _shell_sums folds it."""
+    return 4.0 * float(np.add.reduce(right)) - 2.0 * float(right[-1] + right[0])
+
+
+def _scalar_shell_sum(R: int) -> float:
+    """Shell R's sum folded from the scalar path, which reads no table."""
+    s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
+    right = np.append(np.hypot(*_off_values(R, s)), np.hypot(*_diag_values(R)))
+    return _fold_right_side(right)
+
+
 @pytest.mark.parametrize(
     "N, radii", [(200, range(1, 201)), (4000, (1, 2, 499, 500, 3999, 4000))]
 )
 def test_shell_kernel_matches_scalar_path_bit_for_bit(N, radii):
     # Exact equality, no tolerance: the tables only hoist values the
-    # scalar path computes per term.  Tables built for N = 4000 serve
-    # small shells too, so their layout cannot depend on N.
-    tables = _shell_tables(N)
+    # scalar path computes per term, so every shell sum equals the same
+    # fold of the scalar path's right side, diagonal point last.  Tables
+    # built for N = 4000 serve small shells too, so their layout cannot
+    # depend on N.
+    sums = _shell_sums(N)
+    assert len(sums) == N
     for R in radii:
-        s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
-        ref = np.append(np.hypot(*_off_values(R, s)), np.hypot(*_diag_values(R)))
-        assert np.array_equal(_shell_terms(R, tables), ref), R
+        assert sums[R - 1] == _scalar_shell_sum(R), R
 
 
 def test_shell_kernel_leaves_its_tables_alone_and_matches_coeff():
-    # _off_combine updates in place, but only temporaries it made: after
-    # every shell of N has run, each table is unchanged.  The numpy-scalar
-    # path coeff(R, s) gives each kernel entry bit for bit.
+    # _off_combine updates in place, but only temporaries it made: a
+    # shell that wrote into a table would make a later shell differ from
+    # the scalar path, which reads no table, so every shell of N = 4000
+    # is checked.  The numpy-scalar path coeff(R, s) gives the same bits.
     N = 4000
-    tables = _shell_tables(N)
-    before = {k: v.copy() for k, v in vars(tables).items()}
+    sums = _shell_sums(N)
     for R in range(1, N + 1):
-        _shell_terms(R, tables)
-    assert all(np.array_equal(v, before[k]) for k, v in vars(tables).items())
+        assert sums[R - 1] == _scalar_shell_sum(R), R
     for R in (1, 2, 3, 17, 2000, 4000):
         s = [*range(-R, 0), *range(1, R + 1)]
-        got = _shell_terms(R, tables).tolist()
-        assert got == [float(np.hypot(c.real, c.imag)) for c in map(coeff, [R] * len(s), s)], R
+        right = np.array([float(np.hypot(c.real, c.imag)) for c in map(coeff, [R] * len(s), s)])
+        assert sums[R - 1] == _fold_right_side(right), R
 
 
 def shell_lattice(R: int) -> tuple:
@@ -444,7 +454,7 @@ def test_shell_fold_matches_full_shell_reference():
     # The symmetry fold evaluates only each shell's right side; the
     # reference sums every one of the 8R - 4 shell points in the
     # shell_lattice traversal.
-    tables = _shell_tables(200)
+    sums = _shell_sums(200)
     for R in range(1, 201):
         r1, r2 = shell_lattice(R)
         mags = np.empty(r1.size)
@@ -452,15 +462,14 @@ def test_shell_fold_matches_full_shell_reference():
         mags[diag] = np.hypot(*_diag_values(r1[diag]))
         mags[~diag] = np.hypot(*_off_values(r1[~diag], r2[~diag]))
         ref = np.add.reduce(mags)
-        assert abs(_shell_partial(R, tables) - ref) <= 1e-14 * ref, R
+        assert abs(sums[R - 1] - ref) <= 1e-14 * ref, R
 
 
 def test_c_main_is_the_ascending_fold_of_shell_partials():
     # Documented order: shells folded in ascending R with Neumaier
     # compensation, all 4N^2 lattice terms counted in the slack.
     N = 120
-    tables = _shell_tables(N)
-    total, peak = _compensated_fold([_shell_partial(R, tables) for R in range(1, N + 1)])
+    total, peak = _compensated_fold(_shell_sums(N))
     iv = c_main(N)
     assert iv.rounding_slack == 4 * N * N * np.finfo(float).eps * peak
     assert_outward(iv, total, tail_constants(N)[1])
