@@ -30,8 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .fourier2d import ConstantInterval, alpha2_exact
+if TYPE_CHECKING:
+    from .fourier2d import ConstantInterval
 
 # Anchor constants for the lemma route and the historical comparison value.
 KAPPA0 = 9.48617
@@ -116,6 +118,8 @@ def certify(
     """
     if route not in ("corner", "lemma"):
         raise ValueError(f"unknown route {route!r}")
+    from .fourier2d import alpha2_exact
+
     a1 = 1.0
     a2 = alpha2_exact()
     kappa = (1.0 - a2 + c_main.lo, 1.0 - a2 + c_main.hi)

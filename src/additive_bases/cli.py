@@ -15,7 +15,8 @@ significant digits, so runs are diffable.  Exit status is 0 iff every
 requested check passed, and 2 with an "error: ..." line on stderr for
 bad input (a size too large to allocate, too) or a file that cannot be
 written.  Shell sums run in one fixed order (see fourier2d), so repeated
-runs print identical bits.
+runs print identical bits.  Importing this module loads no numpy: the
+array commands import fourier2d (and numpy) when they run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import argparse
 import json
 import sys
 
-from . import fourier1d, fourier2d
+from . import fourier1d
 from .certify import (
     KAPPA0,
     REF_AXIAL,
@@ -140,6 +141,8 @@ def _cmd_bound_moser(args) -> int:
 def _cmd_bound_two_var(args) -> int:
     _require("--n-axial", args.n_axial, 1)
     _require("--n-main", args.n_main, 1)
+    from . import fourier2d
+
     cert = certify(fourier2d.c_axial(args.n_axial), fourier2d.c_main(args.n_main),
                    route=args.route)
     _emit(cert.to_json_dict())
@@ -153,6 +156,8 @@ def constants_report(ax, mn):
     Each enclosure must lie within its reference interval, widened by the
     tolerance.
     """
+    from . import fourier2d
+
     a2, a2_num = fourier2d.alpha2_exact(), fourier2d.alpha2_numeric(grid=2000)
     rows = [("alpha2", abs(a2_num - a2) < 1e-6,
              f"numeric minimum {a2_num:.9f} vs exact {a2:.9f}")]
@@ -180,6 +185,8 @@ def constants_report(ax, mn):
 
 
 def _cmd_verify_constants(args) -> int:
+    from . import fourier2d
+
     ax, mn = fourier2d.c_axial(SCALE[0]), fourier2d.c_main(SCALE[1])
     ok_all, lines = constants_report(ax, mn)
     for text in lines:
@@ -190,6 +197,8 @@ def _cmd_verify_constants(args) -> int:
 def _cmd_verify_formulas(args) -> int:
     rmax = args.rmax
     _require("--rmax", rmax, 1)
+    from . import fourier2d
+
     quad = fourier2d.coeff_quadrature(rmax)
     r = range(-rmax, rmax + 1)
     diffs = {(r1, r2): float(abs(fourier2d.coeff(r1, r2) - quad[r1 + rmax, r2 + rmax]))
@@ -254,6 +263,8 @@ def _cmd_basis_stats(args) -> int:
 
 def _cmd_dump_phi(args) -> int:
     _require("--grid", args.grid, 2)
+    from . import fourier2d
+
     fourier2d.phi_grid_csv(args.out, args.grid)
     print(f"wrote {args.grid}x{args.grid} grid to {args.out}", file=sys.stderr)
     return 0

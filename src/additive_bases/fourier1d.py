@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class TestFunction1D:
@@ -49,6 +47,8 @@ class TestFunction1D:
             raise ValueError("sine coefficient at frequency 0 is meaningless")
 
     def __call__(self, t):
+        import numpy as np
+
         t = np.mod(np.asarray(t, dtype=float), 1.0)
         out = np.zeros_like(t)
         for r, a in enumerate(self.cos_coeffs):

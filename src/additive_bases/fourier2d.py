@@ -270,10 +270,11 @@ def coeff_quadrature(rmax: int) -> np.ndarray:
       lower triangle: t2 = (1 - t1) s, Jacobian (1 - t1);
       upper triangle: t2 = 1 - t1 (1 - s), Jacobian t1.
     Each triangle's weight grid is built in blocks of 128 t1 rows, and
-    exp(-2 pi i q t2) for q = 0..rmax is summed along s, row by row; the
-    weights are real, so the row sums for r2 = -q are their conjugates,
-    bit for bit.  One matrix product with exp(-2 pi i r1 t1) per r2 gives
-    every r1 at once.
+    exp(-2 pi i q t2) for q = 1..rmax is summed along s, row by row; the
+    q = 0 row sum is the weights' own, taken as complex so that it rounds
+    as the others do.  The weights are real, so the row sums for r2 = -q
+    are their conjugates, bit for bit.  One matrix product with
+    exp(-2 pi i r1 t1) per r2 gives every r1 at once.
 
     Returns the (2 rmax + 1) x (2 rmax + 1) complex array whose entry
     [r1 + rmax, r2 + rmax] is the coefficient at (r1, r2).
@@ -288,8 +289,9 @@ def coeff_quadrature(rmax: int) -> np.ndarray:
         for t1, w1 in zip(t.reshape(-1, 128, 1), w.reshape(-1, 128, 1)):
             jac, t2 = (t1, 1.0 - t1 * (1.0 - s)) if upper else (1.0 - t1, (1.0 - t1) * s)
             weights = jac * w1 * w[None, :] * phi(t1, t2)
-            blocks.append([np.sum(weights * np.exp(-2j * _PI * q * t2), axis=1)
-                           for q in range(rmax + 1)])
+            blocks.append([np.sum(weights.astype(complex), axis=1)]
+                          + [np.sum(weights * np.exp(-2j * _PI * q * t2), axis=1)
+                             for q in range(1, rmax + 1)])
         sums = np.concatenate(blocks, axis=1)  # [q, t1]
         for j, r2 in enumerate(r):
             out[:, j] += rows @ (sums[r2] if r2 >= 0 else np.conj(sums[-r2]))

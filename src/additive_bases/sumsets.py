@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Pairwise sums must stay well below the 2^63 signed boundary.
 MAX_ELEMENT = 2**62
@@ -199,6 +201,8 @@ def exp_sum_stats(a, n: int) -> ExpSumStats:
     threshold for ell (elements with 2a >= n) and L (ordered pairs with
     a1 + a2 >= n).
     """
+    import numpy as np
+
     A = as_basis(a)
     if n < 2:
         raise ValueError("modulus too small")

@@ -35,12 +35,42 @@ def test_no_assert_statements_in_the_package():
 
 def test_cli_import_loads_no_scipy():
     # A fresh interpreter: this one has loaded scipy for the quadrature tests.
+    # numpy is imported by the commands that compute with arrays, when they run.
     code = ("import sys, additive_bases.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Runs cli.main(argv) in an interpreter where `import numpy` fails.
+NO_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+            "from additive_bases.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def _run_without_numpy(argv):
+    return subprocess.run([sys.executable, "-c", NO_NUMPY, *argv], env=_child_env(),
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [("search", "--k", "5"), ("construct", "rohrbach", "--k", "10"),
+                                  ("bound", "moser")], ids=lambda argv: argv[0])
+def test_numpy_free_commands_run_without_numpy(argv, capsys):
+    from additive_bases.cli import main
+
+    assert main(list(argv)) == 0
+    expected = capsys.readouterr().out
+    proc = _run_without_numpy(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
+def test_array_command_fails_without_numpy():
+    # The control: blocking numpy does stop a command that needs it.
+    proc = _run_without_numpy(("bound", "two-var", "--n-axial", "16", "--n-main", "16"))
+    assert proc.returncode != 0
+    assert "numpy" in proc.stderr
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
