@@ -18,9 +18,11 @@ enclosures propagate to a certified lower bound on rho in two ways:
                  kappa >= 3, tau >= 2 where |d xi/d kappa| <= 1/36,
                  |d xi/d tau| <= 1/12 and xi <= 1/3.
 
-The lemma route can never exceed the corner route (it bounds rho from
-below over the whole box); certify raises if it does by more than 1e-12,
-as a check on both routes.  The reported coefficient is
+The chain runs in exact rationals; its two irrational steps (2^(-5/3)
+in alpha2, the square root in xi) and each float it reports go through
+directed_root, to the nearest float on the safe side.  The lemma route
+bounds rho from below over the whole box, so certify raises if it
+exceeds an upper bound on the corner value.  The reported coefficient is
 (1 - rho_lower)/2 rounded up at the fourth decimal, which absorbs the
 arbitrarily small epsilon of the underlying asymptotic argument.
 """
@@ -56,7 +58,6 @@ class BoundCertificate:
     c_main: ConstantInterval
     kappa: tuple
     tau: tuple
-    xi: tuple
     rho_lower: float
     coefficient_upper: float
     route: str
@@ -76,30 +77,47 @@ class BoundCertificate:
         }
 
 
-def _xi(kappa: float, tau: float) -> float:
-    """Positive root of kappa x^2 + tau x - 1 = 0, cancellation-free form."""
-    return 2.0 / (tau + math.sqrt(tau * tau + 4.0 * kappa))
+def _xi(kappa, tau, up: bool = False) -> Fraction:
+    """Positive root of kappa x^2 + tau x - 1 = 0, cancellation-free, as an exact
+    rational below it (above it if up): only the square root rounds, the other way."""
+    kappa, tau = Fraction(kappa), Fraction(tau)
+    return 2 / (tau + Fraction(directed_root(tau * tau + 4 * kappa, not up, k=2)))
 
 
-def rho_from(kappa: float, tau: float) -> float:
-    """rho = xi^2 at a single (kappa, tau) inside the certified regime."""
-    if kappa < 3.0 or tau < 2.0:
+def rho_from(kappa, tau, up: bool = False) -> float:
+    """rho = xi^2 at one (kappa, tau) of the certified regime, as a float below it (above if up)."""
+    if kappa < 3 or tau < 2:
         raise ValueError("outside lemma regime")
-    x = _xi(kappa, tau)
-    return x * x
+    return directed_root(_xi(kappa, tau, up) ** 2, up)
 
 
-def rho_variation_bound(kappa: float, kappa0: float, tau: float, tau0: float) -> float:
-    """|rho - rho0| <= |kappa - kappa0| / 54 + |tau - tau0| / 18.
-
-    Valid whenever both points satisfy kappa >= 3 and tau >= 2.
-    """
-    if min(kappa, kappa0) < 3.0 or min(tau, tau0) < 2.0:
+def rho_variation_bound(kappa, kappa0, tau, tau0) -> Fraction:
+    """|rho - rho0| <= |kappa - kappa0| / 54 + |tau - tau0| / 18, exactly; valid
+    whenever both points satisfy kappa >= 3 and tau >= 2."""
+    if min(kappa, kappa0) < 3 or min(tau, tau0) < 2:
         raise ValueError("outside lemma regime")
-    return abs(kappa - kappa0) / 54.0 + abs(tau - tau0) / 18.0
+    return abs(Fraction(kappa) - Fraction(kappa0)) / 54 + abs(Fraction(tau) - Fraction(tau0)) / 18
 
 
-def ceil4(x: float) -> float:
+def directed_root(q, up: bool, k: int = 1) -> float:
+    """The float nearest q^(1/k) on the safe side: never below it if up, never above
+    it else (q rational, q >= 0 for k > 1).  From the float estimate it steps one
+    float at a time onto the safe side, then as near the root as that side allows."""
+    q, toward = Fraction(q), math.inf if up else -math.inf
+
+    def reached(x):  # compares sgn(x) |x|^k, which rises over all floats, with q
+        p = Fraction(x) ** k if x >= 0 else -Fraction(-x) ** k
+        return p >= q if up else p <= q
+
+    f = float(q) ** (1 / k)
+    while not reached(f):
+        f = math.nextafter(f, toward)
+    while reached(g := math.nextafter(f, -toward)):
+        f = g
+    return f
+
+
+def ceil4(x) -> float:
     """Round up at the 4th decimal, exactly: the result is never below x."""
     return math.ceil(Fraction(x) * 10000) / 10000
 
@@ -120,35 +138,31 @@ def certify(
         raise ValueError(f"unknown route {route!r}")
     from .fourier2d import alpha2_exact
 
-    a1 = 1.0
-    a2 = alpha2_exact()
-    kappa = (1.0 - a2 + c_main.lo, 1.0 - a2 + c_main.hi)
+    # 1 - alpha2 = 15 t rises with t = 2^(-5/3), so each end takes t rounded its way.
+    t_end = {up: Fraction(directed_root(Fraction(1, 32), up, k=3)) for up in (False, True)}
+    kappa = tuple(directed_root(1 - alpha2_exact(t_end[up]) + Fraction(c), up)
+                  for c, up in ((c_main.lo, False), (c_main.hi, True)))
     tau = (c_axial.lo, c_axial.hi)
-    if kappa[0] < 3.0 or tau[0] < 2.0:
+    if kappa[0] < 3 or tau[0] < 2:
         raise ValueError("cannot certify: intervals leave the lemma regime")
 
-    rho_corner = rho_from(kappa[1], tau[1])
-    # The box ends farthest from the anchors bound every box point's deviation.
-    far_kappa = max(kappa, key=lambda k: abs(k - KAPPA0))
-    far_tau = max(tau, key=lambda t: abs(t - TAU0))
-    rho_lemma = rho_from(KAPPA0, TAU0) - rho_variation_bound(far_kappa, KAPPA0, far_tau, TAU0)
-
+    # The bound is convex in (kappa, tau), so a box corner attains its maximum.
+    deviation = max(rho_variation_bound(k, KAPPA0, t, TAU0) for k in kappa for t in tau)
+    rho_lemma = directed_root(Fraction(rho_from(KAPPA0, TAU0)) - deviation, up=False)
     # The anchor-based bound holds over the whole box, so it can never
     # beat the corner value; a violation would mean a bug in one route.
-    if rho_lemma > rho_corner + 1e-12:
+    if rho_lemma > rho_from(kappa[1], tau[1], up=True):
         raise AssertionError("route disagreement: lemma bound exceeds corner value")
 
-    rho_lower = rho_corner if route == "corner" else rho_lemma
-    xi_interval = (_xi(kappa[1], tau[1]), _xi(kappa[0], tau[0]))
+    rho_lower = rho_from(kappa[1], tau[1]) if route == "corner" else rho_lemma
     return BoundCertificate(
-        alpha1=a1,
-        alpha2=a2,
+        alpha1=1.0,
+        alpha2=alpha2_exact(),
         c_axial=c_axial,
         c_main=c_main,
         kappa=kappa,
         tau=tau,
-        xi=xi_interval,
         rho_lower=rho_lower,
-        coefficient_upper=ceil4((1.0 - rho_lower) / 2.0),
+        coefficient_upper=ceil4((1 - Fraction(rho_lower)) / 2),
         route=route,
     )

@@ -42,7 +42,7 @@ tail lies between about 5.89/N and 6.09/N (5.99/N measured), and the
 axial tail is O(1/N^2) wide.  Both sums are accumulated with Neumaier
 compensation in a fixed documented order, and a conservative rounding
 slack of terms * eps_machine * peak_running_magnitude is folded into
-both interval ends, each rounded outward to a float.  Since phi is
+both interval ends, each rounded outward by directed_root.  Since phi is
 real and symmetric, |c(r, s)| = |c(s, r)| = |c(-r, -s)|, so each shell
 is evaluated on its right side alone and expanded to the whole shell
 (_shell_sums); shells are folded in ascending R.  The slack still
@@ -51,13 +51,13 @@ counts all 4N^2 lattice terms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
+from .certify import directed_root
 from .fourier1d import ternary_argmin
 
 _PI = np.pi
@@ -90,9 +90,10 @@ def phi(t1, t2):
     return float(out) if out.ndim == 0 else out
 
 
-def alpha2_exact() -> float:
-    """Exact minimum of phi over the upper triangle."""
-    return 1.0 - 15.0 * 2.0 ** (-5.0 / 3.0)
+def alpha2_exact(t=2.0 ** (-5.0 / 3.0)):
+    """Exact minimum 1 - 15 t of phi over the upper triangle, t = 2^(-5/3); a
+    rational bound on t gives the matching exact bound on it."""
+    return 1 - 15 * t
 
 
 def _upper_grid_min(grid: int) -> float:
@@ -353,14 +354,6 @@ def _compensated_fold(values) -> tuple:
     return total, max(peak, abs(total))
 
 
-def _round(q: Fraction, up: bool) -> float:
-    """The float nearest q on the safe side: never below q if up, never above it else."""
-    f = float(q)  # correctly rounded
-    if (Fraction(f) < q) if up else (Fraction(f) > q):
-        f = math.nextafter(f, math.inf if up else -math.inf)
-    return f
-
-
 def _inverse_square_tail(a: int) -> tuple:
     """Exact bounds (1/a + 1/(2a^2), 1/(a - 1/2)) on sum_{k >= a} 1/k^2, a >= 1.
 
@@ -375,10 +368,10 @@ def _inverse_square_tail(a: int) -> tuple:
 def _interval(total: float, slack: float, per_term: tuple, N: int) -> ConstantInterval:
     """Enclosure of a sum truncated at N whose terms beyond N lie in per_term / k^2."""
     k_lo, k_hi = _inverse_square_tail(N + 1)
-    tail_lo = _round(per_term[0] * k_lo, up=False)
-    tail_hi = _round(per_term[1] * k_hi, up=True)
-    lo = _round(Fraction(total) - Fraction(slack) + Fraction(tail_lo), up=False)
-    hi = _round(Fraction(total) + Fraction(slack) + Fraction(tail_hi), up=True)
+    tail_lo = directed_root(per_term[0] * k_lo, up=False)
+    tail_hi = directed_root(per_term[1] * k_hi, up=True)
+    lo = directed_root(Fraction(total) - Fraction(slack) + Fraction(tail_lo), up=False)
+    hi = directed_root(Fraction(total) + Fraction(slack) + Fraction(tail_hi), up=True)
     return ConstantInterval(lo=lo, hi=hi, tail_lo=tail_lo, tail_hi=tail_hi,
                             rounding_slack=float(slack), N=N)
 
@@ -403,7 +396,7 @@ def _g_rest(u, v) -> Fraction:
 
 def _magnitude_bounds(table, lo, hi) -> tuple:
     """Bounds on |x^2 P(x^2) + i x^3 Q(x^2)| over 0 < lo <= x <= hi, monomial by
-    monomial; the square roots are taken on the dyadic grid 2^-64, outward."""
+    monomial; the square roots are rounded outward to floats."""
     lo2, hi2 = lo * lo, hi * hi
     squares = []
     for part, lo_k, hi_k in zip(table, (lo2, lo2 * lo), (hi2, hi2 * hi)):
@@ -413,10 +406,8 @@ def _magnitude_bounds(table, lo, hi) -> tuple:
             a, b = a + ends[0], b + ends[1]
             lo_k, hi_k = lo_k * lo2, hi_k * hi2
         squares.append((max(a, -b, 0) ** 2, max(-a, b) ** 2))
-    (re_lo, re_hi), (im_lo, im_hi) = squares
-    lo_root, hi_root = (math.isqrt(q.numerator * 4**64 // q.denominator)
-                        for q in (re_lo + im_lo, re_hi + im_hi))
-    return Fraction(lo_root, 2**64), Fraction(hi_root + 1, 2**64)
+    return tuple(Fraction(directed_root(re + im, up, k=2))
+                 for (re, im), up in zip(zip(*squares), (False, True)))
 
 
 def _over_pi(q: Fraction, power: int, up: bool) -> Fraction:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sumsets import Basis, as_basis, n2
+from .sumsets import Basis
 
 # Past this the pure-Python search stops being a reasonable interactive tool.
 MAX_EXACT_K = 12
@@ -105,8 +105,3 @@ def n2k_exact(k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
         exhaustive = False
     witnesses = tuple(Basis(w) for w in sorted(found))
     return SearchResult(k, target, witnesses, nodes, exhaustive)
-
-
-def verify_extremal(a, claimed_n: int) -> bool:
-    """Check a witness certificate independently of the search."""
-    return n2(as_basis(a)) >= claimed_n

@@ -1,8 +1,12 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from additive_bases.certify import (
     KAPPA0,
@@ -12,6 +16,7 @@ from additive_bases.certify import (
     _xi,
     ceil4,
     certify,
+    directed_root,
     rho_from,
     rho_variation_bound,
 )
@@ -117,15 +122,64 @@ def _synthetic(lo, hi, N=0):
 
 def test_degenerate_corner_certificate():
     # Collapse the box onto (kappa, tau) = (3, 2): rho = 1/9 and the
-    # coefficient rounds up to 0.4445.
-    a2 = alpha2_exact()
-    cm = _synthetic(2.0 + a2, 2.0 + a2)  # makes 1 - a2 + c_main == 3
+    # coefficient rounds up to 0.4445.  c_main is the smallest float whose
+    # kappa.lo = 1 - alpha2 + c_main.lo, with alpha2 bounded above through
+    # the cube root of 1/32 rounded down, is at least 3.
+    one_minus_a2 = 1 - alpha2_exact(Fraction(directed_root(Fraction(1, 32), up=False, k=3)))
+    lo = directed_root(3 - one_minus_a2, up=True)
     ca = _synthetic(2.0, 2.0)
-    cert = certify(ca, cm, route="corner")
+    cert = certify(ca, _synthetic(lo, lo), route="corner")
+    assert cert.kappa[0] == 3.0
     assert cert.rho_lower == pytest.approx(1.0 / 9.0, abs=1e-14)
     assert cert.coefficient_upper == 0.4445
-    assert cert.kappa[0] == pytest.approx(3.0, abs=1e-12)
-    assert cert.xi[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    below = math.nextafter(lo, -math.inf)
+    with pytest.raises(ValueError, match="lemma regime"):
+        certify(ca, _synthetic(below, lo))
+
+
+def _mp_rho(kappa, tau):
+    """rho = xi^2 at the current mpmath precision."""
+    xi = 2 / (tau + mp.sqrt(tau * tau + 4 * kappa))
+    return xi * xi
+
+
+@pytest.mark.parametrize("route", ["corner", "lemma"])
+def test_certificate_encloses_its_exact_tail(full_scale_intervals, route):
+    # At 50 digits: kappa contains 15 * 2^(-5/3) + c_main at both ends,
+    # rho_lower is at most 4 ulps under the route's exact rho, and the
+    # coefficient is not below (1 - rho) / 2.
+    ax, mn = full_scale_intervals
+    cert = certify(ax, mn, route=route)
+    with mp.workdps(50):
+        depth = 15 * mpf(2) ** (mpf(-5) / 3)
+        assert cert.kappa[0] <= depth + mpf(mn.lo)
+        assert depth + mpf(mn.hi) <= cert.kappa[1]
+        kappa, tau = (tuple(map(mpf, box)) for box in (cert.kappa, cert.tau))
+        if route == "corner":
+            rho = _mp_rho(kappa[1], tau[1])
+        else:
+            rho = _mp_rho(mpf(KAPPA0), mpf(TAU0)) - max(
+                abs(k - mpf(KAPPA0)) / 54 + abs(t - mpf(TAU0)) / 18 for k in kappa for t in tau)
+        ulp = math.ulp(cert.rho_lower)
+        assert rho - 4 * ulp <= cert.rho_lower <= rho
+        assert cert.coefficient_upper >= (1 - rho) / 2
+
+
+@given(st.integers(0, 2**80), st.integers(1, 2**80), st.integers(-300, 300),
+       st.sampled_from([1, 2, 3]), st.booleans())
+def test_directed_root_is_the_nearest_float_on_the_safe_side(num, den, shift, k, up):
+    q = Fraction(num, den) * Fraction(2) ** shift
+
+    def at_or_above_root(x):
+        return x >= 0 and Fraction(x) ** k >= q
+
+    def at_or_below_root(x):
+        return x < 0 or Fraction(x) ** k <= q
+
+    f = directed_root(q, up, k)
+    toward_root = math.nextafter(f, -math.inf if up else math.inf)
+    on_side = at_or_above_root if up else at_or_below_root
+    assert on_side(f) and not on_side(toward_root)
 
 
 def test_certificate_regime_guard():

@@ -156,3 +156,24 @@ def test_cli_writes_no_reference_literal():
              if isinstance(node, ast.Constant) and type(node.value) in (int, float)
              and node.value in refs]
     assert found == []
+
+
+def test_directed_rounding_lives_in_one_helper():
+    # certify.directed_root is the one place that steps between floats or
+    # takes an integer root; certify.py, which runs the scalar tail in
+    # exact rationals, writes no tolerance to absorb a rounding.
+    found = []
+    for path in sorted((SRC / "additive_bases").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "directed_root"]
+        allowed = {id(n) for node in helper for n in ast.walk(node)}
+        found += [f"{path.name}:{n.lineno}: {n.attr}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in ("nextafter", "isqrt")
+                  and id(n) not in allowed]
+        if path.name == "certify.py":
+            assert helper, "certify.directed_root is missing"
+            found += [f"{path.name}:{n.lineno}: {n.value!r}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Constant) and type(n.value) is float
+                      and 0 < abs(n.value) < 1e-3]
+    assert found == []

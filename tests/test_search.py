@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from additive_bases.constructions import rohrbach_basis
-from additive_bases.search import n2k_exact, verify_extremal
+from additive_bases.search import n2k_exact
 from additive_bases.sumsets import n2
 
 
@@ -74,12 +74,6 @@ def test_monotone_in_k():
 @pytest.mark.parametrize("k", [4, 5, 6, 7])
 def test_construction_never_beats_optimum(k):
     assert n2(rohrbach_basis(k)) <= n2k_exact(k).n_best
-
-
-def test_verify_extremal():
-    assert verify_extremal([0, 1, 3], 5)
-    assert not verify_extremal([0, 1, 3], 6)
-    assert verify_extremal([0], 1)
 
 
 def test_budget_exhaustion_is_flagged():
