@@ -7,11 +7,7 @@ k elements and its sumset covers the whole segment [0, r^2]; the ratio
 
 from fractions import Fraction
 
-from additive_bases.constructions import (
-    MROSE_COEFFICIENT,
-    lower_bound_coefficient,
-    rohrbach_basis,
-)
+from additive_bases.constructions import lower_bound_coefficient, rohrbach_basis
 from additive_bases.sumsets import n2
 
 print(" k     |A|   n(2,A)   claimed   (r^2+1)/k^2")
@@ -25,5 +21,6 @@ for k in (4, 6, 10, 20, 50, 100):
     )
 
 print(f"\nlimit of the ratio: 1/4 = {float(Fraction(1, 4))}")
-print(f"best known lower-bound constant: {MROSE_COEFFICIENT} = {float(MROSE_COEFFICIENT):.4f}")
+mrose = Fraction(2, 7)  # best known lower-bound constant for n(2,k)/k^2 (Mrose)
+print(f"best known lower-bound constant: {mrose} = {float(mrose):.4f}")
 print("upper bound certified by this package: 0.4789 (see demo 05)")

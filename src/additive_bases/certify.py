@@ -37,10 +37,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .fourier2d import ConstantInterval
 
-# Anchor constants for the lemma route and the historical comparison value.
+# Anchor constants for the lemma route.
 KAPPA0 = 9.48617
 TAU0 = 2.90289
-KLOTZ_COEFFICIENT = 0.4802
 
 # Reference values the certified pipeline must reproduce.
 REF_AXIAL = (2.90278, 2.90289)

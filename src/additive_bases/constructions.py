@@ -7,10 +7,8 @@ Rohrbach's set with r = floor(k/2),
 has 2r - 1 <= k elements and its sumset covers [0, r^2]: write
 j = q*r + p with 0 <= p < r and q <= r - 1, both summands lie in A,
 and r^2 itself is (r-1)r + r.  Hence n2(A) >= r^2 + 1, which gives the
-asymptotic lower bound n_best(k) >= k^2/4 + O(k).
-
-Mrose's sharper constant 2/7 is exposed only as a comparison value;
-the construction behind it is out of scope here.
+asymptotic lower bound n_best(k) >= k^2/4 + O(k).  Mrose's sharper
+constant 2/7 comes from a construction that is out of scope here.
 """
 
 from __future__ import annotations
@@ -18,9 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .sumsets import Basis
-
-# Best known lower-bound constant for n_best(k)/k^2 (Mrose).
-MROSE_COEFFICIENT = Fraction(2, 7)
 
 
 def rohrbach_basis(k: int) -> Basis:

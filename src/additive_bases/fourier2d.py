@@ -39,21 +39,20 @@ a truncation tail with derived bounds on both sides: tail_constants
 bounds each term beyond N from above and below, times 1/r^2 or 1/R^2,
 from the coefficient tables the sums evaluate.  At N = 500 the main
 tail lies between about 5.89/N and 6.09/N (5.99/N measured), and the
-axial tail is O(1/N^2) wide.  Both sums are accumulated with Neumaier
-compensation in a fixed documented order, and a conservative rounding
-slack of terms * eps_machine * peak_running_magnitude is folded into
-both interval ends, each rounded outward by directed_root.  Since phi is
-real and symmetric, |c(r, s)| = |c(s, r)| = |c(-r, -s)|, so each shell
-is evaluated on its right side alone and expanded to the whole shell
-(_shell_sums); shells are folded in ascending R.  The slack still
-counts all 4N^2 lattice terms.
+axial tail is O(1/N^2) wide.  Both sums are folded by math.fsum, which
+is correctly rounded whatever the order, and a conservative rounding
+slack of terms * eps_machine * total is folded into both interval ends,
+each rounded outward by directed_root.  Since phi is real and symmetric,
+|c(r, s)| = |c(s, r)| = |c(-r, -s)|, so each shell is evaluated on its
+right side alone and expanded to the whole shell (_shell_sums).  The
+slack still counts all 4N^2 lattice terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -116,17 +115,6 @@ def alpha2_numeric(grid: int = 2000) -> float:
     return min(_upper_grid_min(grid), phi(x, x))
 
 
-def excess_row_integral(t1):
-    """Closed form of integral_{1-t1}^{1} (phi - 1)(t1, t2) dt2.
-
-    A cubic-plus-degree-9 polynomial in (1 - t1); its full integral over
-    [0, 1] is -1, which is what makes the function zero-mean.
-    """
-    u = 1.0 - np.asarray(t1, dtype=float)
-    out = -15.0 * u + (240.0 / 7.0) * u**2 - 20.0 * u**3 + (5.0 / 7.0) * u**9
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Closed-form coefficients, Horner polynomials in X = 1/(pi r); valid for
 # negative arguments.
@@ -138,15 +126,22 @@ def _scaled(r):
     return 1.0 / (_PI * np.asarray(r, dtype=float))
 
 
-# Coefficient tables (P, Q), lowest degree first, of the forms
+# Exact coefficient tables (P, Q), lowest degree first, of the forms
 # X^2 P(X^2) + i X^3 Q(X^2) on the axis, on the diagonal and for the
-# off-diagonal edge F; _G holds G's coefficients on h_0..h_5.  The
-# evaluators and tail_constants both read them; no coefficient is
-# written anywhere else.
-_AXIS = ((15 / 4, -45 / 2, 675 / 4, -2025 / 4), (-60 / 7, -135 / 2, 675 / 2, -2025 / 4))
-_DIAG = ((10.0, -210.0, 1575.0, -4725.0), (55.0, -630.0, 3150.0, -4725.0))
-_EDGE = ((-35 / 2, 525 / 4, -1575 / 4), (-105 / 2, 525 / 2, -1575 / 4))
-_G = (5.0, 15.0, -75 / 2, -75.0, 225 / 2, 225 / 2)
+# off-diagonal edge F; _G holds G's coefficients on h_0..h_5.
+# tail_constants reads them, and the evaluators their float copies; no
+# coefficient is written anywhere else.
+_AXIS = ((Fraction(15, 4), Fraction(-45, 2), Fraction(675, 4), Fraction(-2025, 4)),
+         (Fraction(-60, 7), Fraction(-135, 2), Fraction(675, 2), Fraction(-2025, 4)))
+_DIAG = ((Fraction(10), Fraction(-210), Fraction(1575), Fraction(-4725)),
+         (Fraction(55), Fraction(-630), Fraction(3150), Fraction(-4725)))
+_EDGE = ((Fraction(-35, 2), Fraction(525, 4), Fraction(-1575, 4)),
+         (Fraction(-105, 2), Fraction(525, 2), Fraction(-1575, 4)))
+_G = (Fraction(5), Fraction(15), Fraction(-75, 2), Fraction(-75),
+      Fraction(225, 2), Fraction(225, 2))
+# Every entry but -60/7 is dyadic, so its float copy is exact; -60/7 is
+# rounded once, to nearest (the one inexact coefficient the floats carry).
+_AXIS_F, _DIAG_F, _EDGE_F, _G_F = (np.array(t, dtype=float) for t in (_AXIS, _DIAG, _EDGE, _G))
 
 
 def _form(table, X):
@@ -163,21 +158,22 @@ def _form(table, X):
 
 def _axis_values(r):
     """Coefficient at (r, 0) for nonzero integer array r; equals (0, r)."""
-    return _form(_AXIS, _scaled(r))
+    return _form(_AXIS_F, _scaled(r))
 
 
 def _diag_values(r):
     """Coefficient at (r, r) for nonzero integer array r."""
-    return _form(_DIAG, _scaled(r))
+    return _form(_DIAG_F, _scaled(r))
 
 
 def _off_edge(X):
     """The one-variable part F(X) of the off-diagonal form, as (re, im)."""
-    return _form(_EDGE, X)
+    return _form(_EDGE_F, X)
 
 
-def _off_combine(X, Y, fx, fy, d2):
-    """D^2 (F(X) + F(Y) + X Y G[X, Y]) as (re, im), from F(X), F(Y) and D^2.
+def _off_combine(X, Y, fx, fy, d2, table=_G_F):
+    """D^2 (F(X) + F(Y) + X Y G[X, Y]) as (re, im), from F(X), F(Y), D^2 and
+    the table of G's coefficients (the float copy, or _G itself on scalars).
 
     The divided difference G is summed from the complete homogeneous h_k,
     never as a difference quotient, which would cancel next to the
@@ -185,7 +181,7 @@ def _off_combine(X, Y, fx, fy, d2):
     no input is written; the plain expression form, one new array per
     operation, runs c_main about 1.7x slower.
     """
-    g0, g1, g2, g3, g4, g5 = _G
+    g0, g1, g2, g3, g4, g5 = table
     X2 = X * X
     h = X + Y  # h1
     g_im = g1 * h
@@ -336,24 +332,6 @@ class ConstantInterval:
         return self.hi - self.lo
 
 
-def _compensated_fold(values) -> tuple:
-    """Neumaier-compensated sum in the given order; also the peak |partial|."""
-    s = 0.0
-    comp = 0.0
-    peak = 0.0
-    for v in values:
-        t = s + v
-        if abs(s) >= abs(v):
-            comp += (s - t) + v
-        else:
-            comp += (v - t) + s
-        s = t
-        if abs(s) > peak:
-            peak = abs(s)
-    total = s + comp
-    return total, max(peak, abs(total))
-
-
 def _inverse_square_tail(a: int) -> tuple:
     """Exact bounds (1/a + 1/(2a^2), 1/(a - 1/2)) on sum_{k >= a} 1/k^2, a >= 1.
 
@@ -365,20 +343,25 @@ def _inverse_square_tail(a: int) -> tuple:
     return 1 / a + 1 / (2 * a * a), 1 / (a - Fraction(1, 2))
 
 
-def _interval(total: float, slack: float, per_term: tuple, N: int) -> ConstantInterval:
-    """Enclosure of a sum truncated at N whose terms beyond N lie in per_term / k^2."""
+def _interval(total: float, terms: int, per_term: tuple, N: int) -> ConstantInterval:
+    """Enclosure of a sum truncated at N whose terms beyond N lie in per_term / k^2.
+
+    total is the fold of `terms` nonnegative terms, so it is also their
+    largest partial sum; the rounding slack is terms * eps * total.
+    """
+    slack = terms * _EPS * total
     k_lo, k_hi = _inverse_square_tail(N + 1)
     tail_lo = directed_root(per_term[0] * k_lo, up=False)
     tail_hi = directed_root(per_term[1] * k_hi, up=True)
     lo = directed_root(Fraction(total) - Fraction(slack) + Fraction(tail_lo), up=False)
     hi = directed_root(Fraction(total) + Fraction(slack) + Fraction(tail_hi), up=True)
     return ConstantInterval(lo=lo, hi=hi, tail_lo=tail_lo, tail_hi=tail_hi,
-                            rounding_slack=float(slack), N=N)
+                            rounding_slack=slack, N=N)
 
 
 def _lead_rest(table, u) -> tuple:
     """(|P_0|, rest): |x^2 P(x^2) + i x^3 Q(x^2) - P_0 x^2| <= rest x^2 for |x| <= u."""
-    P, Q = ([Fraction(c) for c in part] for part in table)
+    P, Q = table
     rest = (sum(abs(c) * u ** (2 * k) for k, c in enumerate(P) if k)
             + u * sum(abs(c) * u ** (2 * k) for k, c in enumerate(Q)))
     return abs(P[0]), rest
@@ -390,7 +373,7 @@ def _g_rest(u, v) -> Fraction:
     for g in _G[1:]:
         u_k *= u
         h = v * h + u_k  # h_k = v h_(k-1) + u^k
-        total += abs(Fraction(g)) * h
+        total += abs(g) * h
     return total
 
 
@@ -401,7 +384,7 @@ def _magnitude_bounds(table, lo, hi) -> tuple:
     squares = []
     for part, lo_k, hi_k in zip(table, (lo2, lo2 * lo), (hi2, hi2 * hi)):
         a = b = 0
-        for c in map(Fraction, part):
+        for c in part:
             ends = sorted((c * lo_k, c * hi_k))
             a, b = a + ends[0], b + ends[1]
             lo_k, hi_k = lo_k * lo2, hi_k * hi2
@@ -467,7 +450,7 @@ def tail_constants(N: int) -> tuple:
     zero = Fraction(0)
 
     p0, rx = _lead_rest(_EDGE, u)
-    g0 = Fraction(_G[0])
+    g0 = _G[0]
     near_lo = near_hi = zero
     f_x, xy_g = u * u * (p0 + rx), u * (abs(g0) + _g_rest(u, 1 / _PI_LO)) / _PI_LO
     for j in range(1, S + 1):
@@ -504,19 +487,16 @@ def tail_constants(N: int) -> tuple:
 def c_axial(N: int) -> ConstantInterval:
     """Certified axial coefficient sum over 0 < |r| <= N (both axes).
 
-    Traversal: |r| ascending, within each |r| the block
-    (r,0), (-r,0), (0,r), (0,-r), the last two via the axis symmetry.
-    Two-sided tail from tail_constants; rounding slack 4N * eps * peak
-    running magnitude.
+    The terms are |c(r, 0)|, |c(-r, 0)|, |c(0, r)| and |c(0, -r)| for
+    r = 1..N.  |c(-r, 0)| = |c(r, 0)| bit for bit: X flips sign exactly,
+    re is even in X and im odd; the last two follow by the axis symmetry.
+    So the fold is 4 * fsum over r > 0, as the scaling by 4 is exact.
+    Two-sided tail from tail_constants; rounding slack counts all 4N terms.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    # |c(-r, 0)| = |c(r, 0)| bit for bit: X flips sign exactly, re is even
-    # in X and im odd, so one magnitude serves all four points of a block.
     m = np.hypot(*_axis_values(np.arange(1, N + 1, dtype=np.int64))).tolist()
-    total, peak = _compensated_fold(chain.from_iterable(zip(m, m, m, m)))
-    slack = 4.0 * N * _EPS * peak
-    return _interval(total, slack, _axis_constants(N), N)
+    return _interval(4 * math.fsum(m), 4 * N, _axis_constants(N), N)
 
 
 def _shell_sums(N: int) -> list:
@@ -560,15 +540,13 @@ def c_main(N: int) -> ConstantInterval:
     """Certified off-axis coefficient sum over shells R = 1..N.
 
     Shells are concentric squares max(|r1|, |r2|) = R with min != 0; the
-    shell sums of _shell_sums are folded sequentially in ascending R with
-    Neumaier compensation.  Two-sided tail from tail_constants; slack
-    counts all 4N^2 lattice terms.
+    shell sums of _shell_sums are folded by math.fsum, correctly rounded.
+    Two-sided tail from tail_constants; slack counts all 4N^2 lattice
+    terms.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    total, peak = _compensated_fold(_shell_sums(N))
-    slack = 4 * N * N * _EPS * peak
-    return _interval(total, slack, tail_constants(N)[1], N)
+    return _interval(math.fsum(_shell_sums(N)), 4 * N * N, tail_constants(N)[1], N)
 
 
 def phi_grid_csv(path, m: int) -> None:

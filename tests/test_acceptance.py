@@ -15,7 +15,6 @@ import pytest
 
 from additive_bases.certify import (
     KAPPA0,
-    KLOTZ_COEFFICIENT,
     REF_AXIAL,
     REF_COEFFICIENT,
     REF_MAIN,
@@ -161,18 +160,18 @@ def test_criterion_7_constants_at_full_scale(full_scale_intervals):
             "inside reference intervals", ok, time.time() - t0)
 
 
-def test_criterion_8_desk_scale_fallback(capsys):
+def test_criterion_8_desk_scale_fallback(capsys, klotz_coefficient):
     # The desk scale is the certificate's one scale: --fast prints the
     # same certificate, at N = SCALE, on both routes.
     t0 = time.time()
-    ok = REF_COEFFICIENT < KLOTZ_COEFFICIENT
+    ok = REF_COEFFICIENT < klotz_coefficient
     for route in ("corner", "lemma"):
         code, doc = _cli_json(capsys, "bound", "two-var", "--route", route)
         ok &= (code, doc) == _cli_json(capsys, "bound", "two-var", "--fast", "--route", route)
         ok &= code == 0 and (doc["c_axial"]["N"], doc["c_main"]["N"]) == SCALE
         ok &= doc["coefficient_upper"] <= REF_COEFFICIENT
     _report(8, f"--fast certifies the same <= {REF_COEFFICIENT} at N = {SCALE}, "
-            f"strictly below {KLOTZ_COEFFICIENT}", ok,
+            f"strictly below {klotz_coefficient}", ok,
             time.time() - t0, limit=60.0)
 
 

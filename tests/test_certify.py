@@ -10,7 +10,6 @@ from mpmath import mp, mpf
 
 from additive_bases.certify import (
     KAPPA0,
-    KLOTZ_COEFFICIENT,
     REF_COEFFICIENT,
     TAU0,
     _xi,
@@ -195,13 +194,13 @@ def test_route_validation():
         certify(_synthetic(2.5, 2.5), _synthetic(5.0, 5.0), route="magic")
 
 
-def test_desk_scale_pipeline_beats_klotz(full_scale_intervals):
+def test_desk_scale_pipeline_beats_klotz(full_scale_intervals, klotz_coefficient):
     ca, cm = full_scale_intervals
     corner = certify(ca, cm, route="corner")
     lemma = certify(ca, cm, route="lemma")
     for cert in (corner, lemma):
         assert cert.coefficient_upper <= REF_COEFFICIENT
-        assert cert.coefficient_upper < KLOTZ_COEFFICIENT
+        assert cert.coefficient_upper < klotz_coefficient
         assert cert.rho_lower <= 1.0 / 9.0
         assert cert.coefficient_upper < 0.5
         assert cert.kappa[0] >= 3.0 and cert.tau[0] >= 2.0

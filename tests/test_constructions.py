@@ -2,11 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from additive_bases.constructions import (
-    MROSE_COEFFICIENT,
-    lower_bound_coefficient,
-    rohrbach_basis,
-)
+from additive_bases.constructions import lower_bound_coefficient, rohrbach_basis
 from additive_bases.sumsets import n2, sumset2
 
 
@@ -43,7 +39,3 @@ def test_degenerate_inputs_rejected():
         with pytest.raises(ValueError, match="degenerate"):
             lower_bound_coefficient(k)
 
-
-def test_mrose_comparison_constant():
-    assert MROSE_COEFFICIENT == Fraction(2, 7)
-    assert float(MROSE_COEFFICIENT) > 0.25

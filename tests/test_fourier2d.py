@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from mpmath import mp
 from scipy.integrate import quad
 
@@ -16,10 +17,11 @@ from additive_bases.fourier2d import (
     _NEAR_AXIS,
     ConstantInterval,
     _axis_values,
-    _compensated_fold,
     _diag_values,
+    _form,
     _gauss_panels,
     _inverse_square_tail,
+    _off_combine,
     _off_values,
     _shell_sums,
     _upper_grid_min,
@@ -29,7 +31,6 @@ from additive_bases.fourier2d import (
     c_main,
     coeff,
     coeff_quadrature,
-    excess_row_integral,
     phi,
     phi_excess,
     phi_grid_csv,
@@ -250,10 +251,52 @@ def test_closed_forms_audit_against_50_digit_reference():
         assert abs(got - ref) <= 8 * eps * ref, (r1, r2, float(abs(got - ref) / ref / eps))
 
 
+@pytest.mark.parametrize("r1, r2", [(3, 0), (0, -3), (5, 5), (3, -7), (4000, 3999)])
+def test_exact_tables_evaluate_in_mpmath(r1, r2):
+    # _form and _off_combine are plain arithmetic, so the exact tables run
+    # through them on 40-digit scalars; the float path, which reads the
+    # float copies, agrees to the audit's 8 eps.
+    with mp.workdps(40):
+        x, y = (1 / (mp.pi * r) if r else None for r in (r1, r2))
+        if x is None or y is None:
+            re, im = _form(_AXIS, x or y)
+        elif r1 == r2:
+            re, im = _form(_DIAG, x)
+        else:
+            d = 1 / (mp.pi * (r1 - r2))
+            re, im = _off_combine(x, y, _form(_EDGE, x), _form(_EDGE, y), d * d, _G)
+        ref = mp.mpc(re, im)
+        got = coeff(r1, r2)
+        assert abs(got - ref) <= 8 * np.finfo(float).eps * abs(ref)
+
+
+def test_axis_form_is_exact_in_sympy():
+    # On a symbol, _form returns the axis polynomial in exact rationals:
+    # the imaginary lead is -60/7 itself, not the float nearest to it.
+    x = sympy.Symbol("x")
+    q = sympy.Rational
+    re, im = _form(_AXIS, x)
+    assert sympy.expand(re - q(15, 4) * x**2 * (1 - 6 * x**2 + 45 * x**4 - 135 * x**6)) == 0
+    lead = q(-60, 7) * x**3
+    assert sympy.expand(im - lead * (1 + q(63, 8) * x**2 - q(315, 8) * x**4 + q(945, 16) * x**6)) == 0
+    assert sympy.Poly(im, x).coeff_monomial(x**3) == q(-60, 7)
+
+
 # ---------------------------------------------------------------------------
 # Analytic identities behind the decay estimates: row integral and
 # boundary derivatives of the excess
 # ---------------------------------------------------------------------------
+
+
+def excess_row_integral(t1):
+    """Closed form of integral_{1-t1}^{1} (phi - 1)(t1, t2) dt2.
+
+    A cubic-plus-degree-9 polynomial in (1 - t1); its full integral over
+    [0, 1] is -1, which is what makes the function zero-mean.
+    """
+    u = 1.0 - np.asarray(t1, dtype=float)
+    out = -15.0 * u + (240.0 / 7.0) * u**2 - 20.0 * u**3 + (5.0 / 7.0) * u**9
+    return float(out) if out.ndim == 0 else out
 
 
 def test_excess_row_integral_matches_quadrature():
@@ -361,17 +404,19 @@ def assert_outward(iv, total, per_term):
 
 
 def test_c_axial_is_the_ascending_fold_of_axis_blocks():
-    # Documented order: |r| ascending, each block (r,0), (-r,0), (0,r),
-    # (0,-r), with -r evaluated on its own in the reference.
+    # The documented terms: each block (r,0), (-r,0), (0,r), (0,-r), with
+    # -r evaluated on its own, so that c_axial's 4 * fsum over r > 0 holds
+    # only if |c(-r, 0)| = |c(r, 0)| bit for bit.  The reference sums them
+    # exactly and rounds once, as fsum does in any order.
     N = 300
     vals = []
     for r in range(1, N + 1):
         pos = float(np.hypot(*_axis_values(r)))
         neg = float(np.hypot(*_axis_values(-r)))
         vals += [pos, neg, pos, neg]
-    total, peak = _compensated_fold(vals)
+    total = float(sum(map(Fraction, vals)))
     iv = c_axial(N)
-    assert iv.rounding_slack == 4 * N * np.finfo(float).eps * peak
+    assert iv.rounding_slack == len(vals) * np.finfo(float).eps * total
     assert_outward(iv, total, tail_constants(N)[0])
 
 
@@ -466,12 +511,12 @@ def test_shell_fold_matches_full_shell_reference():
 
 
 def test_c_main_is_the_ascending_fold_of_shell_partials():
-    # Documented order: shells folded in ascending R with Neumaier
-    # compensation, all 4N^2 lattice terms counted in the slack.
+    # The shell sums summed exactly and rounded once, all 4N^2 lattice
+    # terms counted in the slack.
     N = 120
-    total, peak = _compensated_fold(_shell_sums(N))
+    total = float(sum(map(Fraction, _shell_sums(N))))
     iv = c_main(N)
-    assert iv.rounding_slack == 4 * N * N * np.finfo(float).eps * peak
+    assert iv.rounding_slack == 4 * N * N * np.finfo(float).eps * total
     assert_outward(iv, total, tail_constants(N)[1])
 
 
@@ -512,6 +557,12 @@ def test_shell_lattice_structure():
         assert len({(a, b) for a, b in zip(r1.tolist(), r2.tolist())}) == r1.size
 
 
+def _mpf(q):
+    """The exact rational q at the current mpmath precision."""
+    assert isinstance(q, Fraction)
+    return mp.mpf(q.numerator) / q.denominator
+
+
 def _mp_tail_constants(N):
     """The inequalities of tail_constants at 50 digits, with exact pi and zeta(2).
 
@@ -524,23 +575,23 @@ def _mp_tail_constants(N):
     ell = (2 + mp.mpf(7) / 10 * (N + 1).bit_length()) / (N + 1)
 
     def lead_rest(table, x):
-        P, Q = ([mp.mpf(c) for c in part] for part in table)
+        P, Q = ([_mpf(c) for c in part] for part in table)
         return abs(P[0]), (sum(abs(c) * x ** (2 * k) for k, c in enumerate(P) if k)
                            + x * sum(abs(c) * x ** (2 * k) for k, c in enumerate(Q)))
 
     def g_rest(x, y):
-        return sum(abs(mp.mpf(g)) * x**i * y ** (k - i)
+        return sum(abs(_mpf(g)) * x**i * y ** (k - i)
                    for k, g in enumerate(_G) if k for i in range(k + 1))
 
     def magnitude(table, x):
         P, Q = table
-        return abs(mp.mpc(x**2 * sum(mp.mpf(c) * x ** (2 * k) for k, c in enumerate(P)),
-                          x**3 * sum(mp.mpf(c) * x ** (2 * k) for k, c in enumerate(Q))))
+        return abs(mp.mpc(x**2 * sum(_mpf(c) * x ** (2 * k) for k, c in enumerate(P)),
+                          x**3 * sum(_mpf(c) * x ** (2 * k) for k, c in enumerate(Q))))
 
     a0, ra = lead_rest(_AXIS, u)
     axis = (max(0, 4 * (a0 - ra) / pi**2), 4 * (a0 + ra) / pi**2)
     p0, rx = lead_rest(_EDGE, u)
-    g0 = mp.mpf(_G[0])
+    g0 = _mpf(_G[0])
     m_g = g0 + g_rest(u, 1 / pi)
     near = [0, 0]
     for j in range(1, S + 1):
@@ -572,18 +623,14 @@ def test_tail_constants_match_a_50_digit_recomputation():
     # side of the 50-digit value and within 1e-8 of it (the pi bounds and
     # the sqrt grid cost less), and so do the c_axial and c_main tails,
     # whose sum_{k > N} 1/k^2 factors bracket the Hurwitz zeta(2, N + 1).
-    def mpf(q):
-        assert isinstance(q, Fraction)
-        return mp.mpf(q.numerator) / q.denominator
-
     with mp.workdps(50):
         tol = mp.mpf("1e-8")
         for N in (1, 2, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, *SCALE):
-            k_lo, k_hi = map(mpf, _inverse_square_tail(N + 1))
+            k_lo, k_hi = map(_mpf, _inverse_square_tail(N + 1))
             assert k_lo <= mp.zeta(2, N + 1) <= k_hi
             pairs = zip(tail_constants(N), _mp_tail_constants(N), (c_axial, c_main))
             for exact, ref, make in pairs:
-                lo, hi = map(mpf, exact)
+                lo, hi = map(_mpf, exact)
                 assert ref[0] * (1 - tol) <= lo <= ref[0] and ref[1] <= hi <= ref[1] * (1 + tol)
                 if make is c_axial or N <= SCALE[1]:
                     iv = make(N)

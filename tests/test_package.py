@@ -34,10 +34,11 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_cli_import_loads_no_scipy():
-    # A fresh interpreter: this one has loaded scipy for the quadrature tests.
-    # numpy is imported by the commands that compute with arrays, when they run.
-    code = ("import sys, additive_bases.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    # A fresh interpreter: this one has loaded scipy, sympy and mpmath for
+    # the tests.  numpy is imported by the commands that compute with
+    # arrays, when they run; the others are test dependencies only.
+    code = ("import sys, additive_bases.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy', 'sympy', 'mpmath')))")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -102,7 +103,7 @@ def test_quadrature_oracle_reads_no_closed_form():
     assert sorted(reads) == ["_gauss_panels", "coeff_quadrature"]
     closed_forms = {"coeff", "_axis_values", "_diag_values", "_off_values", "_off_edge",
                     "_off_combine", "_scaled", "_form", "_AXIS", "_DIAG", "_EDGE", "_G",
-                    *TAIL_DERIVATION}
+                    "_AXIS_F", "_DIAG_F", "_EDGE_F", "_G_F", *TAIL_DERIVATION}
     assert not closed_forms & (reads["coeff_quadrature"] | reads["_gauss_panels"])
     assert "phi" in reads["coeff_quadrature"]
 
@@ -111,6 +112,38 @@ def _fourier2d_functions(names):
     tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
     return {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name in names}
+
+
+def _fourier2d_assignments():
+    """Each module-level assignment of fourier2d, keyed by its target names."""
+    tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
+    return {tuple(t.id for target in node.targets for t in ast.walk(target)
+                  if isinstance(t, ast.Name)): node.value
+            for node in tree.body if isinstance(node, ast.Assign)}
+
+
+def _table_entries(node):
+    """The non-tuple leaves of a (nested) tuple display, in order."""
+    return [leaf for elt in node.elts
+            for leaf in (_table_entries(elt) if isinstance(elt, ast.Tuple) else [elt])]
+
+
+def test_coefficient_tables_are_exact_and_written_once():
+    # Each table entry is Fraction(...) of integers, so the tail derivation
+    # bounds the rationals the integrals give; the float copies the
+    # evaluators read are derived from the tables with no literal.
+    tables = ("_AXIS", "_DIAG", "_EDGE", "_G")
+    assigns = _fourier2d_assignments()
+    for name in tables:
+        entries = _table_entries(assigns[(name,)])
+        assert entries, name
+        for e in entries:
+            assert isinstance(e, ast.Call) and isinstance(e.func, ast.Name), ast.unparse(e)
+            assert e.func.id == "Fraction" and not e.keywords, ast.unparse(e)
+            assert all(type(ast.literal_eval(a)) is int for a in e.args), ast.unparse(e)
+    copies = assigns[tuple(name + "_F" for name in tables)]
+    assert [n for n in ast.walk(copies) if isinstance(n, ast.Constant)] == []
+    assert set(tables) <= {n.id for n in ast.walk(copies) if isinstance(n, ast.Name)}
 
 
 def test_closed_form_coefficients_live_only_in_the_tables():
@@ -146,7 +179,7 @@ def test_cli_writes_no_reference_literal():
     # copy of one in cli.py would let the two drift apart.
     from additive_bases import certify
 
-    refs = {certify.KAPPA0, certify.TAU0, certify.KLOTZ_COEFFICIENT}
+    refs = {certify.KAPPA0, certify.TAU0}
     for name in dir(certify):
         if name.startswith("REF_"):
             value = getattr(certify, name)
