@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  search --k K [--budget B]        exact extremal search, JSON result
+  search --k K                     exact extremal search, JSON result
   construct rohrbach --k K         lower-bound witness + verified coverage
   bound moser                      one-variable certificate (0.4898)
   bound two-var [...]              two-variable certificate (JSON)
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import fourier1d
 from .certify import (
@@ -36,10 +37,11 @@ from .certify import (
     TAU0,
     ceil4,
     certify,
+    directed_root,
     rho_from,
 )
 from .constructions import lower_bound_coefficient, rohrbach_basis
-from .search import DEFAULT_NODE_BUDGET, MAX_EXACT_K, n2k_exact
+from .search import MAX_EXACT_K, n2k_exact
 from .sumsets import as_basis, exp_sum_stats, n2, rep_profile
 
 # The (n_axial, n_main) truncation of the certificate.  With the derived
@@ -77,18 +79,17 @@ def _require(flag: str, value: int, lo: int, hi=None) -> None:
 
 def _cmd_search(args) -> int:
     _require("--k", args.k, 1, MAX_EXACT_K)
-    _require("--budget", args.budget, 1)
-    res = n2k_exact(args.k, args.budget)
+    res = n2k_exact(args.k)
     _emit(
         {
             "k": res.k,
             "n_best": res.n_best,
             "witnesses": [list(w.elements) for w in res.witnesses],
             "nodes_explored": res.nodes_explored,
-            "exhaustive": res.exhaustive,
+            "exhaustive": True,  # MAX_EXACT_K keeps every search complete
         }
     )
-    return 0 if res.exhaustive else 1
+    return 0
 
 
 def _cmd_construct(args) -> int:
@@ -118,20 +119,20 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_bound_moser(args) -> int:
-    c, coefficient = fourier1d.moser_constant()
-    f = fourier1d.moser_test_function()
-    computed = fourier1d.one_var_bound(f)
-    agrees = abs(computed - coefficient) < 1e-12
+    alpha1, alpha2, S = fourier1d.moser_bounds()
+    coefficient = fourier1d.one_var_bound(alpha1, alpha2, S)
+    c = Fraction(1, 2) - coefficient
+    agrees = c == Fraction(1, 98)  # the published constant
     _emit(
         {
-            "c": c,
-            "coefficient": computed,
-            "coefficient_reported": ceil4(computed),
+            "c": directed_root(c, up=False),
+            "coefficient": directed_root(coefficient, up=True),
+            "coefficient_reported": ceil4(coefficient),
             "linear_slack": "+k",
-            "balance_fraction": fourier1d.balance_fraction(f),
-            "alpha1": f.alpha1,
-            "alpha2": f.alpha2,
-            "weight_sum": f.weight_sum(),
+            "balance_fraction": float(fourier1d.balance_fraction(alpha1, alpha2, S)),
+            "alpha1": float(alpha1),
+            "alpha2": float(alpha2),
+            "weight_sum": float(S),
             "closed_form_agrees": agrees,
         }
     )
@@ -279,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="exact extremal search for a given k")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     sp.set_defaults(func=_cmd_search)
 
     cp = sub.add_parser("construct", help="lower-bound constructions")

@@ -57,7 +57,6 @@ from fractions import Fraction
 import numpy as np
 
 from .certify import directed_root
-from .fourier1d import ternary_argmin
 
 _PI = np.pi
 
@@ -104,12 +103,26 @@ def _upper_grid_min(grid: int) -> float:
     return min(float(phi(x, t[x + t >= 1.0]).min(initial=np.inf)) for x in t)
 
 
+def ternary_argmin(f, lo: float, hi: float) -> float:
+    """Midpoint of the final bracket of a ternary search for the minimum
+    of a unimodal f on [lo, hi], narrowed until it is at most 1e-14 wide.
+    """
+    while hi - lo > 1e-14:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if f(m1) <= f(m2):
+            hi = m2
+        else:
+            lo = m1
+    return 0.5 * (lo + hi)
+
+
 def alpha2_numeric(grid: int = 2000) -> float:
     """Dense-grid minimum over the upper triangle, refined along t1 = t2.
 
-    The minimizer sits on the symmetric diagonal, so the shared ternary
-    search of t -> phi(t, t) on [1/2, 1) sharpens the grid value; with
-    u = 1 - t that curve is 1 - 40 (u^2 - 64 u^8), unimodal there.
+    The minimizer sits on the symmetric diagonal, so a ternary search of
+    t -> phi(t, t) on [1/2, 1) sharpens the grid value; with u = 1 - t
+    that curve is 1 - 40 (u^2 - 64 u^8), unimodal there.
     """
     x = ternary_argmin(lambda t: phi(t, t), 0.5, 1.0 - 1e-12)
     return min(_upper_grid_min(grid), phi(x, x))

@@ -29,7 +29,7 @@ from additive_bases.certify import (
 from additive_bases.cli import SCALE
 from additive_bases.cli import main as cli_main
 from additive_bases.constructions import rohrbach_basis
-from additive_bases.fourier1d import moser_constant, moser_test_function, one_var_bound
+from additive_bases.fourier1d import moser_bounds, one_var_bound
 from additive_bases.fourier2d import (
     _NEAR_AXIS,
     _axis_values,
@@ -119,10 +119,8 @@ def test_criterion_3_rohrbach_construction():
 
 def test_criterion_4_moser_constant():
     t0 = time.time()
-    c, coefficient = moser_constant()
-    computed = one_var_bound(moser_test_function())
-    ok = abs(computed - (0.5 - 1.0 / 98.0)) < 1e-12
-    ok &= c == 1.0 / 98.0
+    computed = one_var_bound(*moser_bounds())
+    ok = computed == Fraction(1, 2) - Fraction(1, 98)
     ok &= ceil4(computed) == 0.4898
     _report(4, "one-variable pipeline emits 1/2 - 1/98, reported 0.4898", ok,
             time.time() - t0)

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,12 +28,6 @@ def test_search_json(capsys):
     assert doc["exhaustive"] is True
 
 
-def test_search_budget_flag(capsys):
-    code, out = run_cli(capsys, "search", "--k", "6", "--budget", "3")
-    assert code == 1
-    assert json.loads(out)["exhaustive"] is False
-
-
 def test_construct_rohrbach(capsys):
     code, out = run_cli(capsys, "construct", "rohrbach", "--k", "10")
     assert code == 0
@@ -48,9 +43,16 @@ def test_bound_moser(capsys):
     code, out = run_cli(capsys, "bound", "moser")
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == ["c", "coefficient", "coefficient_reported", "linear_slack",
+                         "balance_fraction", "alpha1", "alpha2", "weight_sum",
+                         "closed_form_agrees"]
     assert doc["c"] == pytest.approx(1.0 / 98.0, abs=1e-15)
     assert doc["coefficient_reported"] == 0.4898
     assert doc["linear_slack"] == "+k"
+    assert doc["closed_form_agrees"] is True
+    # Each float lies on its safe side of the exact value: c below, the coefficient above.
+    assert Fraction(doc["c"]) <= Fraction(1, 98)
+    assert Fraction(doc["coefficient"]) >= Fraction(24, 49)
 
 
 def test_bound_two_var_fast_schema_and_formatting(capsys):
@@ -189,7 +191,7 @@ def test_bound_two_var_unallocatable_size_is_an_error(capsys):
     [
         (["search", "--k", "0"], "--k must be between 1 and 12, got 0"),
         (["search", "--k", "13"], "--k must be between 1 and 12, got 13"),
-        (["search", "--k", "3", "--budget", "0"], "--budget must be at least 1, got 0"),
+        (["construct", "rohrbach", "--k", "-4"], "--k must be at least 4, got -4"),
         (["construct", "rohrbach", "--k", "3"], "--k must be at least 4, got 3"),
         (["dump", "phi", "--grid", "1", "--out", "unused.csv"], "--grid must be at least 2, got 1"),
         (["basis", "stats", "--set", "0,1,3", "--n", "0"], "--n must be at least 2, got 0"),

@@ -34,14 +34,12 @@ def test_small_cases_match_known_values():
     r3 = n2k_exact(3)
     assert r3.n_best == 5
     assert [w.elements for w in r3.witnesses] == [(0, 1, 2), (0, 1, 3)]
-    assert all(r.exhaustive for r in (r1, r2, r3))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_matches_naive_enumeration(k):
     best, witnesses = naive_n2k(k)
     res = n2k_exact(k)
-    assert res.exhaustive
     assert res.n_best == best
     assert [w.elements for w in res.witnesses] == witnesses
 
@@ -55,7 +53,6 @@ def test_k4_value_and_witness():
 def test_witnesses_are_valid_and_canonical():
     for k in range(2, 11):
         res = n2k_exact(k)
-        assert res.exhaustive
         elems = [w.elements for w in res.witnesses]
         assert elems == sorted(elems)  # lexicographic, no duplicates
         for w in res.witnesses:
@@ -76,28 +73,8 @@ def test_construction_never_beats_optimum(k):
     assert n2(rohrbach_basis(k)) <= n2k_exact(k).n_best
 
 
-def test_budget_exhaustion_is_flagged():
-    res = n2k_exact(6, node_budget=3)
-    assert not res.exhaustive
-    assert res.nodes_explored >= 3
-    # The partial value must still be a genuine lower bound.
-    assert res.n_best >= 11
-
-
-@pytest.mark.parametrize("budget", [10, 100, 1000])
-def test_partial_result_under_budget(budget):
-    res = n2k_exact(8, node_budget=budget)
-    assert not res.exhaustive
-    for w in res.witnesses:
-        assert w.k == 8
-        assert n2(w) == res.n_best
-    assert res.n_best <= n2k_exact(8).n_best
-
-
 def test_argument_validation():
     with pytest.raises(ValueError, match="too large"):
         n2k_exact(13)
     with pytest.raises(ValueError):
         n2k_exact(0)
-    with pytest.raises(ValueError):
-        n2k_exact(3, node_budget=0)
