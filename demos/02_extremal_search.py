@@ -1,10 +1,13 @@
 """Exact extremal values n_best(k) for small k, with all witnesses.
 
-The search fixes {0, 1} in every candidate and extends sets in
+Every candidate contains {0, 1}, and the search adds elements in
 increasing order, each next element at most the smallest uncovered
-value; that bound restricts elements to [0, n-1].  One pass raises its
-target n as better sets appear and prunes by counting the sums still
-possible, so the witness lists are provably complete.
+value; that bound restricts elements to [0, n-1].  At each slot it tries
+the largest element first, so its target n rises early, and it drops a
+child when too few sums remain possible to cover [0, n-1].  The last
+element must cover every remaining hole, so it is found by intersecting
+bitsets rather than by trying each value.  The witness lists are
+provably complete.
 """
 
 from additive_bases.search import n2k_exact

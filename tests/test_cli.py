@@ -189,8 +189,8 @@ def test_bound_two_var_unallocatable_size_is_an_error(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["search", "--k", "0"], "--k must be between 1 and 12, got 0"),
-        (["search", "--k", "13"], "--k must be between 1 and 12, got 13"),
+        (["search", "--k", "0"], "--k must be between 1 and 13, got 0"),
+        (["search", "--k", "14"], "--k must be between 1 and 13, got 14"),
         (["construct", "rohrbach", "--k", "-4"], "--k must be at least 4, got -4"),
         (["construct", "rohrbach", "--k", "3"], "--k must be at least 4, got 3"),
         (["dump", "phi", "--grid", "1", "--out", "unused.csv"], "--grid must be at least 2, got 1"),
