@@ -11,9 +11,17 @@ the test function is
     phi = 1                                                 on R1,
     phi = 1 - 40 (1-t1)(1-t2) (1 - (2-t1-t2)^6)             on R2.
 
-The excess phi - 1 vanishes on the boundary of R2, phi has zero mean,
-alpha1 = 1 on R1, and the exact minimum on R2 is 1 - 15/2^(5/3)
-(attained on the symmetric diagonal at 1 - t = 2^(-4/3)).
+The excess phi - 1 vanishes on the boundary of R2, phi has zero mean
+(the excess integrates to -1 over R2), and alpha1 = 1 on R1.  With
+u = 1 - t1, v = 1 - t2 and p = u + v, the identity 4 u v = p^2 - (u - v)^2
+gives
+
+    phi - 1 = -10 p^2 (1 - p^6) + 10 (u - v)^2 (1 - p^6),
+
+and 0 <= p <= 1 on R2, so the minimum on R2 lies on the diagonal u = v.
+There -10 p^2 (1 - p^6) is least at p^6 = 1/4, which gives alpha2 =
+1 - 15/2^(5/3) at 1 - t = 2^(-4/3).  The test suite proves the identity
+and the zero mean in sympy, on phi_excess itself.
 
 Closed-form coefficients exist on the axes, on the diagonal, and off
 the diagonal.  They are short polynomials with small rational
@@ -71,13 +79,11 @@ _NEAR_AXIS = 8
 
 
 def phi_excess(t1, t2):
-    """The smooth polynomial branch phi - 1, defined on all of R^2."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
+    """The smooth polynomial branch phi - 1, defined on all of R^2; plain
+    arithmetic, so it runs on floats, arrays and sympy symbols alike."""
     # grouping keeps the value bitwise symmetric under t1 <-> t2
     w = 2.0 - (t1 + t2)
-    out = -40.0 * ((1.0 - t1) * (1.0 - t2)) * (1.0 - w**6)
-    return float(out) if out.ndim == 0 else out
+    return -40.0 * ((1.0 - t1) * (1.0 - t2)) * (1.0 - w**6)
 
 
 def phi(t1, t2):
@@ -94,15 +100,6 @@ def alpha2_exact(t=2.0 ** (-5.0 / 3.0)):
     return 1 - 15 * t
 
 
-def _upper_grid_min(grid: int) -> float:
-    """Minimum of phi over the midpoint grid points with t1 + t2 >= 1.
-
-    Scanned one row t1 = x at a time, so memory stays O(grid).
-    """
-    t = (np.arange(grid, dtype=float) + 0.5) / grid
-    return min(float(phi(x, t[x + t >= 1.0]).min(initial=np.inf)) for x in t)
-
-
 def ternary_argmin(f, lo: float, hi: float) -> float:
     """Midpoint of the final bracket of a ternary search for the minimum
     of a unimodal f on [lo, hi], narrowed until it is at most 1e-14 wide.
@@ -117,15 +114,15 @@ def ternary_argmin(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def alpha2_numeric(grid: int = 2000) -> float:
-    """Dense-grid minimum over the upper triangle, refined along t1 = t2.
+def alpha2_numeric() -> float:
+    """Minimum of phi over the upper triangle, by a ternary search along t1 = t2.
 
-    The minimizer sits on the symmetric diagonal, so a ternary search of
-    t -> phi(t, t) on [1/2, 1) sharpens the grid value; with u = 1 - t
-    that curve is 1 - 40 (u^2 - 64 u^8), unimodal there.
+    The minimum lies on the diagonal (see the module docstring), where
+    with u = 1 - t the curve t -> phi(t, t) is 1 - 40 (u^2 - 64 u^8),
+    unimodal on [1/2, 1).
     """
     x = ternary_argmin(lambda t: phi(t, t), 0.5, 1.0 - 1e-12)
-    return min(_upper_grid_min(grid), phi(x, x))
+    return phi(x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -188,37 +185,22 @@ def _off_combine(X, Y, fx, fy, d2, table=_G_F):
     """D^2 (F(X) + F(Y) + X Y G[X, Y]) as (re, im), from F(X), F(Y), D^2 and
     the table of G's coefficients (the float copy, or _G itself on scalars).
 
-    The divided difference G is summed from the complete homogeneous h_k,
-    never as a difference quotient, which would cancel next to the
-    diagonal.  Augmented assignments update only temporaries made here, so
-    no input is written; the plain expression form, one new array per
-    operation, runs c_main about 1.7x slower.
+    The divided difference G is summed from the complete homogeneous
+    h_k = Y h_(k-1) + X^k, never as a difference quotient, which would
+    cancel next to the diagonal.  Plain arithmetic, so it runs on numpy
+    arrays and on mpmath or sympy scalars alike.
     """
     g0, g1, g2, g3, g4, g5 = table
     X2 = X * X
-    h = X + Y  # h1
-    g_im = g1 * h
-    h = Y * h
-    h += X2  # h2
-    g_re = g2 * h
-    g_re += g0
-    h *= Y
-    h += X2 * X  # h3
-    g_im += g3 * h
-    h *= Y
-    h += X2 * X2  # h4
-    g_re += g4 * h
-    h *= Y
-    h += X2 * X2 * X  # h5
-    g_im += g5 * h
+    h1 = X + Y
+    h2 = Y * h1 + X2
+    h3 = Y * h2 + X2 * X
+    h4 = Y * h3 + X2 * X2
+    h5 = Y * h4 + X2 * X2 * X
     XY = X * Y
-    g_re *= XY
-    g_re += fx[0] + fy[0]
-    g_re *= d2
-    g_im *= XY
-    g_im += fx[1] + fy[1]
-    g_im *= d2
-    return g_re, g_im
+    re = ((g2 * h2 + g0 + g4 * h4) * XY + (fx[0] + fy[0])) * d2
+    im = ((g1 * h1 + g3 * h3 + g5 * h5) * XY + (fx[1] + fy[1])) * d2
+    return re, im
 
 
 def _off_values(r, s):

@@ -68,13 +68,6 @@ class Basis:
     def __len__(self):
         return len(self.elements)
 
-    def __contains__(self, x):
-        return x in self.elements
-
-    def translate(self, t: int) -> "Basis":
-        """Shift every element by the integer t (result must stay >= 0)."""
-        return Basis(tuple(a + t for a in self.elements))
-
 
 def as_basis(a) -> Basis:
     """Coerce an iterable of distinct nonnegative integers into a Basis."""

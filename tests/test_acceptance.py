@@ -127,12 +127,15 @@ def test_criterion_4_moser_constant():
 
 
 def test_criterion_5_alpha2():
+    # alpha2_numeric searches the diagonal t1 = t2 alone; that the diagonal
+    # holds the minimum over the upper triangle is proved in sympy by
+    # test_fourier2d.test_alpha2_is_the_minimum_on_the_upper_triangle.
     t0 = time.time()
     exact = alpha2_exact()
-    numeric = alpha2_numeric(grid=2000)
+    numeric = alpha2_numeric()
     ok = abs(numeric - exact) < 1e-6
     ok &= abs(exact - (-3.72470)) < 1e-5
-    _report(5, "numeric minimum of the test function matches 1 - 15/2^(5/3)", ok,
+    _report(5, "diagonal minimum of the test function matches 1 - 15/2^(5/3)", ok,
             time.time() - t0)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
@@ -87,6 +88,27 @@ def test_variation_lemma_randomized():
         t, t0 = rng.uniform(2.0, 10.0, 2)
         gap = abs(rho_from(k, t) - rho_from(k0, t0))
         assert gap <= rho_variation_bound(k, k0, t, t0) + 1e-12
+
+
+def test_variation_lemma_constants_are_the_largest_slopes():
+    # rho = xi^2, with xi = 2 / (tau + S) and S = sqrt(tau^2 + 4 kappa) the
+    # positive root of kappa x^2 + tau x - 1, has
+    #   d rho / d kappa = -2 xi^3 / S,    d rho / d tau = -2 xi^2 / S.
+    # Both magnitudes fall in kappa and in tau, so over the regime
+    # kappa >= 3, tau >= 2 they are largest at (3, 2), where they are
+    # exactly 1/54 and 1/18: the slopes rho_variation_bound charges.
+    kappa, tau = sympy.symbols("kappa tau", positive=True)
+    S = sympy.sqrt(tau**2 + 4 * kappa)
+    xi = 2 / (tau + S)
+    assert sympy.simplify(kappa * xi**2 + tau * xi - 1) == 0
+    slopes = (2 * xi**3 / S, 2 * xi**2 / S)
+    for var, slope in zip((kappa, tau), slopes):
+        assert sympy.simplify(sympy.diff(xi**2, var) + slope) == 0
+        assert all(sympy.diff(slope, w).is_negative for w in (kappa, tau))
+    corner = [slope.subs({kappa: 3, tau: 2}) for slope in slopes]
+    assert corner == [sympy.Rational(1, 54), sympy.Rational(1, 18)]
+    assert rho_variation_bound(4, 3, 2, 2) == Fraction(1, 54)
+    assert rho_variation_bound(3, 3, 3, 2) == Fraction(1, 18)
 
 
 def test_ceil4_never_rounds_below_its_input():

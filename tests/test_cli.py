@@ -255,6 +255,18 @@ def test_bound_two_var_at_small_truncations(capsys, n):
     assert 0.4788 <= doc["coefficient_upper"] < 0.5
 
 
+def test_bound_two_var_flags_a_vacuous_certificate(capsys):
+    # At N = 1 the lemma route certifies 0.8119, no better than the
+    # trivial 1/2: the JSON is printed all the same, and the exit status
+    # is 1.  (The corner route certifies 0.4933 there and exits 0, which
+    # test_bound_two_var_at_small_truncations checks.)
+    code, out = run_cli(capsys, "bound", "two-var", "--route", "lemma",
+                        "--n-axial", "1", "--n-main", "1")
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["route"], doc["coefficient_upper"]) == ("lemma", 0.8119)
+
+
 def test_dump_phi(tmp_path, capsys):
     out_file = tmp_path / "grid.csv"
     code, _ = run_cli(capsys, "dump", "phi", "--grid", "12", "--out", str(out_file))

@@ -24,7 +24,6 @@ from additive_bases.fourier2d import (
     _off_combine,
     _off_values,
     _shell_sums,
-    _upper_grid_min,
     alpha2_exact,
     alpha2_numeric,
     c_axial,
@@ -74,17 +73,45 @@ def test_alpha2_exact_value():
 
 def test_alpha2_numeric_agrees():
     a2 = alpha2_exact()
-    num = alpha2_numeric(grid=2000)
+    num = alpha2_numeric()
     assert num >= a2 - 1e-7  # a sampled minimum cannot undershoot the true one
-    assert num <= a2 + 1e-6  # and the refinement attains it
+    assert num <= a2 + 1e-6  # and the diagonal search attains it
 
 
-@pytest.mark.parametrize("grid", [1, 2, 7, 50, 101])
-def test_upper_grid_min_matches_full_mask(grid):
-    # reference: the whole grid at once, masked to t1 + t2 >= 1
-    t = (np.arange(grid, dtype=float) + 0.5) / grid
-    t1, t2 = np.meshgrid(t, t, indexing="ij")
-    assert _upper_grid_min(grid) == phi(t1, t2)[t1 + t2 >= 1.0].min()
+def _exact(expr):
+    """expr with each sympy Float replaced by the integer it holds, exactly."""
+    exact = {f: sympy.Rational(f) for f in expr.atoms(sympy.Float)}
+    assert all(q.is_integer for q in exact.values()), exact
+    return expr.xreplace(exact)
+
+
+def test_alpha2_is_the_minimum_on_the_upper_triangle():
+    # On symbols, the code's own excess at u = 1 - t1, v = 1 - t2 splits,
+    # with p = u + v, as m(p) + 10 (u - v)^2 (1 - p^6), m(p) = -10 p^2 (1 - p^6).
+    # On R2, 0 <= p <= 1, so the second term is >= 0 and vanishes on the
+    # diagonal: the minimum over R2 is that of m on [0, 1].  m(0) = m(1) = 0,
+    # and m' has one root inside, at p^6 = 1/4, where 1 + m is alpha2.
+    u, v = sympy.symbols("u v", nonnegative=True)
+    p = sympy.Symbol("p", positive=True)
+    m = -10 * p**2 * (1 - p**6)
+    excess = _exact(phi_excess(1 - u, 1 - v))
+    s = u + v
+    assert sympy.expand(excess - m.subs(p, s) - 10 * (u - v) ** 2 * (1 - s**6)) == 0
+    (p_min,) = sympy.solve(sympy.diff(m, p), p)
+    assert p_min**6 == sympy.Rational(1, 4) and p_min < 1
+    assert m.subs(p, 0) == m.subs(p, 1) == 0 > m.subs(p, p_min)
+    alpha2 = alpha2_exact(2 ** sympy.Rational(-5, 3))
+    assert sympy.simplify(1 + m.subs(p, p_min) - alpha2) == 0
+
+
+def test_excess_integrates_to_minus_one():
+    # Integrated exactly over R2 = {t1 + t2 >= 1}, the code's own excess is
+    # -1, so phi = 1 + excess on R2 has mean 1 - 1 = 0, which coeff(0, 0)
+    # returns.  Float integration of it gives -1.00000000000005.
+    t1, t2 = sympy.symbols("t1 t2")
+    excess = _exact(phi_excess(t1, t2))
+    assert sympy.integrate(excess, (t2, 1 - t1, 1), (t1, 0, 1)) == -1
+    assert coeff(0, 0) == 0j
 
 
 def test_phi_bounded_below_on_upper_triangle():
@@ -466,10 +493,9 @@ def test_shell_kernel_matches_scalar_path_bit_for_bit(N, radii):
 
 
 def test_shell_kernel_leaves_its_tables_alone_and_matches_coeff():
-    # _off_combine updates in place, but only temporaries it made: a
-    # shell that wrote into a table would make a later shell differ from
-    # the scalar path, which reads no table, so every shell of N = 4000
-    # is checked.  The numpy-scalar path coeff(R, s) gives the same bits.
+    # A shell that wrote into a table would make a later shell differ
+    # from the scalar path, which reads no table, so every shell of
+    # N = 4000 is checked.  The numpy-scalar path coeff(R, s) gives the same bits.
     N = 4000
     sums = _shell_sums(N)
     for R in range(1, N + 1):

@@ -33,16 +33,29 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_cli_import_loads_no_scipy():
-    # A fresh interpreter: this one has loaded scipy, sympy and mpmath for
-    # the tests.  numpy is imported by the commands that compute with
-    # arrays, when they run; the others are test dependencies only.
-    code = ("import sys, additive_bases.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('numpy', 'scipy', 'sympy', 'mpmath')))")
+def _loaded_in_child(modules, packages):
+    """The modules of `packages` that a fresh interpreter holds after
+    importing `modules`; this one has loaded them all for the tests."""
+    code = (f"import sys, {modules}; print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] in {packages!r}))")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is imported by the commands that compute with arrays, when
+    # they run; the others are test dependencies only.
+    assert _loaded_in_child("additive_bases.cli", ("numpy", "scipy", "sympy", "mpmath")) == "[]"
+
+
+def test_certificate_modules_load_no_proof_tools():
+    # The sympy proofs and the mpmath and scipy checks stay in the tests:
+    # the modules that compute the certificate import none of them.
+    loaded = _loaded_in_child("additive_bases.fourier2d, additive_bases.certify",
+                              ("scipy", "sympy", "mpmath"))
+    assert loaded == "[]"
 
 
 # Runs cli.main(argv) in an interpreter where `import numpy` fails.
