@@ -119,10 +119,11 @@ def alpha2_numeric() -> float:
 
     The minimum lies on the diagonal (see the module docstring), where
     with u = 1 - t the curve t -> phi(t, t) is 1 - 40 (u^2 - 64 u^8),
-    unimodal on [1/2, 1).
+    unimodal on [1/2, 1).  There 2 t >= 1, so phi(t, t) is
+    1 + phi_excess(t, t), which the search evaluates on plain floats.
     """
-    x = ternary_argmin(lambda t: phi(t, t), 0.5, 1.0 - 1e-12)
-    return phi(x, x)
+    x = ternary_argmin(lambda t: 1.0 + phi_excess(t, t), 0.5, 1.0 - 1e-12)
+    return 1.0 + phi_excess(x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +239,13 @@ def coeff(r1: int, r2: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_panels():
+def _gauss_panels(panels: int):
     """Composite 8-point Gauss-Legendre nodes and weights on [0, 1].
 
-    128 equal panels of 8 nodes each, 1024 nodes in all; the rule is fixed.
+    The given number of equal panels, 8 nodes each.
     """
     x, w = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(0.0, 1.0, 129)
+    edges = np.linspace(0.0, 1.0, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -261,6 +262,13 @@ def coeff_quadrature(rmax: int) -> np.ndarray:
     to the unit square, so the integrand is smooth on each piece:
       lower triangle: t2 = (1 - t1) s, Jacobian (1 - t1);
       upper triangle: t2 = 1 - t1 (1 - s), Jacobian t1.
+    There phi times the Jacobian is a polynomial of degree at most 9 in
+    each mapped variable, which 8-point Gauss integrates exactly, so the
+    error comes from the exponential alone.  The rule uses
+    min(128, 4 (rmax + 1)) panels: each spans less than a quarter
+    wavelength of exp(-2 pi i rmax t) (and less than half of one of the
+    mapped phase, whose frequency in t1 reaches 2 rmax), which leaves the
+    error at round-off.  From rmax = 31 on it is the 1024-node rule.
     Each triangle's weight grid is built in blocks of 128 t1 rows, and
     exp(-2 pi i q t2) for q = 1..rmax is summed along s, row by row; the
     q = 0 row sum is the weights' own, taken as complex so that it rounds
@@ -271,14 +279,15 @@ def coeff_quadrature(rmax: int) -> np.ndarray:
     Returns the (2 rmax + 1) x (2 rmax + 1) complex array whose entry
     [r1 + rmax, r2 + rmax] is the coefficient at (r1, r2).
     """
-    t, w = _gauss_panels()
+    t, w = _gauss_panels(min(128, 4 * (rmax + 1)))
     s = t[None, :]
     r = np.arange(-rmax, rmax + 1)
     rows = np.exp(-2j * _PI * np.outer(r, t))
     out = np.zeros((r.size, r.size), dtype=complex)
     for upper in (False, True):
         blocks = []
-        for t1, w1 in zip(t.reshape(-1, 128, 1), w.reshape(-1, 128, 1)):
+        for i in range(0, t.size, 128):
+            t1, w1 = t[i:i + 128, None], w[i:i + 128, None]
             jac, t2 = (t1, 1.0 - t1 * (1.0 - s)) if upper else (1.0 - t1, (1.0 - t1) * s)
             weights = jac * w1 * w[None, :] * phi(t1, t2)
             blocks.append([np.sum(weights.astype(complex), axis=1)]

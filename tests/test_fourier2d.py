@@ -8,6 +8,7 @@ import sympy
 from mpmath import mp
 from scipy.integrate import quad
 
+from additive_bases import fourier2d
 from additive_bases.cli import SCALE
 from additive_bases.fourier2d import (
     _AXIS,
@@ -152,8 +153,8 @@ def test_closed_forms_match_quadrature(pair, quad_block):
 
 
 def _unblocked_oracle(rmax):
-    """The oracle on whole 1024 x 1024 grids, with exp(-2 pi i r2 t2) for every r2."""
-    t, w = _gauss_panels()
+    """The oracle on whole grids, with exp(-2 pi i r2 t2) for every r2."""
+    t, w = _gauss_panels(min(128, 4 * (rmax + 1)))
     t1, s = t[:, None], t[None, :]
     r = np.arange(-rmax, rmax + 1)
     rows = np.exp(-2j * np.pi * np.outer(r, t))
@@ -167,8 +168,39 @@ def _unblocked_oracle(rmax):
 
 def test_quadrature_oracle_keeps_the_unblocked_bits():
     # Row blocks leave each row's sum alone, and the r2 = -q row sums are
-    # exact conjugates, so the block must match to the last bit.
-    assert np.array_equal(coeff_quadrature(2), _unblocked_oracle(2))
+    # exact conjugates, so the block must match to the last bit.  At rmax 4
+    # the grid has 160 rows: one full block of 128 and one partial block.
+    assert np.array_equal(coeff_quadrature(4), _unblocked_oracle(4))
+
+
+@pytest.mark.parametrize("rmax", [1, 2, 3, 5, 8, 16])
+def test_quadrature_oracle_is_accurate_at_its_panel_count(rmax):
+    # The panel count grows with rmax; at every size the oracle still
+    # agrees with the closed forms to round-off.
+    quad = coeff_quadrature(rmax)
+    r = range(-rmax, rmax + 1)
+    worst = max(abs(coeff(r1, r2) - quad[r1 + rmax, r2 + rmax]) for r1 in r for r2 in r)
+    assert worst < 1e-13
+
+
+class _RuleChosen(Exception):
+    pass
+
+
+@pytest.mark.parametrize("rmax", [30, 31, 32, 100, 10**6])
+def test_quadrature_oracle_keeps_1024_nodes_from_rmax_31(rmax, monkeypatch):
+    # From rmax 31 on, the oracle uses the fixed 128-panel, 1024-node rule;
+    # the spy stops the call once the rule is chosen.
+    nodes = []
+
+    def spy(panels):
+        nodes.append(_gauss_panels(panels)[0].size)
+        raise _RuleChosen
+
+    monkeypatch.setattr(fourier2d, "_gauss_panels", spy)
+    with pytest.raises(_RuleChosen):
+        coeff_quadrature(rmax)
+    assert nodes == [992 if rmax == 30 else 1024]
 
 
 def test_axis_coefficient_explicit_form():
@@ -331,11 +363,6 @@ def test_excess_row_integral_matches_quadrature():
         direct, err = quad(lambda t2: phi_excess(t1, t2), 1.0 - t1, 1.0, epsabs=1e-13)
         assert abs(direct - excess_row_integral(t1)) < 1e-10
         assert err < 1e-11
-
-
-def test_excess_row_integral_total_is_minus_one():
-    total, _ = quad(excess_row_integral, 0.0, 1.0, epsabs=1e-13)
-    assert total == pytest.approx(-1.0, abs=1e-12)
 
 
 def fd_weights(order, offsets, h):
