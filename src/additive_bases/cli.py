@@ -226,6 +226,8 @@ def _cmd_basis_stats(args) -> int:
     text = args.set.strip().strip("{}")
     elements = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     basis = as_basis(elements)
+    if args.n is not None:
+        _require("--n", args.n, 2)
     # Free the profile's dict of every pair sum before the FFT.
     prof = rep_profile(basis)
     n, delta = prof.n, prof.delta_total
@@ -238,8 +240,6 @@ def _cmd_basis_stats(args) -> int:
         "delta_total": delta,
         "identity": {"pairs": pairs, "n_plus_delta": n + delta, "holds": pairs == n + delta},
     }
-    if args.n is not None:
-        _require("--n", args.n, 2)
     modulus = args.n if args.n is not None else (n if n >= 2 else None)
     if modulus is None:
         out["modulus"] = None

@@ -100,20 +100,6 @@ def alpha2_exact(t=2.0 ** (-5.0 / 3.0)):
     return 1 - 15 * t
 
 
-def ternary_argmin(f, lo: float, hi: float) -> float:
-    """Midpoint of the final bracket of a ternary search for the minimum
-    of a unimodal f on [lo, hi], narrowed until it is at most 1e-14 wide.
-    """
-    while hi - lo > 1e-14:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-    return 0.5 * (lo + hi)
-
-
 def alpha2_numeric() -> float:
     """Minimum of phi over the upper triangle, by a ternary search along t1 = t2.
 
@@ -122,7 +108,15 @@ def alpha2_numeric() -> float:
     unimodal on [1/2, 1).  There 2 t >= 1, so phi(t, t) is
     1 + phi_excess(t, t), which the search evaluates on plain floats.
     """
-    x = ternary_argmin(lambda t: 1.0 + phi_excess(t, t), 0.5, 1.0 - 1e-12)
+    lo, hi = 0.5, 1.0 - 1e-12
+    while hi - lo > 1e-14:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if 1.0 + phi_excess(m1, m1) <= 1.0 + phi_excess(m2, m2):
+            hi = m2
+        else:
+            lo = m1
+    x = 0.5 * (lo + hi)
     return 1.0 + phi_excess(x, x)
 
 
@@ -269,31 +263,22 @@ def coeff_quadrature(rmax: int) -> np.ndarray:
     wavelength of exp(-2 pi i rmax t) (and less than half of one of the
     mapped phase, whose frequency in t1 reaches 2 rmax), which leaves the
     error at round-off.  From rmax = 31 on it is the 1024-node rule.
-    Each triangle's weight grid is built in blocks of 128 t1 rows, and
-    exp(-2 pi i q t2) for q = 1..rmax is summed along s, row by row; the
-    q = 0 row sum is the weights' own, taken as complex so that it rounds
-    as the others do.  The weights are real, so the row sums for r2 = -q
-    are their conjugates, bit for bit.  One matrix product with
+    Each triangle's whole weight grid is summed against exp(-2 pi i q t2)
+    along s for q = 0..rmax.  The weights are real, so the row sums for
+    r2 = -q are their conjugates, bit for bit.  One matrix product with
     exp(-2 pi i r1 t1) per r2 gives every r1 at once.
 
     Returns the (2 rmax + 1) x (2 rmax + 1) complex array whose entry
     [r1 + rmax, r2 + rmax] is the coefficient at (r1, r2).
     """
     t, w = _gauss_panels(min(128, 4 * (rmax + 1)))
-    s = t[None, :]
+    t1, s = t[:, None], t[None, :]
     r = np.arange(-rmax, rmax + 1)
     rows = np.exp(-2j * _PI * np.outer(r, t))
     out = np.zeros((r.size, r.size), dtype=complex)
-    for upper in (False, True):
-        blocks = []
-        for i in range(0, t.size, 128):
-            t1, w1 = t[i:i + 128, None], w[i:i + 128, None]
-            jac, t2 = (t1, 1.0 - t1 * (1.0 - s)) if upper else (1.0 - t1, (1.0 - t1) * s)
-            weights = jac * w1 * w[None, :] * phi(t1, t2)
-            blocks.append([np.sum(weights.astype(complex), axis=1)]
-                          + [np.sum(weights * np.exp(-2j * _PI * q * t2), axis=1)
-                             for q in range(1, rmax + 1)])
-        sums = np.concatenate(blocks, axis=1)  # [q, t1]
+    for jac, t2 in ((1.0 - t1, (1.0 - t1) * s), (t1, 1.0 - t1 * (1.0 - s))):
+        weights = jac * w[:, None] * w[None, :] * phi(t1, t2)
+        sums = [np.sum(weights * np.exp(-2j * _PI * q * t2), axis=1) for q in range(rmax + 1)]
         for j, r2 in enumerate(r):
             out[:, j] += rows @ (sums[r2] if r2 >= 0 else np.conj(sums[-r2]))
     return out

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from additive_bases import cli
 from additive_bases.certify import REF_COEFFICIENT
 from additive_bases.cli import SCALE, build_parser, main
 from additive_bases.fourier2d import _NEAR_AXIS
@@ -204,6 +205,19 @@ def test_size_error_names_the_flag(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_basis_stats_checks_n_before_the_profile(capsys, monkeypatch):
+    # A bad --n is rejected before the pair-count dict is built.
+    def no_profile(basis):
+        raise AssertionError("rep_profile ran")
+
+    monkeypatch.setattr(cli, "rep_profile", no_profile)
+    code = main(["basis", "stats", "--set", "0,1,3", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --n must be at least 2, got 1\n"
 
 
 def test_verify_constants_full_scale_report(capsys):

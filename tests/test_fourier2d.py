@@ -152,8 +152,8 @@ def test_closed_forms_match_quadrature(pair, quad_block):
     assert abs(coeff(r1, r2) - quad_block[r1 + QUAD_RMAX, r2 + QUAD_RMAX]) < 1e-10
 
 
-def _unblocked_oracle(rmax):
-    """The oracle on whole grids, with exp(-2 pi i r2 t2) for every r2."""
+def _direct_oracle(rmax):
+    """The oracle with exp(-2 pi i r2 t2) taken for every r2, negative ones too."""
     t, w = _gauss_panels(min(128, 4 * (rmax + 1)))
     t1, s = t[:, None], t[None, :]
     r = np.arange(-rmax, rmax + 1)
@@ -166,11 +166,11 @@ def _unblocked_oracle(rmax):
     return out
 
 
-def test_quadrature_oracle_keeps_the_unblocked_bits():
-    # Row blocks leave each row's sum alone, and the r2 = -q row sums are
-    # exact conjugates, so the block must match to the last bit.  At rmax 4
-    # the grid has 160 rows: one full block of 128 and one partial block.
-    assert np.array_equal(coeff_quadrature(4), _unblocked_oracle(4))
+@pytest.mark.parametrize("rmax", [2, 4, 8])
+def test_quadrature_oracle_conjugate_reuse_keeps_the_direct_bits(rmax):
+    # The weights are real, so the r2 = -q row sums are exact conjugates of
+    # the r2 = q ones and the oracle must match to the last bit.
+    assert np.array_equal(coeff_quadrature(rmax), _direct_oracle(rmax))
 
 
 @pytest.mark.parametrize("rmax", [1, 2, 3, 5, 8, 16])
