@@ -18,7 +18,10 @@ the trivial bound), and 2 with an "error: ..." line on stderr for
 bad input (a size too large to allocate, too) or a file that cannot be
 written.  Shell sums run in one fixed order (see fourier2d), so repeated
 runs print identical bits.  Importing this module loads no numpy: the
-array commands import fourier2d (and numpy) when they run.
+array commands import fourier2d (and numpy) when they run.  `basis stats`
+imports numpy only for a spectrum of more than sumsets.DIRECT_TERMS
+terms, such as Rohrbach's k = 400 basis at its covering radius 40001;
+smaller ones, a basis typed in by hand among them, are summed without it.
 """
 
 from __future__ import annotations
@@ -224,11 +227,18 @@ def _lemma(delta: int, bound: float, tol: float = 0.0) -> dict:
 
 def _cmd_basis_stats(args) -> int:
     text = args.set.strip().strip("{}")
-    elements = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    elements = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            elements.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--set: {tok.strip()!r} is not an integer") from None
     basis = as_basis(elements)
     if args.n is not None:
         _require("--n", args.n, 2)
-    # Free the profile's dict of every pair sum before the FFT.
+    # Free the profile's dict of every pair sum before the spectrum.  Large
+    # spectra take numpy's FFT, whose buffers would otherwise stack on the
+    # dict; small ones (sumsets.DIRECT_TERMS) are summed without numpy.
     prof = rep_profile(basis)
     n, delta = prof.n, prof.delta_total
     del prof

@@ -197,6 +197,7 @@ def test_bound_two_var_unallocatable_size_is_an_error(capsys):
         (["dump", "phi", "--grid", "1", "--out", "unused.csv"], "--grid must be at least 2, got 1"),
         (["basis", "stats", "--set", "0,1,3", "--n", "0"], "--n must be at least 2, got 0"),
         (["basis", "stats", "--set", "0,1,3", "--n", "1"], "--n must be at least 2, got 1"),
+        (["basis", "stats", "--set", "0,1.5"], "--set: '1.5' is not an integer"),
     ],
 )
 def test_size_error_names_the_flag(capsys, argv, message):

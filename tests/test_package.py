@@ -68,8 +68,12 @@ def _run_without_numpy(argv):
                           capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("argv", [("search", "--k", "5"), ("construct", "rohrbach", "--k", "10"),
-                                  ("bound", "moser")], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [
+    ("search", "--k", "5"), ("construct", "rohrbach", "--k", "10"), ("bound", "moser"),
+    # Small spectra are summed without numpy (sumsets.DIRECT_TERMS).
+    pytest.param(("basis", "stats", "--set", "0,1,3"), id="basis-stats"),
+    pytest.param(("basis", "stats", "--set", "0,1,3", "--n", "50"), id="basis-stats-n"),
+], ids=lambda argv: argv[0])
 def test_numpy_free_commands_run_without_numpy(argv, capsys):
     from additive_bases.cli import main
 
@@ -83,6 +87,17 @@ def test_numpy_free_commands_run_without_numpy(argv, capsys):
 def test_array_command_fails_without_numpy():
     # The control: blocking numpy does stop a command that needs it.
     proc = _run_without_numpy(("bound", "two-var", "--n-axial", "16", "--n-main", "16"))
+    assert proc.returncode != 0
+    assert "numpy" in proc.stderr
+
+
+def test_large_spectrum_fails_without_numpy():
+    # The control for `basis stats`: Rohrbach's k = 400 basis at its
+    # covering radius 40001 is above sumsets.DIRECT_TERMS, so it takes the FFT.
+    from additive_bases.constructions import rohrbach_basis
+
+    elements = ",".join(map(str, rohrbach_basis(400).elements))
+    proc = _run_without_numpy(("basis", "stats", "--set", elements))
     assert proc.returncode != 0
     assert "numpy" in proc.stderr
 

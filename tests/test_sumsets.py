@@ -176,7 +176,7 @@ def test_exp_sum_magnitudes_across_the_mirror():
     basis = rohrbach_basis(400)
     n = n2(basis)
     stats = exp_sum_stats(basis, n)
-    assert stats.magnitudes.shape == (n - 1,)
+    assert len(stats.magnitudes) == n - 1
     for r in _rows_across_the_mirror(n):
         direct = _direct_magnitude(basis.elements, n, r)
         assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-9)
@@ -192,11 +192,14 @@ def test_exp_sum_magnitudes_across_the_mirror():
         ([0, 5, 10, 11, 23, 24], 5),  # elements >= n share residues
         ([0, 1, 2**62 - 3, 2**62 - 1], 7),  # near the size cap
         ([3, 2**61 + 5, 2**62 - 1], 1000003),
+        # 8 residues: 8 (n//2 + 1) + n terms against DIRECT_TERMS = 65,536.
+        ([0, 1, 3, 7, 12, 20, 30, 44], 13104),  # 65,528 terms: summed directly
+        ([0, 1, 3, 7, 12, 20, 30, 44], 13106),  # 65,538 terms: the FFT
     ],
 )
 def test_exp_sum_fft_matches_direct_evaluation(elems, n):
     stats = exp_sum_stats(elems, n)
-    assert stats.magnitudes.shape == (n - 1,)
+    assert len(stats.magnitudes) == n - 1
     for r in _rows_across_the_mirror(n):
         direct = _direct_magnitude(elems, n, r)
         assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-12)
