@@ -30,9 +30,8 @@ arbitrarily small epsilon of the underlying asymptotic argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .fourier2d import ConstantInterval
@@ -49,8 +48,7 @@ REF_RHO_FLOOR = 0.0422
 REF_COEFFICIENT = 0.4789
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     alpha1: float
     alpha2: float
     c_axial: ConstantInterval

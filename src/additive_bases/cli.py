@@ -22,6 +22,8 @@ array commands import fourier2d (and numpy) when they run.  `basis stats`
 imports numpy only for a spectrum of more than sumsets.DIRECT_TERMS
 terms, such as Rohrbach's k = 400 basis at its covering radius 40001;
 smaller ones, a basis typed in by hand among them, are summed without it.
+The package's records are NamedTuples, or slotted classes where they
+validate, so start-up loads none of inspect, ast, dis or tokenize.
 """
 
 from __future__ import annotations
@@ -233,7 +235,10 @@ def _cmd_basis_stats(args) -> int:
             elements.append(int(tok))
         except ValueError:
             raise ValueError(f"--set: {tok.strip()!r} is not an integer") from None
-    basis = as_basis(elements)
+    try:
+        basis = as_basis(elements)
+    except ValueError as exc:  # negative, duplicate or too large
+        raise ValueError(f"--set: {exc}") from None
     if args.n is not None:
         _require("--n", args.n, 2)
     # Free the profile's dict of every pair sum before the spectrum.  Large

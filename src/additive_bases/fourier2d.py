@@ -59,8 +59,8 @@ slack still counts all 4N^2 lattice terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,8 +289,16 @@ def coeff_quadrature(rmax: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantInterval:
+class _IntervalFields(NamedTuple):
+    lo: float
+    hi: float
+    tail_lo: float
+    tail_hi: float
+    rounding_slack: float
+    N: int
+
+
+class ConstantInterval(_IntervalFields):
     """A certified enclosure [lo, hi] of a limit of positive sums.
 
     The limit is the partial sum, which lies within rounding_slack of the
@@ -299,14 +307,10 @@ class ConstantInterval:
     the limit lies inside and hi - lo covers the tail's width.
     """
 
-    lo: float
-    hi: float
-    tail_lo: float
-    tail_hi: float
-    rounding_slack: float
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.lo <= self.hi:
             raise ValueError("empty interval")
         if not 0 <= self.tail_lo <= self.tail_hi:
@@ -315,6 +319,11 @@ class ConstantInterval:
             raise ValueError("interval narrower than its truncation tail")
         if self.N < 0:
             raise ValueError("negative truncation radius")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the new fields too
+        return cls(*iterable)
 
     @property
     def width(self) -> float:

@@ -42,7 +42,7 @@ the sums extend by `(mask | 1<<x) << x`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .sumsets import Basis
 
@@ -50,8 +50,7 @@ from .sumsets import Basis
 MAX_EXACT_K = 13
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     k: int
     n_best: int
     witnesses: tuple

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from array import array
@@ -50,15 +49,18 @@ MAX_ELEMENT = 2**62
 DIRECT_TERMS = 2**16
 
 
-@dataclass(frozen=True)
 class Basis:
-    """A finite set of nonnegative integers, stored strictly increasing."""
+    """A finite set of nonnegative integers, stored strictly increasing.
 
-    elements: tuple
+    An immutable record: it validates its elements, compares and hashes
+    by them, and iterates over them.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: tuple):
         prev = -1
-        for a in self.elements:
+        for a in elements:
             if not isinstance(a, int):
                 raise TypeError(f"basis element {a!r} is not an integer")
             if a < 0:
@@ -68,6 +70,27 @@ class Basis:
             if a <= prev:
                 raise ValueError("elements must be strictly increasing")
             prev = a
+        object.__setattr__(self, "elements", elements)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.elements == other.elements
+
+    def __hash__(self):
+        return hash(self.elements)
+
+    def __repr__(self):
+        return f"Basis(elements={self.elements!r})"
+
+    def __reduce__(self):  # copies and unpickling go through __init__
+        return type(self), (self.elements,)
 
     @property
     def k(self) -> int:
@@ -91,8 +114,7 @@ def as_basis(a) -> Basis:
     return Basis(tuple(elems))
 
 
-@dataclass(frozen=True)
-class RepProfile:
+class RepProfile(NamedTuple):
     """Representation counts of a basis and their surplus over one-per-target.
 
     counts[j] is the number of unordered pairs a1 <= a2 with a1 + a2 = j,
@@ -107,8 +129,7 @@ class RepProfile:
     delta_total: int
 
 
-@dataclass(frozen=True)
-class ExpSumStats:
+class ExpSumStats(NamedTuple):
     """Exponential-sum data for a basis at a fixed modulus n.
 
     magnitudes[r-1] = |f_A(w^r)| for r = 1..n-1, w = exp(2 pi i / n), as
@@ -141,14 +162,17 @@ def n2(a) -> int:
 
     Returns 0 when 0 is not a pairwise sum (i.e. 0 not in A).  A k-element
     basis has at most k(k+1)/2 pairwise sums, so n <= k(k+1)/2 and only the
-    elements below that bound enter the bitset of sums.
+    elements below that bound enter the bitset of sums.  Each element x adds
+    its sums with the elements up to x: their bitset `prefix`, shifted by x.
     """
     A = as_basis(a).elements
-    small = [x for x in A if x < len(A) * (len(A) + 1) // 2]
-    mask = sum(1 << x for x in small)
-    cover = 0
-    for x in small:
-        cover |= mask << x
+    bound = len(A) * (len(A) + 1) // 2
+    prefix = cover = 0
+    for x in A:
+        if x >= bound:
+            break
+        prefix |= 1 << x
+        cover |= prefix << x
     return (~cover & (cover + 1)).bit_length() - 1  # the smallest uncovered value
 
 

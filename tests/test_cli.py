@@ -198,6 +198,10 @@ def test_bound_two_var_unallocatable_size_is_an_error(capsys):
         (["basis", "stats", "--set", "0,1,3", "--n", "0"], "--n must be at least 2, got 0"),
         (["basis", "stats", "--set", "0,1,3", "--n", "1"], "--n must be at least 2, got 1"),
         (["basis", "stats", "--set", "0,1.5"], "--set: '1.5' is not an integer"),
+        (["basis", "stats", "--set", "0,-1"], "--set: negative element -1"),
+        (["basis", "stats", "--set", "0,3,1,3"], "--set: duplicate element 3"),
+        (["basis", "stats", "--set", f"0,{2**62}"],
+         f"--set: element {2**62} too large (limit 2^62)"),
     ],
 )
 def test_size_error_names_the_flag(capsys, argv, message):

@@ -596,6 +596,13 @@ def test_interval_validation():
             interval(1.0, 2.0, *tail)
 
 
+def test_interval_replace_validates():
+    iv = ConstantInterval(lo=1.0, hi=2.0, tail_lo=0.0, tail_hi=0.5, rounding_slack=0.0, N=1)
+    assert iv._replace(hi=3.0).width == 2.0
+    with pytest.raises(ValueError, match="empty interval"):
+        iv._replace(lo=2.5)
+
+
 # ---------------------------------------------------------------------------
 # Shell lattice and derived tails
 # ---------------------------------------------------------------------------

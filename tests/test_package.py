@@ -1,5 +1,7 @@
 import ast
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -58,14 +60,26 @@ def test_certificate_modules_load_no_proof_tools():
     assert loaded == "[]"
 
 
-# Runs cli.main(argv) in an interpreter where `import numpy` fails.
-NO_NUMPY = ("import sys; sys.modules['numpy'] = None; "
-            "from additive_bases.cli import main; sys.exit(main(sys.argv[1:]))")
+# Runs cli.main(argv) in an interpreter where `import module` fails.
+WITHOUT = ("import sys; sys.modules[sys.argv[1]] = None; "
+           "from additive_bases.cli import main; sys.exit(main(sys.argv[2:]))")
 
 
-def _run_without_numpy(argv):
-    return subprocess.run([sys.executable, "-c", NO_NUMPY, *argv], env=_child_env(),
+def _run_without(module, argv):
+    return subprocess.run([sys.executable, "-c", WITHOUT, module, *argv], env=_child_env(),
                           capture_output=True, text=True)
+
+
+def _same_stdout_without(module, argv, capsys):
+    """Run argv in-process, then in a child where `module` cannot be
+    imported, and check that both exit 0 with the same stdout."""
+    from additive_bases.cli import main
+
+    assert main(list(argv)) == 0
+    expected = capsys.readouterr().out
+    proc = _run_without(module, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -75,18 +89,12 @@ def _run_without_numpy(argv):
     pytest.param(("basis", "stats", "--set", "0,1,3", "--n", "50"), id="basis-stats-n"),
 ], ids=lambda argv: argv[0])
 def test_numpy_free_commands_run_without_numpy(argv, capsys):
-    from additive_bases.cli import main
-
-    assert main(list(argv)) == 0
-    expected = capsys.readouterr().out
-    proc = _run_without_numpy(argv)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == expected
+    _same_stdout_without("numpy", argv, capsys)
 
 
 def test_array_command_fails_without_numpy():
     # The control: blocking numpy does stop a command that needs it.
-    proc = _run_without_numpy(("bound", "two-var", "--n-axial", "16", "--n-main", "16"))
+    proc = _run_without("numpy", ("bound", "two-var", "--n-axial", "16", "--n-main", "16"))
     assert proc.returncode != 0
     assert "numpy" in proc.stderr
 
@@ -97,9 +105,65 @@ def test_large_spectrum_fails_without_numpy():
     from additive_bases.constructions import rohrbach_basis
 
     elements = ",".join(map(str, rohrbach_basis(400).elements))
-    proc = _run_without_numpy(("basis", "stats", "--set", elements))
+    proc = _run_without("numpy", ("basis", "stats", "--set", elements))
     assert proc.returncode != 0
     assert "numpy" in proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses():
+    # The records are NamedTuples or slotted classes: dataclasses would
+    # load inspect, ast, dis and tokenize into every command's start-up.
+    assert _loaded_in_child("additive_bases.cli", ("dataclasses", "inspect")) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--k", "5"), ("construct", "rohrbach", "--k", "10"), ("bound", "moser"),
+    ("basis", "stats", "--set", "0,1,3"),
+], ids=lambda argv: argv[0])
+def test_light_commands_run_without_dataclasses(argv, capsys):
+    _same_stdout_without("dataclasses", argv, capsys)
+
+
+def _record_fields():
+    """Each record type with keyword arguments that build a valid instance."""
+    from array import array
+
+    from additive_bases.certify import BoundCertificate
+    from additive_bases.fourier2d import ConstantInterval
+    from additive_bases.search import SearchResult
+    from additive_bases.sumsets import Basis, ExpSumStats, RepProfile
+
+    interval = dict(lo=1.0, hi=2.0, tail_lo=0.25, tail_hi=0.5, rounding_slack=1e-16, N=3)
+    return [
+        (Basis, dict(elements=(0, 1, 3))),
+        (RepProfile, dict(n=5, counts={0: 1, 1: 1, 2: 1}, delta={}, delta_total=0)),
+        (ExpSumStats, dict(n=5, magnitudes=array("d", [1.5, 0.5]), M=1.5, mu=0.5, ell=1, L=2)),
+        (SearchResult, dict(k=2, n_best=3, witnesses=(Basis((0, 1)),), nodes_explored=1)),
+        (ConstantInterval, interval),
+        (BoundCertificate, dict(alpha1=1.0, alpha2=-3.7, c_axial=ConstantInterval(**interval),
+                                c_main=ConstantInterval(**interval), kappa=(3.0, 3.5),
+                                tau=(2.0, 2.5), rho_lower=0.04, coefficient_upper=0.48,
+                                route="corner")),
+    ]
+
+
+@pytest.mark.parametrize("cls, fields", [pytest.param(*r, id=r[0].__name__)
+                                         for r in _record_fields()])
+def test_record_contract(cls, fields):
+    # Keyword and positional construction agree, records with equal fields
+    # are equal, copies are equal, and no field can be set, deleted or added.
+    record = cls(**fields)
+    assert {name: getattr(record, name) for name in fields} == fields
+    assert record == cls(*fields.values())
+    assert pickle.loads(pickle.dumps(record)) == copy.copy(record) == record
+    name, value = next(iter(fields.items()))
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = value
+    assert getattr(record, name) is value
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

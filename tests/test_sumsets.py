@@ -237,6 +237,12 @@ def test_covered_segment(A):
     assert n == brute_n2(A)
 
 
+def test_n2_on_a_large_basis():
+    # Rohrbach's k = 2000 basis covers [0, r^2] with r = 1000, exactly; the
+    # brute-force oracle is too slow at this size, so the value is pinned.
+    assert n2(rohrbach_basis(2000)) == 1000001
+
+
 @given(bases_01)
 @settings(max_examples=300, deadline=None)
 def test_surplus_lower_bounds(A):
