@@ -16,13 +16,13 @@ from additive_bases.sumsets import n2
 print(" k   n_best   witnesses (complete list)            nodes")
 for k in range(1, 9):
     res = n2k_exact(k)
-    shown = ", ".join("{" + ",".join(map(str, w.elements)) + "}" for w in res.witnesses)
+    shown = ", ".join("{" + ",".join(map(str, w)) + "}" for w in res.witnesses)
     print(f"{k:2d}   {res.n_best:5d}    {shown:40s} {res.nodes_explored}")
 
 # Certificates are cheap to check independently of the search.
 res = n2k_exact(5)
 best = res.witnesses[0]
-print(f"\nwitness {best.elements} for k=5:")
+print(f"\nwitness {tuple(best)} for k=5:")
 print(f"  recomputed n(2,A) = {n2(best)}")
 for claimed in (res.n_best, res.n_best + 1):
     print(f"  n(2,A) >= {claimed} -> {n2(best) >= claimed}")

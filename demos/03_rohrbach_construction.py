@@ -16,7 +16,7 @@ for k in (4, 6, 10, 20, 50, 100):
     r = k // 2
     coeff = lower_bound_coefficient(k)
     print(
-        f"{k:3d}   {basis.k:4d}   {n2(basis):6d}   {r * r + 1:7d}"
+        f"{k:3d}   {len(basis):4d}   {n2(basis):6d}   {r * r + 1:7d}"
         f"   {coeff} = {float(coeff):.6f}"
     )
 

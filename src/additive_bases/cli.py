@@ -22,8 +22,9 @@ array commands import fourier2d (and numpy) when they run.  `basis stats`
 imports numpy only for a spectrum of more than sumsets.DIRECT_TERMS
 terms, such as Rohrbach's k = 400 basis at its covering radius 40001;
 smaller ones, a basis typed in by hand among them, are summed without it.
-The package's records are NamedTuples, or slotted classes where they
-validate, so start-up loads none of inspect, ast, dis or tokenize.
+The package's records are NamedTuples, and a basis is sumsets.Basis, a
+tuple subclass that validates in __new__, so start-up loads none of
+inspect, ast, dis or tokenize.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .certify import (
 )
 from .constructions import lower_bound_coefficient, rohrbach_basis
 from .search import MAX_EXACT_K, n2k_exact
-from .sumsets import as_basis, exp_sum_stats, n2, rep_profile
+from .sumsets import MAX_MODULUS, as_basis, exp_sum_stats, n2, rep_profile
 
 # The (n_axial, n_main) truncation of the certificate.  With the derived
 # two-sided tails it passes every check with margin (the smallest values
@@ -91,7 +92,7 @@ def _cmd_search(args) -> int:
         {
             "k": res.k,
             "n_best": res.n_best,
-            "witnesses": [list(w.elements) for w in res.witnesses],
+            "witnesses": [list(w) for w in res.witnesses],
             "nodes_explored": res.nodes_explored,
             "exhaustive": True,  # MAX_EXACT_K keeps every search complete
         }
@@ -110,8 +111,8 @@ def _cmd_construct(args) -> int:
         {
             "k": args.k,
             "r": r,
-            "basis": list(basis.elements),
-            "size": basis.k,
+            "basis": list(basis),
+            "size": len(basis),
             "claimed_n_lower": r * r + 1,
             "verified_n": covered,
             "verified": verified,
@@ -235,22 +236,25 @@ def _cmd_basis_stats(args) -> int:
             elements.append(int(tok))
         except ValueError:
             raise ValueError(f"--set: {tok.strip()!r} is not an integer") from None
+    if not elements:
+        raise ValueError("--set: empty basis")
     try:
         basis = as_basis(elements)
     except ValueError as exc:  # negative, duplicate or too large
         raise ValueError(f"--set: {exc}") from None
     if args.n is not None:
-        _require("--n", args.n, 2)
+        _require("--n", args.n, 2, MAX_MODULUS)
     # Free the profile's dict of every pair sum before the spectrum.  Large
     # spectra take numpy's FFT, whose buffers would otherwise stack on the
     # dict; small ones (sumsets.DIRECT_TERMS) are summed without numpy.
     prof = rep_profile(basis)
     n, delta = prof.n, prof.delta_total
     del prof
-    pairs = (basis.k**2 + basis.k) // 2
+    k = len(basis)
+    pairs = (k**2 + k) // 2
     out = {
-        "set": list(basis.elements),
-        "k": basis.k,
+        "set": list(basis),
+        "k": k,
         "n2": n,
         "delta_total": delta,
         "identity": {"pairs": pairs, "n_plus_delta": n + delta, "holds": pairs == n + delta},
@@ -270,7 +274,7 @@ def _cmd_basis_stats(args) -> int:
                 # The lemmas bound delta_total only at the covering radius.
                 "inequalities": None if modulus != n else {
                     "ell_pairs": _lemma(delta, st.ell * (st.ell + 1) / 2.0),
-                    "energy": _lemma(delta, (st.M**2 - basis.k) / 2.0, tol=1e-9),
+                    "energy": _lemma(delta, (st.M**2 - k) / 2.0, tol=1e-9),
                     "ordered_pairs": _lemma(delta, st.L / 2.0),
                 },
             }

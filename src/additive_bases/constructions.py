@@ -27,7 +27,7 @@ def rohrbach_basis(k: int) -> Basis:
         raise ValueError("construction degenerate for k < 4")
     r = k // 2
     elems = list(range(r + 1)) + [j * r for j in range(2, r)]
-    return Basis(tuple(sorted(elems)))
+    return Basis(elems)
 
 
 def lower_bound_coefficient(k: int) -> Fraction:

@@ -47,20 +47,25 @@ MAX_ELEMENT = 2**62
 # 250 ns a term on 2 vCPUs the largest takes about 16 ms (30 ms when the
 # roots table dominates), well under the import of numpy the FFT needs.
 DIRECT_TERMS = 2**16
+# The largest modulus of a spectrum; the limit is memory, not overflow:
+# 2^31 counts and spectra would need tens of GB.
+MAX_MODULUS = 2**31
 
 
-class Basis:
-    """A finite set of nonnegative integers, stored strictly increasing.
+class Basis(tuple):
+    """A finite set of nonnegative integers, as a strictly increasing tuple.
 
-    An immutable record: it validates its elements, compares and hashes
-    by them, and iterates over them.
+    __new__ builds the tuple and validates it; copies and unpickling
+    (pickle protocol 2 and up) go through __new__ too, by tuple's
+    __getnewargs__.
     """
 
-    __slots__ = ("elements",)
+    __slots__ = ()
 
-    def __init__(self, elements: tuple):
+    def __new__(cls, elements):
+        self = super().__new__(cls, elements)
         prev = -1
-        for a in elements:
+        for a in self:
             if not isinstance(a, int):
                 raise TypeError(f"basis element {a!r} is not an integer")
             if a < 0:
@@ -70,37 +75,10 @@ class Basis:
             if a <= prev:
                 raise ValueError("elements must be strictly increasing")
             prev = a
-        object.__setattr__(self, "elements", elements)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
+        return self
 
     def __repr__(self):
-        return f"Basis(elements={self.elements!r})"
-
-    def __reduce__(self):  # copies and unpickling go through __init__
-        return type(self), (self.elements,)
-
-    @property
-    def k(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
+        return f"Basis({tuple(self)!r})"
 
 
 def as_basis(a) -> Basis:
@@ -111,7 +89,7 @@ def as_basis(a) -> Basis:
     for u, v in zip(elems, elems[1:]):
         if u == v:
             raise ValueError(f"duplicate element {u}")
-    return Basis(tuple(elems))
+    return Basis(elems)
 
 
 class RepProfile(NamedTuple):
@@ -149,7 +127,7 @@ class ExpSumStats(NamedTuple):
 
 def sumset2(a) -> list:
     """All pairwise sums a + a', sorted and deduplicated."""
-    A = as_basis(a).elements
+    A = as_basis(a)
     out = set()
     for i, x in enumerate(A):
         for y in A[i:]:
@@ -165,7 +143,7 @@ def n2(a) -> int:
     elements below that bound enter the bitset of sums.  Each element x adds
     its sums with the elements up to x: their bitset `prefix`, shifted by x.
     """
-    A = as_basis(a).elements
+    A = as_basis(a)
     bound = len(A) * (len(A) + 1) // 2
     prefix = cover = 0
     for x in A:
@@ -182,7 +160,7 @@ def m2(a) -> int:
     Translation invariant, unlike the initial-segment radius.
     """
     A = as_basis(a)
-    if A.k == 0:
+    if not A:
         raise ValueError("empty basis")
     s = sumset2(A)
     best = run = 1
@@ -201,12 +179,11 @@ def rep_profile(a) -> RepProfile:
     AssertionError.
     """
     A = as_basis(a)
-    if A.k == 0:
+    if not A:
         raise ValueError("empty basis")
     counts: dict = {}
-    elems = A.elements
-    for i, x in enumerate(elems):
-        for y in elems[i:]:
+    for i, x in enumerate(A):
+        for y in A[i:]:
             j = x + y
             counts[j] = counts.get(j, 0) + 1
     n = n2(A)
@@ -216,7 +193,7 @@ def rep_profile(a) -> RepProfile:
         if d:
             delta[j] = d
     total = sum(delta.values())
-    k = A.k
+    k = len(A)
     if (k * k + k) // 2 != n + total:
         raise AssertionError("pair-count identity violated")
     return RepProfile(n=n, counts=counts, delta=delta, delta_total=total)
@@ -241,11 +218,11 @@ def exp_sum_stats(a, n: int) -> ExpSumStats:
     A = as_basis(a)
     if n < 2:
         raise ValueError("modulus too small")
-    if A.k == 0:
+    if not A:
         raise ValueError("empty basis")
-    if n > 2**31:  # memory, not overflow: 2^31 counts and spectra need tens of GB
+    if n > MAX_MODULUS:
         raise ValueError("modulus too large: the spectrum needs O(n) memory")
-    residues = Counter(x % n for x in A.elements)
+    residues = Counter(x % n for x in A)
     if len(residues) * (n // 2 + 1) + n <= DIRECT_TERMS:
         roots = [cmath.exp(2j * cmath.pi * m / n) for m in range(n)]
         terms = residues.items()
@@ -255,12 +232,12 @@ def exp_sum_stats(a, n: int) -> ExpSumStats:
     else:
         import numpy as np
 
-        counts = np.bincount([x % n for x in A.elements], minlength=n)
+        counts = np.bincount([x % n for x in A], minlength=n)
         half = np.abs(np.fft.rfft(counts))  # r = 0..n//2
         spectrum = np.concatenate((half[1:], half[1 : (n + 1) // 2][::-1]))
         M = float(spectrum.max())
         mags = array("d", spectrum.tobytes())
-    elems = A.elements
-    ell = sum(1 for x in elems if 2 * x >= n)
-    L = sum(A.k - bisect.bisect_left(elems, n - x) for x in elems)
-    return ExpSumStats(n=n, magnitudes=mags, M=M, mu=M / A.k, ell=ell, L=L)
+    k = len(A)
+    ell = sum(1 for x in A if 2 * x >= n)
+    L = sum(k - bisect.bisect_left(A, n - x) for x in A)
+    return ExpSumStats(n=n, magnitudes=mags, M=M, mu=M / k, ell=ell, L=L)

@@ -91,7 +91,7 @@ def test_criterion_2_identity_suite():
         extra = rng.choice(np.arange(2, 201), size=k - 2, replace=False)
         basis = as_basis({0, 1} | {int(x) for x in extra})
         prof = rep_profile(basis)
-        kk = basis.k
+        kk = len(basis)
         ok &= (kk * kk + kk) // 2 == prof.n + prof.delta_total
         stats = exp_sum_stats(basis, prof.n)
         floor = max(

@@ -195,13 +195,19 @@ def test_bound_two_var_unallocatable_size_is_an_error(capsys):
         (["construct", "rohrbach", "--k", "-4"], "--k must be at least 4, got -4"),
         (["construct", "rohrbach", "--k", "3"], "--k must be at least 4, got 3"),
         (["dump", "phi", "--grid", "1", "--out", "unused.csv"], "--grid must be at least 2, got 1"),
-        (["basis", "stats", "--set", "0,1,3", "--n", "0"], "--n must be at least 2, got 0"),
-        (["basis", "stats", "--set", "0,1,3", "--n", "1"], "--n must be at least 2, got 1"),
+        (["basis", "stats", "--set", "0,1,3", "--n", "0"],
+         "--n must be between 2 and 2147483648, got 0"),
+        (["basis", "stats", "--set", "0,1,3", "--n", "1"],
+         "--n must be between 2 and 2147483648, got 1"),
         (["basis", "stats", "--set", "0,1.5"], "--set: '1.5' is not an integer"),
         (["basis", "stats", "--set", "0,-1"], "--set: negative element -1"),
         (["basis", "stats", "--set", "0,3,1,3"], "--set: duplicate element 3"),
         (["basis", "stats", "--set", f"0,{2**62}"],
          f"--set: element {2**62} too large (limit 2^62)"),
+        (["basis", "stats", "--set", ""], "--set: empty basis"),
+        (["basis", "stats", "--set", ","], "--set: empty basis"),
+        (["basis", "stats", "--set", "0,1", "--n", "3000000000"],
+         "--n must be between 2 and 2147483648, got 3000000000"),
     ],
 )
 def test_size_error_names_the_flag(capsys, argv, message):
@@ -218,11 +224,12 @@ def test_basis_stats_checks_n_before_the_profile(capsys, monkeypatch):
         raise AssertionError("rep_profile ran")
 
     monkeypatch.setattr(cli, "rep_profile", no_profile)
-    code = main(["basis", "stats", "--set", "0,1,3", "--n", "1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: --n must be at least 2, got 1\n"
+    for n in ("1", "3000000000"):
+        code = main(["basis", "stats", "--set", "0,1,3", "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --n must be between 2 and 2147483648, got {n}\n"
 
 
 def test_verify_constants_full_scale_report(capsys):

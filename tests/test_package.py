@@ -104,7 +104,7 @@ def test_large_spectrum_fails_without_numpy():
     # covering radius 40001 is above sumsets.DIRECT_TERMS, so it takes the FFT.
     from additive_bases.constructions import rohrbach_basis
 
-    elements = ",".join(map(str, rohrbach_basis(400).elements))
+    elements = ",".join(map(str, rohrbach_basis(400)))
     proc = _run_without("numpy", ("basis", "stats", "--set", elements))
     assert proc.returncode != 0
     assert "numpy" in proc.stderr
@@ -135,7 +135,6 @@ def _record_fields():
 
     interval = dict(lo=1.0, hi=2.0, tail_lo=0.25, tail_hi=0.5, rounding_slack=1e-16, N=3)
     return [
-        (Basis, dict(elements=(0, 1, 3))),
         (RepProfile, dict(n=5, counts={0: 1, 1: 1, 2: 1}, delta={}, delta_total=0)),
         (ExpSumStats, dict(n=5, magnitudes=array("d", [1.5, 0.5]), M=1.5, mu=0.5, ell=1, L=2)),
         (SearchResult, dict(k=2, n_best=3, witnesses=(Basis((0, 1)),), nodes_explored=1)),
@@ -164,6 +163,27 @@ def test_record_contract(cls, fields):
     with pytest.raises(AttributeError):
         record.extra = value
     assert getattr(record, name) is value
+
+
+def test_basis_contract():
+    # A basis is a tuple that validates in __new__; copies and unpickling
+    # reach __new__ through tuple's __getnewargs__, so they validate too.
+    from additive_bases.sumsets import Basis
+
+    basis = Basis(elements=(0, 1, 3))
+    assert basis == Basis([0, 1, 3]) and hash(basis) == hash(Basis((0, 1, 3)))
+    assert eval(repr(basis), {"Basis": Basis}) == basis
+    for twin in (copy.copy(basis), copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
+        assert type(twin) is Basis and twin == basis
+    with pytest.raises(AttributeError):
+        basis.extra = 1
+    with pytest.raises(TypeError):
+        basis[0] = 2
+    with pytest.raises(TypeError, match="basis element 1.5 is not an integer"):
+        Basis((0, 1.5))
+    forged = pickle.dumps(tuple.__new__(Basis, (3, 1)))  # skips __new__'s checks
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pickle.loads(forged)
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

@@ -1,4 +1,5 @@
 import cmath
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from additive_bases.constructions import rohrbach_basis
 from additive_bases.sumsets import (
+    DIRECT_TERMS,
     Basis,
     as_basis,
     exp_sum_stats,
@@ -119,7 +121,7 @@ def test_basis_validation():
         as_basis([1, 1, 2])
     with pytest.raises(ValueError, match="too large"):
         Basis((0, 2**62))
-    assert as_basis([3, 0, 1]).elements == (0, 1, 3)
+    assert tuple(as_basis([3, 0, 1])) == (0, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ def test_exp_sum_magnitudes_across_the_mirror():
     stats = exp_sum_stats(basis, n)
     assert len(stats.magnitudes) == n - 1
     for r in _rows_across_the_mirror(n):
-        direct = _direct_magnitude(basis.elements, n, r)
+        direct = _direct_magnitude(basis, n, r)
         assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-9)
 
 
@@ -205,6 +207,17 @@ def test_exp_sum_fft_matches_direct_evaluation(elems, n):
         assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-12)
 
 
+def test_direct_terms_limit_is_inclusive(monkeypatch):
+    # One residue: n//2 + 1 products plus the n roots.  n = 43690 makes
+    # exactly DIRECT_TERMS terms, summed without numpy; n = 43691 makes one
+    # more, which needs the FFT and so fails with numpy blocked.
+    assert 43690 // 2 + 1 + 43690 == DIRECT_TERMS
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert len(exp_sum_stats([0], 43690).magnitudes) == 43689
+    with pytest.raises(ImportError):
+        exp_sum_stats([0], 43691)
+
+
 def test_exp_sum_huge_elements_exact_reduction():
     # Angles survive elements near the size cap thanks to integer reduction.
     big = 2**61
@@ -223,7 +236,7 @@ def test_exp_sum_huge_elements_exact_reduction():
 @settings(max_examples=300, deadline=None)
 def test_identity_exact(A):
     p = rep_profile(A)
-    k = A.k
+    k = len(A)
     assert (k * k + k) // 2 == p.n + p.delta_total
 
 
@@ -249,10 +262,10 @@ def test_surplus_lower_bounds(A):
     p = rep_profile(A)
     stats = exp_sum_stats(A, p.n)
     assert p.delta_total >= stats.ell * (stats.ell + 1) / 2
-    assert p.delta_total >= (stats.M**2 - A.k) / 2 - 1e-9
+    assert p.delta_total >= (stats.M**2 - len(A)) / 2 - 1e-9
     assert 2 * p.delta_total >= stats.L
     assert stats.L >= stats.ell**2
-    assert 0.0 <= stats.M <= A.k + 1e-9
+    assert 0.0 <= stats.M <= len(A) + 1e-9
     assert 0.0 <= stats.mu <= 1.0 + 1e-12
 
 
