@@ -23,8 +23,8 @@ imports numpy only for a spectrum of more than sumsets.DIRECT_TERMS
 terms, such as Rohrbach's k = 400 basis at its covering radius 40001;
 smaller ones, a basis typed in by hand among them, are summed without it.
 The package's records are NamedTuples, and a basis is sumsets.Basis, a
-tuple subclass that validates in __new__, so start-up loads none of
-inspect, ast, dis or tokenize.
+tuple subclass whose __new__ sorts and validates its elements, so
+start-up loads none of inspect, ast, dis or tokenize.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .certify import (
 )
 from .constructions import lower_bound_coefficient, rohrbach_basis
 from .search import MAX_EXACT_K, n2k_exact
-from .sumsets import MAX_MODULUS, as_basis, exp_sum_stats, n2, rep_profile
+from .sumsets import MAX_MODULUS, Basis, exp_sum_stats, n2, rep_profile
 
 # The (n_axial, n_main) truncation of the certificate.  With the derived
 # two-sided tails it passes every check with margin (the smallest values
@@ -239,17 +239,12 @@ def _cmd_basis_stats(args) -> int:
     if not elements:
         raise ValueError("--set: empty basis")
     try:
-        basis = as_basis(elements)
+        basis = Basis(elements)
     except ValueError as exc:  # negative, duplicate or too large
         raise ValueError(f"--set: {exc}") from None
     if args.n is not None:
         _require("--n", args.n, 2, MAX_MODULUS)
-    # Free the profile's dict of every pair sum before the spectrum.  Large
-    # spectra take numpy's FFT, whose buffers would otherwise stack on the
-    # dict; small ones (sumsets.DIRECT_TERMS) are summed without numpy.
-    prof = rep_profile(basis)
-    n, delta = prof.n, prof.delta_total
-    del prof
+    n, delta = rep_profile(basis)
     k = len(basis)
     pairs = (k**2 + k) // 2
     out = {

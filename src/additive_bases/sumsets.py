@@ -19,9 +19,16 @@ the exact integer identity
 
     (k^2 + k) / 2 = n + sum_j delta(j).
 
+rep_profile returns n and that sum, and checks the identity.  Every
+function reads its argument through Basis, the one constructor, which
+sorts the elements and rejects anything that is not a set of
+nonnegative integers below 2^62.
+
 Exponential sums f_A(w^r) = sum_a w^(r a) at the n-th roots of unity
 w = e^(2 pi i / n) depend on A only through the residue counts
-c_j = #{a : a = j mod n}, reduced exactly in Python integers.  With d
+c_j = #{a : a = j mod n}, reduced exactly in Python integers.
+exp_sum_stats returns their largest magnitude M over r != 0, which the
+symmetry |f_A(w^(n-r))| = |f_A(w^r)| lets it take over r <= n/2.  With d
 distinct residues, a spectrum of at most DIRECT_TERMS terms
 (d (n//2 + 1) products plus the n-entry roots table) is summed directly
 in pure Python, without importing numpy: 15 to 30 ms at the limit on
@@ -35,11 +42,9 @@ within 4 k eps of direct evaluation (eps the double precision unit).
 from __future__ import annotations
 
 import bisect
+import operator
 from collections import Counter
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from array import array
+from typing import NamedTuple
 
 # Pairwise sums must stay well below the 2^63 signed boundary.
 MAX_ELEMENT = 2**62
@@ -55,70 +60,62 @@ MAX_MODULUS = 2**31
 class Basis(tuple):
     """A finite set of nonnegative integers, as a strictly increasing tuple.
 
-    __new__ builds the tuple and validates it; copies and unpickling
-    (pickle protocol 2 and up) go through __new__ too, by tuple's
-    __getnewargs__.
+    __new__ takes any iterable of integers (numpy integers included, by
+    operator.index; floats and strings fail), sorts it and rejects
+    duplicates, negatives and elements of 2^62 and up.  A Basis passed in
+    is returned as it is.  Copies and unpickling (pickle protocol 2 and
+    up) go through __new__ too, by tuple's __getnewargs__.
     """
 
     __slots__ = ()
 
     def __new__(cls, elements):
-        self = super().__new__(cls, elements)
-        prev = -1
-        for a in self:
-            if not isinstance(a, int):
-                raise TypeError(f"basis element {a!r} is not an integer")
+        if isinstance(elements, cls):
+            return elements
+        elems = []
+        for a in elements:
+            try:
+                i = operator.index(a)
+            except TypeError:
+                raise TypeError(f"basis element {a!r} is not an integer") from None
+            elems.append(i)
+        elems.sort()
+        for u, v in zip(elems, elems[1:]):
+            if u == v:
+                raise ValueError(f"duplicate element {u}")
+        for a in elems:
             if a < 0:
                 raise ValueError(f"negative element {a}")
             if a >= MAX_ELEMENT:
                 raise ValueError(f"element {a} too large (limit 2^62)")
-            if a <= prev:
-                raise ValueError("elements must be strictly increasing")
-            prev = a
-        return self
+        return super().__new__(cls, elems)
 
     def __repr__(self):
         return f"Basis({tuple(self)!r})"
 
 
-def as_basis(a) -> Basis:
-    """Coerce an iterable of distinct nonnegative integers into a Basis."""
-    if isinstance(a, Basis):
-        return a
-    elems = sorted(int(x) for x in a)
-    for u, v in zip(elems, elems[1:]):
-        if u == v:
-            raise ValueError(f"duplicate element {u}")
-    return Basis(elems)
-
-
 class RepProfile(NamedTuple):
-    """Representation counts of a basis and their surplus over one-per-target.
+    """The covering radius n of a basis and its surplus over one-per-target.
 
-    counts[j] is the number of unordered pairs a1 <= a2 with a1 + a2 = j,
-    for every j in 2A.  delta[j] subtracts 1 inside [0, n-1] and keeps the
-    full count elsewhere (zero entries omitted); delta_total is the sum of
-    the surplus.
+    delta_total sums delta(j) over 2A: the representation count r(j)
+    (unordered pairs a1 <= a2) minus 1 for j in [0, n-1], and r(j) itself
+    elsewhere.
     """
 
     n: int
-    counts: dict
-    delta: dict
     delta_total: int
 
 
 class ExpSumStats(NamedTuple):
     """Exponential-sum data for a basis at a fixed modulus n.
 
-    magnitudes[r-1] = |f_A(w^r)| for r = 1..n-1, w = exp(2 pi i / n), as
-    an array('d') whichever way exp_sum_stats evaluated them.
-    M is the largest magnitude and mu = M / k.  ell counts elements with
-    2a >= n (exact integer comparison); L counts ordered pairs
-    (a1, a2) in A x A with a1 + a2 >= n.
+    M = max |f_A(w^r)| over r = 1..n-1, w = exp(2 pi i / n), and
+    mu = M / k.  ell counts elements with 2a >= n (exact integer
+    comparison); L counts ordered pairs (a1, a2) in A x A with
+    a1 + a2 >= n.
     """
 
     n: int
-    magnitudes: array
     M: float
     mu: float
     ell: int
@@ -127,7 +124,7 @@ class ExpSumStats(NamedTuple):
 
 def sumset2(a) -> list:
     """All pairwise sums a + a', sorted and deduplicated."""
-    A = as_basis(a)
+    A = Basis(a)
     out = set()
     for i, x in enumerate(A):
         for y in A[i:]:
@@ -143,7 +140,7 @@ def n2(a) -> int:
     elements below that bound enter the bitset of sums.  Each element x adds
     its sums with the elements up to x: their bitset `prefix`, shifted by x.
     """
-    A = as_basis(a)
+    A = Basis(a)
     bound = len(A) * (len(A) + 1) // 2
     prefix = cover = 0
     for x in A:
@@ -159,7 +156,7 @@ def m2(a) -> int:
 
     Translation invariant, unlike the initial-segment radius.
     """
-    A = as_basis(a)
+    A = Basis(a)
     if not A:
         raise ValueError("empty basis")
     s = sumset2(A)
@@ -171,51 +168,43 @@ def m2(a) -> int:
 
 
 def rep_profile(a) -> RepProfile:
-    """Count representations and their surplus; checks the pair identity.
+    """The covering radius and the surplus; checks the pair identity.
 
-    n comes from the bitset in `n2`, so the exact identity
-    (k^2 + k) / 2 = n + delta_total cross-checks it against the counts:
-    it holds only if every j < n has a representation.  A failure raises
-    AssertionError.
+    The surplus is the k(k+1)/2 pairs less the distinct sums below n.  n
+    comes from the bitset in `n2` and the sums from `sumset2`, so the
+    exact identity (k^2 + k) / 2 = n + delta_total cross-checks the two:
+    it holds only if every j < n is a sum.  A failure raises
+    AssertionError.  An `n2` that returned too small a value would still
+    satisfy the identity, since every j below it is a sum too.
     """
-    A = as_basis(a)
+    A = Basis(a)
     if not A:
         raise ValueError("empty basis")
-    counts: dict = {}
-    for i, x in enumerate(A):
-        for y in A[i:]:
-            j = x + y
-            counts[j] = counts.get(j, 0) + 1
     n = n2(A)
-    delta = {}
-    for j, r in counts.items():
-        d = r - 1 if j < n else r
-        if d:
-            delta[j] = d
-    total = sum(delta.values())
     k = len(A)
-    if (k * k + k) // 2 != n + total:
+    pairs = (k * k + k) // 2
+    total = pairs - bisect.bisect_left(sumset2(A), n)
+    if pairs != n + total:
         raise AssertionError("pair-count identity violated")
-    return RepProfile(n=n, counts=counts, delta=delta, delta_total=total)
+    return RepProfile(n=n, delta_total=total)
 
 
 def exp_sum_stats(a, n: int) -> ExpSumStats:
-    """Evaluate |f_A| at all nontrivial n-th roots of unity, plus tail counts.
+    """The largest |f_A| at a nontrivial n-th root of unity, plus tail counts.
 
-    The magnitudes for r = 1..n//2 come from the residue counts mod n,
-    mirrored by |f_A(w^(n-r))| = |f_A(w^r)|.  With d distinct residues, a
-    spectrum of d (n//2 + 1) + n <= DIRECT_TERMS terms sums
-    c_j w^(r j mod n) term by term from a table of the n roots, in pure
-    Python; a larger one takes numpy's real FFT of the counts.  n also
-    acts as the threshold for ell (elements with 2a >= n) and L (ordered
-    pairs with a1 + a2 >= n).
+    M is taken over r = 1..n//2 only, since |f_A(w^(n-r))| = |f_A(w^r)|,
+    from the residue counts mod n.  With d distinct residues, a spectrum
+    of d (n//2 + 1) + n <= DIRECT_TERMS terms sums c_j w^(r j mod n) term
+    by term from a table of the n roots, in pure Python; a larger one
+    takes numpy's real FFT of the counts.  n also acts as the threshold
+    for ell (elements with 2a >= n) and L (ordered pairs with
+    a1 + a2 >= n).
     """
-    # Imported here: at the top these extension modules would add about
+    # Imported here: at the top this extension module would add about
     # 0.1 MB to the peak RSS of every command, not only `basis stats`.
     import cmath
-    from array import array
 
-    A = as_basis(a)
+    A = Basis(a)
     if n < 2:
         raise ValueError("modulus too small")
     if not A:
@@ -226,18 +215,13 @@ def exp_sum_stats(a, n: int) -> ExpSumStats:
     if len(residues) * (n // 2 + 1) + n <= DIRECT_TERMS:
         roots = [cmath.exp(2j * cmath.pi * m / n) for m in range(n)]
         terms = residues.items()
-        half = [abs(sum(c * roots[r * j % n] for j, c in terms)) for r in range(1, n // 2 + 1)]
-        mags = array("d", half + half[: (n - 1) // 2][::-1])
-        M = max(mags)
+        M = max(abs(sum(c * roots[r * j % n] for j, c in terms)) for r in range(1, n // 2 + 1))
     else:
         import numpy as np
 
         counts = np.bincount([x % n for x in A], minlength=n)
-        half = np.abs(np.fft.rfft(counts))  # r = 0..n//2
-        spectrum = np.concatenate((half[1:], half[1 : (n + 1) // 2][::-1]))
-        M = float(spectrum.max())
-        mags = array("d", spectrum.tobytes())
+        M = float(np.abs(np.fft.rfft(counts))[1:].max())  # r = 1..n//2
     k = len(A)
     ell = sum(1 for x in A if 2 * x >= n)
     L = sum(k - bisect.bisect_left(A, n - x) for x in A)
-    return ExpSumStats(n=n, magnitudes=mags, M=M, mu=M / k, ell=ell, L=L)
+    return ExpSumStats(n=n, M=M, mu=M / k, ell=ell, L=L)

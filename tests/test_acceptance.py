@@ -41,7 +41,7 @@ from additive_bases.fourier2d import (
     coeff_quadrature,
     tail_constants,
 )
-from additive_bases.sumsets import as_basis, exp_sum_stats, n2, rep_profile, sumset2
+from additive_bases.sumsets import Basis, exp_sum_stats, n2, rep_profile, sumset2
 
 
 def _report(num, desc, ok, elapsed, limit=None):
@@ -89,7 +89,7 @@ def test_criterion_2_identity_suite():
     for _ in range(10**4):
         k = int(rng.integers(2, 13))
         extra = rng.choice(np.arange(2, 201), size=k - 2, replace=False)
-        basis = as_basis({0, 1} | {int(x) for x in extra})
+        basis = Basis({0, 1} | {int(x) for x in extra})
         prof = rep_profile(basis)
         kk = len(basis)
         ok &= (kk * kk + kk) // 2 == prof.n + prof.delta_total

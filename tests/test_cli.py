@@ -219,7 +219,7 @@ def test_size_error_names_the_flag(capsys, argv, message):
 
 
 def test_basis_stats_checks_n_before_the_profile(capsys, monkeypatch):
-    # A bad --n is rejected before the pair-count dict is built.
+    # A bad --n is rejected before the profile builds its sumset.
     def no_profile(basis):
         raise AssertionError("rep_profile ran")
 

@@ -126,8 +126,6 @@ def test_light_commands_run_without_dataclasses(argv, capsys):
 
 def _record_fields():
     """Each record type with keyword arguments that build a valid instance."""
-    from array import array
-
     from additive_bases.certify import BoundCertificate
     from additive_bases.fourier2d import ConstantInterval
     from additive_bases.search import SearchResult
@@ -135,8 +133,8 @@ def _record_fields():
 
     interval = dict(lo=1.0, hi=2.0, tail_lo=0.25, tail_hi=0.5, rounding_slack=1e-16, N=3)
     return [
-        (RepProfile, dict(n=5, counts={0: 1, 1: 1, 2: 1}, delta={}, delta_total=0)),
-        (ExpSumStats, dict(n=5, magnitudes=array("d", [1.5, 0.5]), M=1.5, mu=0.5, ell=1, L=2)),
+        (RepProfile, dict(n=5, delta_total=1)),
+        (ExpSumStats, dict(n=5, M=1.5, mu=0.5, ell=1, L=2)),
         (SearchResult, dict(k=2, n_best=3, witnesses=(Basis((0, 1)),), nodes_explored=1)),
         (ConstantInterval, interval),
         (BoundCertificate, dict(alpha1=1.0, alpha2=-3.7, c_axial=ConstantInterval(**interval),
@@ -181,8 +179,8 @@ def test_basis_contract():
         basis[0] = 2
     with pytest.raises(TypeError, match="basis element 1.5 is not an integer"):
         Basis((0, 1.5))
-    forged = pickle.dumps(tuple.__new__(Basis, (3, 1)))  # skips __new__'s checks
-    with pytest.raises(ValueError, match="strictly increasing"):
+    forged = pickle.dumps(tuple.__new__(Basis, (3, 3)))  # skips __new__'s checks
+    with pytest.raises(ValueError, match="^duplicate element 3$"):
         pickle.loads(forged)
 
 

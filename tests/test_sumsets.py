@@ -10,7 +10,6 @@ from additive_bases.constructions import rohrbach_basis
 from additive_bases.sumsets import (
     DIRECT_TERMS,
     Basis,
-    as_basis,
     exp_sum_stats,
     m2,
     n2,
@@ -43,12 +42,8 @@ def brute_n2(elems):
     return n
 
 
-bases = st.sets(st.integers(0, 200), min_size=1, max_size=12).map(
-    lambda s: as_basis(sorted(s))
-)
-bases_01 = st.sets(st.integers(2, 200), max_size=10).map(
-    lambda s: as_basis(sorted(s | {0, 1}))
-)
+bases = st.sets(st.integers(0, 200), min_size=1, max_size=12).map(Basis)
+bases_01 = st.sets(st.integers(2, 200), max_size=10).map(lambda s: Basis(s | {0, 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +81,7 @@ def test_rep_profile_examples():
     p = rep_profile([0, 1])
     assert (p.n, p.delta_total) == (3, 0)
     p = rep_profile([0, 1, 2])
-    assert (p.n, p.delta_total) == (5, 1)
-    assert p.delta == {2: 1}  # 2 = 0+2 = 1+1
+    assert (p.n, p.delta_total) == (5, 1)  # 2 = 0+2 = 1+1
     p = rep_profile([0, 1, 3])
     assert (p.n, p.delta_total) == (5, 1)
 
@@ -103,8 +97,10 @@ def test_rep_profile_against_oracle():
         k = int(rng.integers(1, 10))
         elems = sorted(rng.choice(60, size=k, replace=False).tolist())
         p = rep_profile(elems)
-        assert p.counts == brute_rep_counts(elems)
-        assert p.n == brute_n2(elems)
+        n = brute_n2(elems)
+        counts = brute_rep_counts(elems)
+        assert p.n == n
+        assert p.delta_total == sum(r - 1 if j < n else r for j, r in counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +111,26 @@ def test_rep_profile_against_oracle():
 def test_basis_validation():
     with pytest.raises(ValueError, match="negative"):
         Basis((-1, 2))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Basis((3, 2))
     with pytest.raises(ValueError, match="duplicate"):
-        as_basis([1, 1, 2])
+        Basis([1, 1, 2])
     with pytest.raises(ValueError, match="too large"):
         Basis((0, 2**62))
-    assert tuple(as_basis([3, 0, 1])) == (0, 1, 3)
+    assert Basis((3, 2)) == (2, 3)
+    assert tuple(Basis([3, 0, 1])) == (0, 1, 3)
+    # Floats and strings are rejected, never truncated or parsed.
+    with pytest.raises(TypeError, match=r"^basis element 1\.7 is not an integer$"):
+        Basis([0, 1.7, 2.9])
+    with pytest.raises(TypeError, match=r"^basis element 1\.9 is not an integer$"):
+        n2([0, 1.9])
+    with pytest.raises(TypeError, match=r"^basis element 0\.5 is not an integer$"):
+        rep_profile([0, 0.5])
+    with pytest.raises(TypeError, match="basis element '3' is not an integer"):
+        Basis(["3"])
+    # numpy integers are accepted and stored as plain ints.
+    basis = Basis(np.array([3, 0, 1]))
+    assert basis == Basis((0, 1, 3))
+    assert all(type(a) is int for a in basis)
+    assert Basis(basis) is basis
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +164,35 @@ def test_exp_sum_magnitudes_against_direct_evaluation():
         elems = sorted(rng.choice(50, size=k, replace=False).tolist())
         n = int(rng.integers(2, 40))
         stats = exp_sum_stats(elems, n)
-        for r in range(1, n):
-            direct = abs(sum(cmath.exp(2j * cmath.pi * r * a / n) for a in elems))
-            assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-10)
+        direct = max(
+            abs(sum(cmath.exp(2j * cmath.pi * r * a / n) for a in elems)) for r in range(1, n)
+        )
+        assert stats.M == pytest.approx(direct, abs=1e-10)
 
 
-def _direct_magnitude(elems, n, r):
-    """|f_A(w^r)| summed term by term after exact integer angle reduction."""
-    return abs(sum(cmath.exp(2j * cmath.pi * (r * a % n) / n) for a in elems))
+def _brute_M(elems, n):
+    """max |f_A(w^r)| over every r = 1..n-1, summed term by term.
 
-
-def _rows_across_the_mirror(n):
-    """Sampled r in 1..n-1, including every r next to where the half spectrum is mirrored."""
-    joins = {1, n // 2, (n + 1) // 2, n - 1}
-    near = {r + d for r in joins for d in (-1, 0, 1)}
-    sampled = np.random.default_rng(n).integers(1, n, 64).tolist()
-    return sorted(r for r in near | set(sampled) if 1 <= r < n)
+    Each angle r a mod n is reduced exactly (a mod n in Python integers,
+    then r (a mod n) < n^2 <= 2^62 in int64), and no symmetry is used.
+    """
+    res = np.array([a % n for a in elems], dtype=np.int64)
+    best = 0.0
+    for lo in range(1, n, 4096):
+        r = np.arange(lo, min(lo + 4096, n), dtype=np.int64)
+        f = np.exp(2j * np.pi * (r[:, None] * res % n) / n).sum(axis=1)
+        best = max(best, float(np.abs(f).max()))
+    return best
 
 
 def test_exp_sum_magnitudes_across_the_mirror():
-    # Rohrbach's k = 400 basis at its covering radius (n = 40001, odd).
+    # Rohrbach's k = 400 basis at its covering radius (n = 40001, odd),
+    # large enough for the FFT.
     basis = rohrbach_basis(400)
     n = n2(basis)
     stats = exp_sum_stats(basis, n)
-    assert len(stats.magnitudes) == n - 1
-    for r in _rows_across_the_mirror(n):
-        direct = _direct_magnitude(basis, n, r)
-        assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-9)
+    assert stats.M == pytest.approx(_brute_M(basis, n), abs=1e-9)
+    assert stats.mu == stats.M / len(basis)
 
 
 @pytest.mark.parametrize(
@@ -197,14 +208,12 @@ def test_exp_sum_magnitudes_across_the_mirror():
         # 8 residues: 8 (n//2 + 1) + n terms against DIRECT_TERMS = 65,536.
         ([0, 1, 3, 7, 12, 20, 30, 44], 13104),  # 65,528 terms: summed directly
         ([0, 1, 3, 7, 12, 20, 30, 44], 13106),  # 65,538 terms: the FFT
+        ([0, 2], 4),  # |f| = 0, 2, 0: the only maximum is at r = n/2
     ],
 )
 def test_exp_sum_fft_matches_direct_evaluation(elems, n):
     stats = exp_sum_stats(elems, n)
-    assert len(stats.magnitudes) == n - 1
-    for r in _rows_across_the_mirror(n):
-        direct = _direct_magnitude(elems, n, r)
-        assert stats.magnitudes[r - 1] == pytest.approx(direct, abs=1e-12)
+    assert stats.M == pytest.approx(_brute_M(elems, n), abs=1e-12)
 
 
 def test_direct_terms_limit_is_inclusive(monkeypatch):
@@ -213,7 +222,7 @@ def test_direct_terms_limit_is_inclusive(monkeypatch):
     # more, which needs the FFT and so fails with numpy blocked.
     assert 43690 // 2 + 1 + 43690 == DIRECT_TERMS
     monkeypatch.setitem(sys.modules, "numpy", None)
-    assert len(exp_sum_stats([0], 43690).magnitudes) == 43689
+    assert exp_sum_stats([0], 43690).M == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ImportError):
         exp_sum_stats([0], 43691)
 
@@ -222,9 +231,21 @@ def test_exp_sum_huge_elements_exact_reduction():
     # Angles survive elements near the size cap thanks to integer reduction.
     big = 2**61
     stats = exp_sum_stats([0, big + 1], 4)
-    # big + 1 mod 4 = (2^61 + 1) mod 4 = 1, so f(w^r) = 1 + i^r
-    assert stats.magnitudes[0] == pytest.approx(abs(1 + 1j), abs=1e-12)
-    assert stats.magnitudes[1] == pytest.approx(0.0, abs=1e-12)
+    # big + 1 mod 4 = (2^61 + 1) mod 4 = 1, so f(w^r) = 1 + i^r, whose
+    # magnitudes over r = 1, 2, 3 are sqrt 2, 0, sqrt 2.
+    assert stats.M == pytest.approx(abs(1 + 1j), abs=1e-12)
+    assert stats.M == pytest.approx(_brute_M([0, big + 1], 4), abs=1e-12)
+
+
+def test_rep_profile_identity_catches_an_overlong_radius(monkeypatch):
+    # n2 reporting one more than the covering radius claims a sum the
+    # sumset lacks, which the pair identity detects.
+    from additive_bases import sumsets
+
+    true_n2 = sumsets.n2
+    monkeypatch.setattr(sumsets, "n2", lambda a: true_n2(a) + 1)
+    with pytest.raises(AssertionError, match="^pair-count identity violated$"):
+        rep_profile(rohrbach_basis(10))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +293,7 @@ def test_surplus_lower_bounds(A):
 @given(bases, st.integers(0, 50))
 @settings(max_examples=200, deadline=None)
 def test_m2_translation_invariant(A, t):
-    assert m2(as_basis(a + t for a in A)) == m2(A)
+    assert m2(Basis(a + t for a in A)) == m2(A)
 
 
 def test_n2_not_translation_invariant():
