@@ -4,7 +4,7 @@ Subcommands:
   search --k K                     exact extremal search, JSON result
   construct rohrbach --k K         lower-bound witness + verified coverage
   bound moser                      one-variable certificate (0.4898)
-  bound two-var [...]              two-variable certificate (JSON)
+  bound two-var [--route R]        two-variable certificate (JSON)
   verify constants                 reproduce the certified constants, PASS/FAIL
   verify formulas [--rmax R]       closed forms vs quadrature oracle
   basis stats --set "0,1,3"        combinatorial + exponential-sum statistics
@@ -50,7 +50,7 @@ from .certify import (
 )
 from .constructions import lower_bound_coefficient, rohrbach_basis
 from .search import MAX_EXACT_K, n2k_exact
-from .sumsets import MAX_MODULUS, Basis, exp_sum_stats, n2, rep_profile
+from .sumsets import Basis, exp_sum_stats, n2, rep_profile
 
 # The (n_axial, n_main) truncation of the certificate.  With the derived
 # two-sided tails it passes every check with margin (the smallest values
@@ -148,12 +148,9 @@ def _cmd_bound_moser(args) -> int:
 
 
 def _cmd_bound_two_var(args) -> int:
-    _require("--n-axial", args.n_axial, 1)
-    _require("--n-main", args.n_main, 1)
     from . import fourier2d
 
-    cert = certify(fourier2d.c_axial(args.n_axial), fourier2d.c_main(args.n_main),
-                   route=args.route)
+    cert = certify(fourier2d.c_axial(SCALE[0]), fourier2d.c_main(SCALE[1]), route=args.route)
     _emit(cert.to_json_dict())
     return 0 if cert.coefficient_upper < 0.5 else 1  # 1/2 is the trivial bound
 
@@ -242,8 +239,6 @@ def _cmd_basis_stats(args) -> int:
         basis = Basis(elements)
     except ValueError as exc:  # negative, duplicate or too large
         raise ValueError(f"--set: {exc}") from None
-    if args.n is not None:
-        _require("--n", args.n, 2, MAX_MODULUS)
     n, delta = rep_profile(basis)
     k = len(basis)
     pairs = (k**2 + k) // 2
@@ -254,20 +249,19 @@ def _cmd_basis_stats(args) -> int:
         "delta_total": delta,
         "identity": {"pairs": pairs, "n_plus_delta": n + delta, "holds": pairs == n + delta},
     }
-    modulus = args.n if args.n is not None else (n if n >= 2 else None)
-    if modulus is None:
+    if n < 2:
         out["modulus"] = None
     else:
-        st = exp_sum_stats(basis, modulus)
+        # The surplus lemmas bound delta_total at the covering radius n.
+        st = exp_sum_stats(basis, n)
         out.update(
             {
-                "modulus": modulus,
+                "modulus": n,
                 "M": st.M,
                 "mu": st.mu,
                 "ell": st.ell,
                 "L": st.L,
-                # The lemmas bound delta_total only at the covering radius.
-                "inequalities": None if modulus != n else {
+                "inequalities": {
                     "ell_pairs": _lemma(delta, st.ell * (st.ell + 1) / 2.0),
                     "energy": _lemma(delta, (st.M**2 - k) / 2.0, tol=1e-9),
                     "ordered_pairs": _lemma(delta, st.L / 2.0),
@@ -309,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp = bsub.add_parser("moser")
     mp.set_defaults(func=_cmd_bound_moser)
     tp = bsub.add_parser("two-var")
-    tp.add_argument("--n-axial", type=int, default=SCALE[0])
-    tp.add_argument("--n-main", type=int, default=SCALE[1])
     tp.add_argument("--route", choices=("corner", "lemma"), default="corner")
     tp.set_defaults(func=_cmd_bound_two_var)
 
@@ -328,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = sb.add_subparsers(dest="what", required=True)
     st = ssub.add_parser("stats")
     st.add_argument("--set", type=str, required=True)
-    st.add_argument("--n", type=int, default=None)
     st.set_defaults(func=_cmd_basis_stats)
 
     dp = sub.add_parser("dump", help="data dumps")

@@ -59,6 +59,7 @@ slack still counts all 4N^2 lattice terms.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -213,10 +214,11 @@ def coeff(r1: int, r2: int) -> complex:
 
     Dispatch: the origin is exactly 0 (zero mean), axes use the axial
     form (identical for (r, 0) and (0, r) by symmetry), the diagonal its
-    own form, and everything else the generic off-diagonal form.
+    own form, and everything else the generic off-diagonal form.  The
+    frequencies are read by operator.index, so numpy integers pass and
+    floats fail.
     """
-    r1 = int(r1)
-    r2 = int(r2)
+    r1, r2 = operator.index(r1), operator.index(r2)
     if r1 == 0 and r2 == 0:
         return 0j
     if r1 == 0 or r2 == 0:
@@ -324,10 +326,6 @@ class ConstantInterval(_IntervalFields):
     @classmethod
     def _make(cls, iterable):  # so that _replace checks the new fields too
         return cls(*iterable)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def _inverse_square_tail(a: int) -> tuple:
@@ -439,6 +437,7 @@ def tail_constants(N: int) -> tuple:
     Every step rounds the safe way, with _PI_LO < pi < _PI_HI; a lower
     bound that comes out negative is replaced by 0.
     """
+    N = operator.index(N)
     if N < 1:
         raise ValueError("N must be positive")
     S = min(_NEAR_AXIS, N // 2)
@@ -491,6 +490,7 @@ def c_axial(N: int) -> ConstantInterval:
     So the fold is 4 * fsum over r > 0, as the scaling by 4 is exact.
     Two-sided tail from tail_constants; rounding slack counts all 4N terms.
     """
+    N = operator.index(N)
     if N < 1:
         raise ValueError("N must be positive")
     m = np.hypot(*_axis_values(np.arange(1, N + 1, dtype=np.int64))).tolist()
@@ -542,6 +542,7 @@ def c_main(N: int) -> ConstantInterval:
     Two-sided tail from tail_constants; slack counts all 4N^2 lattice
     terms.
     """
+    N = operator.index(N)
     if N < 1:
         raise ValueError("N must be positive")
     return _interval(math.fsum(_shell_sums(N)), 4 * N * N, tail_constants(N)[1], N)

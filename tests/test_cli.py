@@ -1,6 +1,7 @@
 import importlib
 import json
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from additive_bases import cli
-from additive_bases.certify import REF_COEFFICIENT
+from additive_bases.certify import REF_COEFFICIENT, certify
 from additive_bases.cli import SCALE, build_parser, main
-from additive_bases.fourier2d import _NEAR_AXIS
+from additive_bases.fourier2d import _NEAR_AXIS, c_axial, c_main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -84,10 +87,7 @@ def test_bound_two_var_fast_schema_and_formatting(capsys):
 
 
 def test_bound_two_var_route_flag(capsys):
-    code, out = run_cli(
-        capsys, "bound", "two-var", "--n-axial", "2000", "--n-main", "200",
-        "--route", "lemma",
-    )
+    code, out = run_cli(capsys, "bound", "two-var", "--route", "lemma")
     assert code == 0
     doc = json.loads(out)
     assert doc["route"] == "lemma"
@@ -109,38 +109,17 @@ def test_basis_stats_full(capsys):
     assert doc["n2"] == 5
     assert doc["delta_total"] == 1
     assert doc["identity"]["holds"] is True
+    # The spectrum is taken at the covering radius, where the surplus lemmas hold.
+    assert doc["modulus"] == 5
     assert doc["ell"] == 1
     assert doc["L"] == 1
+    keys = [k for k, _ in json.loads(out, object_pairs_hook=list)]
+    assert keys[-1] == "inequalities"
+    assert all(check["holds"] for check in doc["inequalities"].values())
     assert doc["inequalities"]["ell_pairs"]["tight"] is True
-    assert doc["inequalities"]["ordered_pairs"]["holds"] is True
     # whole-valued floats (here every lemma bound) still parse back as floats
     assert isinstance(doc["M"], float)
     assert all(isinstance(check["bound"], float) for check in doc["inequalities"].values())
-
-
-def test_basis_stats_explicit_modulus(capsys):
-    code, out = run_cli(capsys, "basis", "stats", "--set", "{0, 2}", "--n", "4")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["modulus"] == 4
-    assert doc["ell"] == 1  # 2*2 >= 4
-
-
-@pytest.mark.parametrize("modulus", [2, 50, 5])
-def test_basis_stats_inequalities_only_at_the_covering_radius(capsys, modulus):
-    # The surplus lemmas assume the modulus is n2(A) = 5; at any other
-    # modulus the block would report false counterexamples.
-    code, out = run_cli(capsys, "basis", "stats", "--set", "0,1,3", "--n", str(modulus))
-    assert code == 0
-    keys = [k for k, _ in json.loads(out, object_pairs_hook=list)]
-    assert keys[-1] == "inequalities"
-    doc = json.loads(out)
-    assert doc["n2"] == 5
-    assert doc["modulus"] == modulus
-    if modulus == 5:
-        assert all(check["holds"] for check in doc["inequalities"].values())
-    else:
-        assert doc["inequalities"] is None
 
 
 def test_verify_formulas_small(capsys):
@@ -165,26 +144,29 @@ def test_verify_formulas_rejects_empty_range(capsys, rmax):
     assert captured.err.startswith("error: --rmax must be at least 1")
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--n-main", "0"), ("--n-main", "-3"), ("--n-axial", "0")]
-)
-def test_bound_two_var_size_error_names_the_flag(capsys, flag, value):
-    code = main(["bound", "two-var", flag, value])
+def test_unallocatable_size_is_an_error(capsys):
+    # The frequency range for rmax = 10^14 needs petabytes, so the
+    # allocation fails before any page is touched; it must end in a
+    # message, not a traceback.
+    code = main(["verify", "formulas", "--rmax", str(10**14)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {flag} must be at least 1, got {value}")
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert captured.err.count("\n") == 1
 
 
-def test_bound_two_var_unallocatable_size_is_an_error(capsys):
-    # The shell tables for N = 10^14 need petabytes, so the allocation
-    # fails before any page is touched; it must end in a message, not a
-    # traceback.
-    code = main(["bound", "two-var", "--n-main", str(10**14)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+@pytest.mark.parametrize("argv", [
+    ["bound", "two-var", "--n-main", "5"],
+    ["bound", "two-var", "--n-axial", "5"],
+    ["basis", "stats", "--set", "0,1,3", "--n", "5"],
+], ids=" ".join)
+def test_removed_flags_are_usage_errors(argv):
+    # The certificate has one truncation, SCALE, and the surplus lemmas
+    # one modulus, the covering radius: neither is a flag.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -195,10 +177,6 @@ def test_bound_two_var_unallocatable_size_is_an_error(capsys):
         (["construct", "rohrbach", "--k", "-4"], "--k must be at least 4, got -4"),
         (["construct", "rohrbach", "--k", "3"], "--k must be at least 4, got 3"),
         (["dump", "phi", "--grid", "1", "--out", "unused.csv"], "--grid must be at least 2, got 1"),
-        (["basis", "stats", "--set", "0,1,3", "--n", "0"],
-         "--n must be between 2 and 2147483648, got 0"),
-        (["basis", "stats", "--set", "0,1,3", "--n", "1"],
-         "--n must be between 2 and 2147483648, got 1"),
         (["basis", "stats", "--set", "0,1.5"], "--set: '1.5' is not an integer"),
         (["basis", "stats", "--set", "0,-1"], "--set: negative element -1"),
         (["basis", "stats", "--set", "0,3,1,3"], "--set: duplicate element 3"),
@@ -206,8 +184,6 @@ def test_bound_two_var_unallocatable_size_is_an_error(capsys):
          f"--set: element {2**62} too large (limit 2^62)"),
         (["basis", "stats", "--set", ""], "--set: empty basis"),
         (["basis", "stats", "--set", ","], "--set: empty basis"),
-        (["basis", "stats", "--set", "0,1", "--n", "3000000000"],
-         "--n must be between 2 and 2147483648, got 3000000000"),
     ],
 )
 def test_size_error_names_the_flag(capsys, argv, message):
@@ -216,20 +192,6 @@ def test_size_error_names_the_flag(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-
-
-def test_basis_stats_checks_n_before_the_profile(capsys, monkeypatch):
-    # A bad --n is rejected before the profile builds its sumset.
-    def no_profile(basis):
-        raise AssertionError("rep_profile ran")
-
-    monkeypatch.setattr(cli, "rep_profile", no_profile)
-    for n in ("1", "3000000000"):
-        code = main(["basis", "stats", "--set", "0,1,3", "--n", n])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"error: --n must be between 2 and 2147483648, got {n}\n"
 
 
 def test_verify_constants_full_scale_report(capsys):
@@ -269,25 +231,35 @@ def test_parser_accepts_every_benchmark_command(monkeypatch):
             parser.parse_args(list(cmd.argv))
 
 
+def test_readme_command_lines_parse():
+    # Each example in the README's "Command line" block names only flags
+    # the parser has.
+    block = README.read_text().split("## Command line", 1)[1].split("```bash", 1)[1]
+    lines = [shlex.split(line, comments=True) for line in block.split("```", 1)[0].splitlines()]
+    examples = [words[1:] for words in lines if words and words[0] == "additive-bases"]
+    assert examples
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
+
+
 @pytest.mark.parametrize("n", [1, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1])
-def test_bound_two_var_at_small_truncations(capsys, n):
+def test_bound_two_var_at_small_truncations(n):
     # Below 2 * _NEAR_AXIS the near-axis count shrinks with N; the tails
     # stay two-sided, so even N = 1 lifts tau above 2 and certifies.
-    code, out = run_cli(capsys, "bound", "two-var", "--n-axial", str(n), "--n-main", str(n))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["c_axial"]["N"] == doc["c_main"]["N"] == n
-    assert doc["tau"]["lo"] >= 2.0 and doc["kappa"]["lo"] >= 3.0
-    assert 0.4788 <= doc["coefficient_upper"] < 0.5
+    cert = certify(c_axial(n), c_main(n))
+    assert cert.c_axial.N == cert.c_main.N == n
+    assert cert.tau[0] >= 2.0 and cert.kappa[0] >= 3.0
+    assert 0.4788 <= cert.coefficient_upper < 0.5
 
 
-def test_bound_two_var_flags_a_vacuous_certificate(capsys):
+def test_bound_two_var_flags_a_vacuous_certificate(capsys, monkeypatch):
     # At N = 1 the lemma route certifies 0.8119, no better than the
     # trivial 1/2: the JSON is printed all the same, and the exit status
-    # is 1.  (The corner route certifies 0.4933 there and exits 0, which
+    # is 1.  (The corner route certifies 0.4933 there, which
     # test_bound_two_var_at_small_truncations checks.)
-    code, out = run_cli(capsys, "bound", "two-var", "--route", "lemma",
-                        "--n-axial", "1", "--n-main", "1")
+    monkeypatch.setattr(cli, "SCALE", (1, 1))
+    code, out = run_cli(capsys, "bound", "two-var", "--route", "lemma")
     assert code == 1
     doc = json.loads(out)
     assert (doc["route"], doc["coefficient_upper"]) == ("lemma", 0.8119)

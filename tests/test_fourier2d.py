@@ -214,6 +214,21 @@ def test_axis_coefficient_explicit_form():
     assert coeff(0, 1) == got
 
 
+def test_integer_arguments_fail_loud():
+    # Frequencies and truncations are integers: a float is an error, not
+    # a value truncated (coeff) or carried into the interval (c_axial),
+    # and a numpy integer reads as the int it holds.
+    for call in (lambda: coeff(1.7, 0), lambda: coeff(0, 2.0), lambda: c_axial(5.5),
+                 lambda: c_main(5.5), lambda: tail_constants(5.5)):
+        with pytest.raises(TypeError):
+            call()
+    five = np.int64(5)
+    assert coeff(five, np.int64(-2)) == coeff(5, -2)
+    for f in (c_axial, c_main, tail_constants):
+        assert f(five) == f(5)
+    assert type(c_axial(five).N) is type(c_main(five).N) is int
+
+
 def test_coefficient_symmetries():
     rng = np.random.default_rng(17)
     for _ in range(500):
@@ -421,7 +436,7 @@ def test_c_axial_width_and_tail():
     iv = c_axial(1000)
     assert iv.tail_lo == pytest.approx(15 / (np.pi**2 * 1000), rel=2e-3)
     assert 0 < iv.tail_hi - iv.tail_lo < 2.5 / 1000**2
-    assert iv.width <= iv.tail_hi - iv.tail_lo + 3 * iv.rounding_slack
+    assert iv.hi - iv.lo <= iv.tail_hi - iv.tail_lo + 3 * iv.rounding_slack
     assert iv.hi - iv.lo >= iv.tail_hi - iv.tail_lo
 
 
@@ -489,7 +504,7 @@ def test_c_main_nesting():
     for outer, inner in zip(intervals, intervals[1:]):
         assert outer.lo <= inner.lo and inner.hi <= outer.hi
     desk = intervals[-1]
-    assert desk.width <= 1e-3
+    assert desk.hi - desk.lo <= 1e-3
 
 
 def _fold_right_side(right) -> float:
@@ -504,15 +519,13 @@ def _scalar_shell_sum(R: int) -> float:
     return _fold_right_side(right)
 
 
-@pytest.mark.parametrize(
-    "N, radii", [(200, range(1, 201)), (4000, (1, 2, 499, 500, 3999, 4000))]
-)
+@pytest.mark.parametrize("N, radii", [(200, range(1, 201))])
 def test_shell_kernel_matches_scalar_path_bit_for_bit(N, radii):
     # Exact equality, no tolerance: the tables only hoist values the
     # scalar path computes per term, so every shell sum equals the same
-    # fold of the scalar path's right side, diagonal point last.  Tables
-    # built for N = 4000 serve small shells too, so their layout cannot
-    # depend on N.
+    # fold of the scalar path's right side, diagonal point last.  With
+    # the N = 4000 check below, tables of two sizes serve the same small
+    # shells, so their layout cannot depend on N.
     sums = _shell_sums(N)
     assert len(sums) == N
     for R in radii:
@@ -598,7 +611,8 @@ def test_interval_validation():
 
 def test_interval_replace_validates():
     iv = ConstantInterval(lo=1.0, hi=2.0, tail_lo=0.0, tail_hi=0.5, rounding_slack=0.0, N=1)
-    assert iv._replace(hi=3.0).width == 2.0
+    replaced = iv._replace(hi=3.0)
+    assert replaced.hi - replaced.lo == 2.0
     with pytest.raises(ValueError, match="empty interval"):
         iv._replace(lo=2.5)
 

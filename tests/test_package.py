@@ -86,7 +86,6 @@ def _same_stdout_without(module, argv, capsys):
     ("search", "--k", "5"), ("construct", "rohrbach", "--k", "10"), ("bound", "moser"),
     # Small spectra are summed without numpy (sumsets.DIRECT_TERMS).
     pytest.param(("basis", "stats", "--set", "0,1,3"), id="basis-stats"),
-    pytest.param(("basis", "stats", "--set", "0,1,3", "--n", "50"), id="basis-stats-n"),
 ], ids=lambda argv: argv[0])
 def test_numpy_free_commands_run_without_numpy(argv, capsys):
     _same_stdout_without("numpy", argv, capsys)
@@ -94,7 +93,7 @@ def test_numpy_free_commands_run_without_numpy(argv, capsys):
 
 def test_array_command_fails_without_numpy():
     # The control: blocking numpy does stop a command that needs it.
-    proc = _run_without("numpy", ("bound", "two-var", "--n-axial", "16", "--n-main", "16"))
+    proc = _run_without("numpy", ("bound", "two-var"))
     assert proc.returncode != 0
     assert "numpy" in proc.stderr
 
