@@ -113,13 +113,27 @@ def test_basis_stats_full(capsys):
     assert doc["modulus"] == 5
     assert doc["ell"] == 1
     assert doc["L"] == 1
-    keys = [k for k, _ in json.loads(out, object_pairs_hook=list)]
-    assert keys[-1] == "inequalities"
-    assert all(check["holds"] for check in doc["inequalities"].values())
     assert doc["inequalities"]["ell_pairs"]["tight"] is True
     # whole-valued floats (here every lemma bound) still parse back as floats
     assert isinstance(doc["M"], float)
     assert all(isinstance(check["bound"], float) for check in doc["inequalities"].values())
+
+
+@pytest.mark.parametrize(
+    "elements, radius",
+    [pytest.param("0,1,3", 5, id="5"), pytest.param("0,1,3,4", 9, id="9")],
+)
+def test_basis_stats_inequalities_only_at_the_covering_radius(capsys, elements, radius):
+    # The surplus lemmas assume the modulus is n2(A), so the spectrum is
+    # taken there and the lemma block, printed last, holds in full.
+    code, out = run_cli(capsys, "basis", "stats", "--set", elements)
+    assert code == 0
+    keys = [k for k, _ in json.loads(out, object_pairs_hook=list)]
+    assert keys[-1] == "inequalities"
+    doc = json.loads(out)
+    assert doc["n2"] == radius
+    assert doc["modulus"] == radius
+    assert all(check["holds"] for check in doc["inequalities"].values())
 
 
 def test_verify_formulas_small(capsys):
