@@ -10,21 +10,22 @@ Subcommands:
   basis stats --set "0,1,3"        combinatorial + exponential-sum statistics
   dump phi --grid M --out FILE     CSV surface grid of the test function
 
-JSON goes to stdout with fixed key order and floats printed at 17
-significant digits, so runs are diffable.  Exit status is 0 iff every
-requested check passed (`bound two-var` prints its JSON and exits 1 when
-the certificate is vacuous, coefficient_upper >= 1/2, no better than
-the trivial bound), and 2 with an "error: ..." line on stderr for
-bad input (a size too large to allocate, too) or a file that cannot be
-written.  Shell sums run in one fixed order (see fourier2d), so repeated
-runs print identical bits.  Importing this module loads no numpy: the
-array commands import fourier2d (and numpy) when they run.  `basis stats`
-imports numpy only for a spectrum of more than sumsets.DIRECT_TERMS
-terms, such as Rohrbach's k = 400 basis at its covering radius 40001;
-smaller ones, a basis typed in by hand among them, are summed without it.
-The package's records are NamedTuples, and a basis is sumsets.Basis, a
-tuple subclass whose __new__ sorts and validates its elements, so
-start-up loads none of inspect, ast, dis or tokenize.
+JSON goes to stdout by json.dumps, with fixed key order and each float
+in the shortest form that reads back to the same double, so runs are
+diffable bit for bit.  Exit status is 0 iff every requested check passed
+(`bound two-var` prints its JSON and exits 1 when the certificate is
+vacuous, coefficient_upper >= 1/2, no better than the trivial bound),
+and 2 with an "error: ..." line on stderr for bad input (a size too
+large to allocate, too) or a file that cannot be written.  Shell sums
+run in one fixed order (see fourier2d), so repeated runs print identical
+bits.  Importing this module loads no numpy: the array commands import
+fourier2d (and numpy) when they run.  `basis stats` imports numpy only
+for a spectrum of more than sumsets.DIRECT_TERMS terms, such as
+Rohrbach's k = 400 basis at its covering radius 40001; smaller ones, a
+basis typed in by hand among them, are summed without it.  The package's
+records are NamedTuples, and a basis is sumsets.Basis, a tuple subclass
+whose __new__ sorts and validates its elements, so start-up loads none
+of inspect, ast, dis or tokenize.
 """
 
 from __future__ import annotations
@@ -58,26 +59,6 @@ from .sumsets import Basis, exp_sum_stats, n2, rep_profile
 SCALE = (5000, 500)
 
 
-def _fmt(value) -> str:
-    """Stable JSON: insertion-ordered keys, floats at 17 significant digits;
-    a whole-valued float keeps a ".0", so a key's JSON type never varies."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return json.dumps(value)
-    if isinstance(value, float):
-        text = f"{value:.17g}"
-        return text + ".0" if text.lstrip("-").isdigit() else text
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_fmt(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _emit(obj) -> None:
-    print(_fmt(obj))
-
-
 def _require(flag: str, value: int, lo: int, hi=None) -> None:
     """Reject a size flag outside [lo, hi] with an error that names the flag."""
     if value < lo or (hi is not None and value > hi):
@@ -88,15 +69,8 @@ def _require(flag: str, value: int, lo: int, hi=None) -> None:
 def _cmd_search(args) -> int:
     _require("--k", args.k, 1, MAX_EXACT_K)
     res = n2k_exact(args.k)
-    _emit(
-        {
-            "k": res.k,
-            "n_best": res.n_best,
-            "witnesses": [list(w) for w in res.witnesses],
-            "nodes_explored": res.nodes_explored,
-            "exhaustive": True,  # MAX_EXACT_K keeps every search complete
-        }
-    )
+    # MAX_EXACT_K keeps every search complete
+    print(json.dumps({**res._asdict(), "exhaustive": True}))
     return 0
 
 
@@ -107,22 +81,20 @@ def _cmd_construct(args) -> int:
     covered = n2(basis)
     coeff = lower_bound_coefficient(args.k)
     verified = covered >= r * r + 1
-    _emit(
-        {
-            "k": args.k,
-            "r": r,
-            "basis": list(basis),
-            "size": len(basis),
-            "claimed_n_lower": r * r + 1,
-            "verified_n": covered,
-            "verified": verified,
-            "coefficient": {
-                "numerator": coeff.numerator,
-                "denominator": coeff.denominator,
-                "value": float(coeff),
-            },
-        }
-    )
+    print(json.dumps({
+        "k": args.k,
+        "r": r,
+        "basis": list(basis),
+        "size": len(basis),
+        "claimed_n_lower": r * r + 1,
+        "verified_n": covered,
+        "verified": verified,
+        "coefficient": {
+            "numerator": coeff.numerator,
+            "denominator": coeff.denominator,
+            "value": float(coeff),
+        },
+    }))
     return 0 if verified else 1
 
 
@@ -131,19 +103,17 @@ def _cmd_bound_moser(args) -> int:
     coefficient = fourier1d.one_var_bound(alpha1, alpha2, S)
     c = Fraction(1, 2) - coefficient
     agrees = c == Fraction(1, 98)  # the published constant
-    _emit(
-        {
-            "c": directed_root(c, up=False),
-            "coefficient": directed_root(coefficient, up=True),
-            "coefficient_reported": ceil4(coefficient),
-            "linear_slack": "+k",
-            "balance_fraction": float(fourier1d.balance_fraction(alpha1, alpha2, S)),
-            "alpha1": float(alpha1),
-            "alpha2": float(alpha2),
-            "weight_sum": float(S),
-            "closed_form_agrees": agrees,
-        }
-    )
+    print(json.dumps({
+        "c": directed_root(c, up=False),
+        "coefficient": directed_root(coefficient, up=True),
+        "coefficient_reported": ceil4(coefficient),
+        "linear_slack": "+k",
+        "balance_fraction": float(fourier1d.balance_fraction(alpha1, alpha2, S)),
+        "alpha1": float(alpha1),
+        "alpha2": float(alpha2),
+        "weight_sum": float(S),
+        "closed_form_agrees": agrees,
+    }))
     return 0 if agrees else 1
 
 
@@ -151,19 +121,16 @@ def _cmd_bound_two_var(args) -> int:
     from . import fourier2d
 
     cert = certify(fourier2d.c_axial(SCALE[0]), fourier2d.c_main(SCALE[1]), route=args.route)
-    _emit(cert.to_json_dict())
+    print(json.dumps(cert.to_json_dict()))
     return 0 if cert.coefficient_upper < 0.5 else 1  # 1/2 is the trivial bound
 
 
-def constants_report(ax, mn):
-    """PASS/FAIL lines for the certified-constants reproduction.
-
-    ax, mn are the two enclosures; returns (all_ok, list of text lines).
-    Each enclosure must lie within its reference interval, widened by the
-    tolerance.
-    """
+def _cmd_verify_constants(args) -> int:
+    """Print one PASS/FAIL line per certified constant; each enclosure must
+    lie within its reference interval, widened by the tolerance."""
     from . import fourier2d
 
+    ax, mn = fourier2d.c_axial(SCALE[0]), fourier2d.c_main(SCALE[1])
     a2, a2_num = fourier2d.alpha2_exact(), fourier2d.alpha2_numeric()
     rows = [("alpha2", abs(a2_num - a2) < 1e-6,
              f"numeric minimum {a2_num:.9f} vs exact {a2:.9f}")]
@@ -186,18 +153,9 @@ def constants_report(ax, mn):
          f"lemma {lemma.rho_lower:.6f}, corner {corner.rho_lower:.6f}, "
          f"both >= {REF_RHO_FLOOR}"),
     ]
-    lines = [f"{'PASS' if ok else 'FAIL'} {label}: {detail}" for label, ok, detail in rows]
-    return all(ok for _, ok, _ in rows), lines
-
-
-def _cmd_verify_constants(args) -> int:
-    from . import fourier2d
-
-    ax, mn = fourier2d.c_axial(SCALE[0]), fourier2d.c_main(SCALE[1])
-    ok_all, lines = constants_report(ax, mn)
-    for text in lines:
-        print(text)
-    return 0 if ok_all else 1
+    for label, ok, detail in rows:
+        print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
+    return 0 if all(ok for _, ok, _ in rows) else 1
 
 
 def _cmd_verify_formulas(args) -> int:
@@ -228,11 +186,12 @@ def _lemma(delta: int, bound: float, tol: float = 0.0) -> dict:
 def _cmd_basis_stats(args) -> int:
     text = args.set.strip().strip("{}")
     elements = []
-    for tok in filter(str.strip, text.split(",")):
-        try:
-            elements.append(int(tok))
-        except ValueError:
-            raise ValueError(f"--set: {tok.strip()!r} is not an integer") from None
+    for tok in filter(None, map(str.strip, text.split(","))):
+        # a sign and ASCII digits: int() alone also takes "1_000" and non-ASCII digits
+        digits = tok[1:] if tok[0] in "+-" else tok
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"--set: {tok!r} is not an integer")
+        elements.append(int(tok))
     if not elements:
         raise ValueError("--set: empty basis")
     try:
@@ -268,7 +227,7 @@ def _cmd_basis_stats(args) -> int:
                 },
             }
         )
-    _emit(out)
+    print(json.dumps(out))
     return 0
 
 

@@ -35,10 +35,10 @@ i X^3 Q(X^2), with (P, Q) the tables _AXIS and _DIAG; off the diagonal
 where F has the same shape (table _EDGE) and G is the divided difference
 (g(X) - g(Y)) / (X - Y) of a polynomial g, summed from the complete
 homogeneous polynomials h_k = sum_i X^i Y^(k-i) (coefficients _G) so
-that nothing cancels next to the diagonal.  Two signs in the
-off-diagonal form (the D^2 Y^4 real term and the sign joining the
-imaginary block) are pinned by the independent quadrature oracle in the
-test suite, and by the r <-> s symmetry of the function.
+that nothing cancels next to the diagonal.  The test suite proves all
+three forms in sympy from phi_excess itself, by repeated integration by
+parts, on the exact tables through _form and _off_combine, and checks
+the float path against an independent quadrature oracle.
 
 Certified sums.  The axial sum over 0 < |r| <= N of the two axis
 coefficient magnitudes, and the main sum over concentric square shells

@@ -13,6 +13,7 @@ from additive_bases import cli
 from additive_bases.certify import REF_COEFFICIENT, certify
 from additive_bases.cli import SCALE, build_parser, main
 from additive_bases.fourier2d import _NEAR_AXIS, c_axial, c_main
+from additive_bases.sumsets import Basis, exp_sum_stats
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,6 +22,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _float_bits(doc) -> list:
+    """Every float in a JSON tree, in document order, as float.hex (its exact bits)."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [bits for item in doc for bits in _float_bits(item)]
+    return [doc.hex()] if isinstance(doc, float) else []
 
 
 def test_search_json(capsys):
@@ -81,9 +91,15 @@ def test_bound_two_var_fast_schema_and_formatting(capsys):
     assert dict(doc["c_main"])["N"] == 500
     assert doc["route"] == "corner"
     assert doc["coefficient_upper"] <= REF_COEFFICIENT
-    # floats carry 17 significant digits
-    alpha2_text = out.split('"alpha2": ')[1].split(",")[0]
-    assert len(alpha2_text.replace("-", "").replace(".", "")) == 17
+    # Every printed float reads back to the certificate's own double, bit
+    # for bit, on both routes.
+    ax, mn = c_axial(SCALE[0]), c_main(SCALE[1])
+    for route in ("corner", "lemma"):
+        code, out = run_cli(capsys, "bound", "two-var", "--route", route)
+        assert code == 0
+        printed = _float_bits(json.loads(out))
+        assert len(printed) == 12
+        assert printed == _float_bits(certify(ax, mn, route=route).to_json_dict())
 
 
 def test_bound_two_var_route_flag(capsys):
@@ -117,6 +133,9 @@ def test_basis_stats_full(capsys):
     # whole-valued floats (here every lemma bound) still parse back as floats
     assert isinstance(doc["M"], float)
     assert all(isinstance(check["bound"], float) for check in doc["inequalities"].values())
+    # M and mu read back to exp_sum_stats' own doubles, bit for bit
+    st = exp_sum_stats(Basis((0, 1, 3)), 5)
+    assert _float_bits([doc["M"], doc["mu"]]) == _float_bits([st.M, st.mu])
 
 
 @pytest.mark.parametrize(
@@ -198,6 +217,8 @@ def test_removed_flags_are_usage_errors(argv):
          f"--set: element {2**62} too large (limit 2^62)"),
         (["basis", "stats", "--set", ""], "--set: empty basis"),
         (["basis", "stats", "--set", ","], "--set: empty basis"),
+        (["basis", "stats", "--set", "0,1_000"], "--set: '1_000' is not an integer"),
+        (["basis", "stats", "--set", "0,\u0661"], "--set: '\u0661' is not an integer"),
     ],
 )
 def test_size_error_names_the_flag(capsys, argv, message):

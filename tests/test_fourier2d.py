@@ -344,16 +344,60 @@ def test_exact_tables_evaluate_in_mpmath(r1, r2):
         assert abs(got - ref) <= 8 * np.finfo(float).eps * abs(ref)
 
 
-def test_axis_form_is_exact_in_sympy():
-    # On a symbol, _form returns the axis polynomial in exact rationals:
-    # the imaginary lead is -60/7 itself, not the float nearest to it.
-    x = sympy.Symbol("x")
-    q = sympy.Rational
-    re, im = _form(_AXIS, x)
-    assert sympy.expand(re - q(15, 4) * x**2 * (1 - 6 * x**2 + 45 * x**4 - 135 * x**6)) == 0
-    lead = q(-60, 7) * x**3
-    assert sympy.expand(im - lead * (1 + q(63, 8) * x**2 - q(315, 8) * x**4 + q(945, 16) * x**6)) == 0
-    assert sympy.Poly(im, x).coeff_monomial(x**3) == q(-60, 7)
+def _antiderivative(q, t, inv):
+    """P with d/dt (P e^(c t)) = q e^(c t), for a polynomial q in t and inv = 1/c.
+
+    Integration by parts repeated until the derivative vanishes:
+    P = sum_k (-1)^k q^(k) inv^(k+1).  So int_lo^hi q e^(c t) dt is
+    P(hi) - P(lo) whenever e^(c lo) = e^(c hi) = 1, and sympy only ever
+    differentiates and integrates polynomials.
+    """
+    terms, k = [], 0
+    while q != 0:
+        terms.append((-1) ** k * q * inv ** (k + 1))
+        q, k = sympy.diff(q, t), k + 1
+    return sympy.expand(sympy.Add(*terms))
+
+
+def _ends(expr, t, lo, hi):
+    return expr.subs(t, hi) - expr.subs(t, lo)
+
+
+def test_closed_forms_are_proved_from_phi_excess():
+    # c(r, s) is the integral of excess(t1, t2) e^(a t1 + b t2) over R2,
+    # with a = -2 pi i r and b = -2 pi i s (the constant 1 integrates to
+    # 0 at any other frequency), so 1/a = i X / 2, 1/b = i Y / 2 and
+    # 1/(a - b) = i D / 2, where D = 1/(pi (r - s)) = X Y / (Y - X).  The
+    # excess is the code's own, read exactly; e^a = e^b = 1 at integers.
+    t1, t2, p = sympy.symbols("t1 t2 p")
+    X, Y = sympy.symbols("X Y", nonzero=True)
+    I = sympy.I
+    excess = _exact(phi_excess(t1, t2))
+
+    # Axis (r, 0): the row integral over t2 in [1 - t1, 1], then t1 in [0, 1].
+    row = sympy.integrate(excess, (t2, 1 - t1, 1))
+    axis = _ends(_antiderivative(row, t1, I * X / 2), t1, 0, 1)
+
+    # Diagonal (r, r): along p = t1 + t2 in [1, 2], with Q(p) the
+    # integral of the excess over t1 in [p - 1, 1].
+    Q = sympy.integrate(excess.subs(t2, p - t1), (t1, p - 1, 1))
+    diag = _ends(_antiderivative(Q, p, I * X / 2), p, 1, 2)
+
+    # Off the diagonal: over t2 in [1 - t1, 1] first, where the lower end
+    # carries e^(b (1 - t1)) = e^(-b t1); then over t1 in [0, 1], the
+    # upper end against e^(a t1), the lower against e^((a - b) t1).
+    D = X * Y / (Y - X)
+    inner = _antiderivative(excess, t2, I * Y / 2)
+    off = (_ends(_antiderivative(inner.subs(t2, 1), t1, I * X / 2), t1, 0, 1)
+           - _ends(_antiderivative(inner.subs(t2, 1 - t1), t1, I * D / 2), t1, 0, 1))
+
+    # The code's own evaluators on the exact tables, as re + i im.
+    for name, derived, (re, im) in (
+        ("axis", axis, _form(_AXIS, X)),
+        ("diagonal", diag, _form(_DIAG, X)),
+        ("off-diagonal", off, _off_combine(X, Y, _form(_EDGE, X), _form(_EDGE, Y), D * D, _G)),
+    ):
+        assert sympy.cancel(sympy.together(derived - (re + I * im))) == 0, name
 
 
 # ---------------------------------------------------------------------------
