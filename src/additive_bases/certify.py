@@ -46,6 +46,7 @@ REF_MAIN = (4.75145, 4.76146)
 REF_RHO0 = 0.04240
 REF_RHO_FLOOR = 0.0422
 REF_COEFFICIENT = 0.4789
+REF_CORNER_COEFFICIENT = 0.4788
 
 
 class BoundCertificate(NamedTuple):

@@ -40,6 +40,7 @@ from .certify import (
     KAPPA0,
     REF_AXIAL,
     REF_COEFFICIENT,
+    REF_CORNER_COEFFICIENT,
     REF_MAIN,
     REF_RHO0,
     REF_RHO_FLOOR,
@@ -147,8 +148,8 @@ def _cmd_verify_constants(args) -> int:
     rows += [
         ("final coefficient (lemma route)", c_lemma == REF_COEFFICIENT,
          f"{c_lemma} == {REF_COEFFICIENT}"),
-        ("final coefficient (corner route)", c_corner <= REF_COEFFICIENT,
-         f"{c_corner} <= {REF_COEFFICIENT}"),
+        ("final coefficient (corner route)", c_corner == REF_CORNER_COEFFICIENT,
+         f"{c_corner} == {REF_CORNER_COEFFICIENT}"),
         ("rho lower bounds", min(lemma.rho_lower, corner.rho_lower) >= REF_RHO_FLOOR,
          f"lemma {lemma.rho_lower:.6f}, corner {corner.rho_lower:.6f}, "
          f"both >= {REF_RHO_FLOOR}"),

@@ -38,7 +38,8 @@ homogeneous polynomials h_k = sum_i X^i Y^(k-i) (coefficients _G) so
 that nothing cancels next to the diagonal.  The test suite proves all
 three forms in sympy from phi_excess itself, by repeated integration by
 parts, on the exact tables through _form and _off_combine, and checks
-the float path against an independent quadrature oracle.
+the float path against the same tables run at 50 digits and against an
+independent quadrature oracle.
 
 Certified sums.  The axial sum over 0 < |r| <= N of the two axis
 coefficient magnitudes, and the main sum over concentric square shells
@@ -488,7 +489,7 @@ def c_axial(N: int) -> ConstantInterval:
     r = 1..N.  |c(-r, 0)| = |c(r, 0)| bit for bit: X flips sign exactly,
     re is even in X and im odd; the last two follow by the axis symmetry.
     So the fold is 4 * fsum over r > 0, as the scaling by 4 is exact.
-    Two-sided tail from tail_constants; rounding slack counts all 4N terms.
+    Two-sided tail from _axis_constants; rounding slack counts all 4N terms.
     """
     N = operator.index(N)
     if N < 1:

@@ -17,6 +17,7 @@ from additive_bases.certify import (
     KAPPA0,
     REF_AXIAL,
     REF_COEFFICIENT,
+    REF_CORNER_COEFFICIENT,
     REF_MAIN,
     REF_RHO0,
     REF_RHO_FLOOR,
@@ -188,7 +189,7 @@ def test_criterion_9_final_theorem(full_scale_intervals):
     # The anchor-plus-lemma route reproduces the published coefficient;
     # the pessimal-corner route is strictly sharper by one decimal step.
     ok &= lemma.coefficient_upper == REF_COEFFICIENT
-    ok &= corner.coefficient_upper == 0.4788
+    ok &= corner.coefficient_upper == REF_CORNER_COEFFICIENT
     ok &= corner.coefficient_upper <= REF_COEFFICIENT
     _report(9, f"rho >= {REF_RHO_FLOOR} on both routes; coefficients corner "
             f"{corner.coefficient_upper} / lemma {lemma.coefficient_upper}",

@@ -240,9 +240,18 @@ def test_verify_constants_full_scale_report(capsys):
         "within (4.75145, 4.76146)",
         "PASS rho0 at anchors: rho(9.48617, 2.90289) = 0.0424027 > 0.0424",
         "PASS final coefficient (lemma route): 0.4789 == 0.4789",
-        "PASS final coefficient (corner route): 0.4788 <= 0.4789",
+        "PASS final coefficient (corner route): 0.4788 == 0.4788",
         "PASS rho lower bounds: lemma 0.042237, corner 0.042425, both >= 0.0422",
     ]
+
+
+def test_verify_constants_fails_a_corner_route_that_slips_a_decimal(capsys, monkeypatch):
+    # At c_main(60) the corner route certifies 0.4789: within the
+    # published REF_COEFFICIENT, but one decimal step off its own.
+    monkeypatch.setattr(cli, "SCALE", (5000, 60))
+    code, out = run_cli(capsys, "verify", "constants")
+    assert code == 1
+    assert "FAIL final coefficient (corner route): 0.4789 == 0.4788" in out.splitlines()
 
 
 @pytest.mark.parametrize(

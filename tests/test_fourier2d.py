@@ -1,12 +1,10 @@
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 from mpmath import mp
-from scipy.integrate import quad
 
 from additive_bases import fourier2d
 from additive_bases.cli import SCALE
@@ -203,17 +201,6 @@ def test_quadrature_oracle_keeps_1024_nodes_from_rmax_31(rmax, monkeypatch):
     assert nodes == [992 if rmax == 30 else 1024]
 
 
-def test_axis_coefficient_explicit_form():
-    # real and imaginary parts of the r = 1 axis coefficient
-    p = math.pi
-    re = 15 / (4 * p**2) * (1 - 6 / p**2 + 45 / p**4 - 135 / p**6)
-    im = -(60 / (7 * p**3)) * (1 + 63 / (8 * p**2) - 315 / (8 * p**4) + 945 / (16 * p**6))
-    got = coeff(1, 0)
-    assert got.real == pytest.approx(re, abs=1e-15)
-    assert got.imag == pytest.approx(im, abs=1e-15)
-    assert coeff(0, 1) == got
-
-
 def test_integer_arguments_fail_loud():
     # Frequencies and truncations are integers: a float is an error, not
     # a value truncated (coeff) or carried into the interval (c_axial),
@@ -241,65 +228,41 @@ def test_coefficient_symmetries():
         assert abs(coeff(-r1, -r2) - a.conjugate()) < 1e-12
 
 
+def _mpf(q):
+    """The exact rational q at the current mpmath precision."""
+    assert isinstance(q, Fraction)
+    return mp.mpf(q.numerator) / q.denominator
+
+
 with mp.workdps(50):
-    _MP_PI_POWERS = [mp.pi**k for k in range(10)]
+    _MP_AXIS, _MP_DIAG, _MP_EDGE = (tuple(tuple(map(_mpf, part)) for part in table)
+                                    for table in (_AXIS, _DIAG, _EDGE))
+    _MP_G = tuple(map(_mpf, _G))
 
 
-def _reference_magnitude(r1, r2):
-    """|c(r1, r2)| at 50 digits, from the unscaled closed forms in 1/r."""
-    p = _MP_PI_POWERS
-    with mp.workdps(50):
-        if r1 == 0 or r2 == 0:
-            x = 1 / mp.mpf(r1 or r2)
-            x2, x3 = x * x, x**3
-            re = 15 / (4 * p[2]) * x2 * (
-                1 - 6 / p[2] * x2 + 45 / p[4] * x2**2 - 135 / p[6] * x2**3
-            )
-            im = -60 / (7 * p[3]) * x3 * (
-                1 + 63 / (8 * p[2]) * x2 - 315 / (8 * p[4]) * x2**2 + 945 / (16 * p[6]) * x2**3
-            )
-        elif r1 == r2:
-            x = 1 / mp.mpf(r1)
-            x2, x3 = x * x, x**3
-            re = 10 / p[2] * x2 * (
-                1 - 21 / p[2] * x2 + 315 / (2 * p[4]) * x2**2 - 945 / (2 * p[6]) * x2**3
-            )
-            im = 55 / p[3] * x3 * (
-                1 - 126 / (11 * p[2]) * x2 + 630 / (11 * p[4]) * x2**2 - 945 / (11 * p[6]) * x2**3
-            )
-        else:
-            x, y = 1 / mp.mpf(r1), 1 / mp.mpf(r2)
-
-            def mixed(n):  # sum of x^i y^(n-i) over 0 < i < n
-                return sum(x**i * y ** (n - i) for i in range(1, n))
-
-            re = (
-                -1575 / (4 * p[8]) * (x**6 + y**6)
-                + 525 / (4 * p[6]) * (x**4 + y**4)
-                - 35 / (2 * p[4]) * (x**2 + y**2)
-                + 225 / (2 * p[8]) * mixed(6)
-                - 75 / (2 * p[6]) * mixed(4)
-                + 5 / p[4] * mixed(2)
-            )
-            im = (
-                -1575 / (4 * p[9]) * (x**7 + y**7)
-                + 525 / (2 * p[7]) * (x**5 + y**5)
-                - 105 / (2 * p[5]) * (x**3 + y**3)
-                + 225 / (2 * p[9]) * mixed(7)
-                - 75 / p[7] * mixed(5)
-                + 15 / p[5] * mixed(3)
-            )
-            q = 1 / (mp.mpf(r1) - r2) ** 2
-            re, im = q * re, q * im
-        return mp.sqrt(re * re + im * im)
+def _reference(r1, r2):
+    """c(r1, r2) from the exact tables, read at 50 digits, through the code's
+    own _form and _off_combine, with X = 1/(pi r1), Y = 1/(pi r2) and
+    D = 1/(pi (r1 - r2)) taken in mpmath, not from _scaled or _PI."""
+    x, y = (1 / (mp.pi * r) if r else None for r in (r1, r2))
+    if x is None or y is None:
+        re, im = _form(_MP_AXIS, x or y)
+    elif r1 == r2:
+        re, im = _form(_MP_DIAG, x)
+    else:
+        d = 1 / (mp.pi * (r1 - r2))
+        re, im = _off_combine(x, y, _form(_MP_EDGE, x), _form(_MP_EDGE, y), d * d, _MP_G)
+    return mp.mpc(re, im)
 
 
 def test_closed_forms_audit_against_50_digit_reference():
-    # Every float |c| the sums use lies within 8 eps (relative) of the
-    # 50-digit reference: whole shells R <= 50 (right side, diagonal
-    # last, as _shell_sums evaluates them), the axis |r| <= 50, a
-    # seeded sample with |r|, |s| <= 4000, and (4000, 4000 - j) next to
-    # the diagonal, where a difference quotient for G would cancel.
+    # The proof below fixes what the exact tables, _form and _off_combine
+    # compute; this holds the float path to them.  Every float |c| the
+    # sums use lies within 8 eps (relative) of the 50-digit reference:
+    # whole shells R <= 50 (right side, diagonal last, as _shell_sums
+    # evaluates them), the axis |r| <= 50, a seeded sample with |r|,
+    # |s| <= 4000, and (4000, 4000 - j) next to the diagonal, where a
+    # difference quotient for G would cancel.
     # The audit reads _off_values; c_main sums the table kernel
     # _shell_sums, which hands table values to the same _off_combine and
     # whose shell sums test_shell_kernel_matches_scalar_path_bit_for_bit
@@ -320,28 +283,19 @@ def test_closed_forms_audit_against_50_digit_reference():
     checked += zip([4000] * 40, (4000 - j).tolist(), np.hypot(*_off_values(4000, 4000 - j)).tolist())
     assert len(checked) == 2550 + 100 + 500 + 40
     eps = np.finfo(float).eps
-    for r1, r2, got in checked:
-        ref = _reference_magnitude(r1, r2)
-        assert abs(got - ref) <= 8 * eps * ref, (r1, r2, float(abs(got - ref) / ref / eps))
+    with mp.workdps(50):
+        for r1, r2, got in checked:
+            ref = abs(_reference(r1, r2))
+            assert abs(got - ref) <= 8 * eps * ref, (r1, r2, float(abs(got - ref) / ref / eps))
 
 
 @pytest.mark.parametrize("r1, r2", [(3, 0), (0, -3), (5, 5), (3, -7), (4000, 3999)])
 def test_exact_tables_evaluate_in_mpmath(r1, r2):
-    # _form and _off_combine are plain arithmetic, so the exact tables run
-    # through them on 40-digit scalars; the float path, which reads the
-    # float copies, agrees to the audit's 8 eps.
-    with mp.workdps(40):
-        x, y = (1 / (mp.pi * r) if r else None for r in (r1, r2))
-        if x is None or y is None:
-            re, im = _form(_AXIS, x or y)
-        elif r1 == r2:
-            re, im = _form(_DIAG, x)
-        else:
-            d = 1 / (mp.pi * (r1 - r2))
-            re, im = _off_combine(x, y, _form(_EDGE, x), _form(_EDGE, y), d * d, _G)
-        ref = mp.mpc(re, im)
-        got = coeff(r1, r2)
-        assert abs(got - ref) <= 8 * np.finfo(float).eps * abs(ref)
+    # The complex value coeff returns, one point per form and both axes,
+    # lies within the audit's 8 eps of the 50-digit reference.
+    with mp.workdps(50):
+        ref = _reference(r1, r2)
+        assert abs(coeff(r1, r2) - ref) <= 8 * np.finfo(float).eps * abs(ref)
 
 
 def _antiderivative(q, t, inv):
@@ -398,75 +352,6 @@ def test_closed_forms_are_proved_from_phi_excess():
         ("off-diagonal", off, _off_combine(X, Y, _form(_EDGE, X), _form(_EDGE, Y), D * D, _G)),
     ):
         assert sympy.cancel(sympy.together(derived - (re + I * im))) == 0, name
-
-
-# ---------------------------------------------------------------------------
-# Analytic identities behind the decay estimates: row integral and
-# boundary derivatives of the excess
-# ---------------------------------------------------------------------------
-
-
-def excess_row_integral(t1):
-    """Closed form of integral_{1-t1}^{1} (phi - 1)(t1, t2) dt2.
-
-    A cubic-plus-degree-9 polynomial in (1 - t1); its full integral over
-    [0, 1] is -1, which is what makes the function zero-mean.
-    """
-    u = 1.0 - np.asarray(t1, dtype=float)
-    out = -15.0 * u + (240.0 / 7.0) * u**2 - 20.0 * u**3 + (5.0 / 7.0) * u**9
-    return float(out) if out.ndim == 0 else out
-
-
-def test_excess_row_integral_matches_quadrature():
-    for t1 in np.linspace(0.0, 1.0, 100):
-        direct, err = quad(lambda t2: phi_excess(t1, t2), 1.0 - t1, 1.0, epsabs=1e-13)
-        assert abs(direct - excess_row_integral(t1)) < 1e-10
-        assert err < 1e-11
-
-
-def fd_weights(order, offsets, h):
-    """Stencil weights exact for polynomials of degree < len(offsets).
-
-    The excess is polynomial of degree 7 per variable, so 9-point stencils
-    differentiate it exactly; only rounding error remains.
-    """
-    pts = np.asarray(offsets, dtype=float) * h
-    n = len(pts)
-    A = np.vander(pts, n, increasing=True).T
-    b = np.zeros(n)
-    b[order] = math.factorial(order)
-    return np.linalg.solve(A, b)
-
-
-def fd_mixed(f, x, y, dx_order, dy_order, h=0.05):
-    offs = range(-4, 5)
-    wx = fd_weights(dx_order, offs, h)
-    wy = fd_weights(dy_order, offs, h)
-    total = 0.0
-    for i, oi in enumerate(offs):
-        for j, oj in enumerate(offs):
-            total += wx[i] * wy[j] * f(x + oi * h, y + oj * h)
-    return total
-
-
-def test_boundary_derivative_profiles():
-    ts = np.linspace(0.02, 0.98, 25)
-    for t in ts:
-        # first derivative in t2 along the diagonal boundary
-        g1 = fd_mixed(phi_excess, t, 1.0 - t, 0, 1)
-        assert abs(g1 - (-240.0 * t * (1.0 - t))) < 1e-6
-        # mixed second derivative along the diagonal boundary
-        g2 = fd_mixed(phi_excess, t, 1.0 - t, 1, 1)
-        assert abs(g2 - 240.0 * (1.0 + 5.0 * t * (1.0 - t))) < 1e-6
-        # mixed second derivative along t2 = 1
-        h2 = fd_mixed(phi_excess, t, 1.0, 1, 1)
-        assert abs(h2 - (-40.0 + 280.0 * (1.0 - t) ** 6)) < 1e-6
-        # third derivative (t1 once, t2 twice) along the diagonal boundary
-        g3 = fd_mixed(phi_excess, t, 1.0 - t, 1, 2)
-        assert abs(g3 - 240.0 * (-12.0 - 15.0 * t + 20.0 * t * t)) < 1e-6
-        # same derivative along t1 = 1
-        h3 = fd_mixed(phi_excess, 1.0, t, 1, 2)
-        assert abs(h3 - (-1680.0 * (1.0 - t) ** 5)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +558,6 @@ def test_shell_lattice_structure():
         assert np.all(np.maximum(np.abs(r1), np.abs(r2)) == R)
         assert np.all(np.minimum(np.abs(r1), np.abs(r2)) != 0)
         assert len({(a, b) for a, b in zip(r1.tolist(), r2.tolist())}) == r1.size
-
-
-def _mpf(q):
-    """The exact rational q at the current mpmath precision."""
-    assert isinstance(q, Fraction)
-    return mp.mpf(q.numerator) / q.denominator
 
 
 def _mp_tail_constants(N):

@@ -53,8 +53,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_certificate_modules_load_no_proof_tools():
-    # The sympy proofs and the mpmath and scipy checks stay in the tests:
-    # the modules that compute the certificate import none of them.
+    # The sympy proofs and the mpmath checks stay in the tests: the
+    # modules that compute the certificate import neither, nor scipy.
     loaded = _loaded_in_child("additive_bases.fourier2d, additive_bases.certify",
                               ("scipy", "sympy", "mpmath"))
     assert loaded == "[]"
