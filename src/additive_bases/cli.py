@@ -18,11 +18,15 @@ vacuous, coefficient_upper >= 1/2, no better than the trivial bound),
 and 2 with an "error: ..." line on stderr for bad input (a size too
 large to allocate, too) or a file that cannot be written.  Shell sums
 run in one fixed order (see fourier2d), so repeated runs print identical
-bits.  Importing this module loads no numpy: the array commands import
-fourier2d (and numpy) when they run.  `basis stats` imports numpy only
-for a spectrum of more than sumsets.DIRECT_TERMS terms, such as
-Rohrbach's k = 400 basis at its covering radius 40001; smaller ones, a
-basis typed in by hand among them, are summed without it.  The package's
+bits.  No import of this module, and no run of `search`, `construct`,
+`bound` or `verify constants`, loads numpy: the certificate runs on the
+standard library.  `verify formulas` and `dump phi` import it through
+fourier2d when they run, and `basis stats` only for a spectrum of more
+than sumsets.DIRECT_TERMS terms, such as Rohrbach's k = 400 basis at its
+covering radius 40001; smaller ones, a basis typed in by hand among
+them, are summed without it.  main sets OPENBLAS_NUM_THREADS to 1 unless
+it is set already, before anything imports numpy: no command uses
+OpenBLAS's threads, and starting them is half of numpy's import.  The package's
 records are NamedTuples, and a basis is sumsets.Basis, a tuple subclass
 whose __new__ sorts and validates its elements, so start-up loads none
 of inspect, ast, dis or tokenize.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -56,7 +61,9 @@ from .sumsets import Basis, exp_sum_stats, n2, rep_profile
 
 # The (n_axial, n_main) truncation of the certificate.  With the derived
 # two-sided tails it passes every check with margin (the smallest values
-# that do are 152 and 161).
+# that do are 152 and 161).  n_main could fall to about 200, but the
+# benchmark pins c_main's term count at 4 * 500^2, so it stays at 500
+# until the benchmark changes with it.
 SCALE = (5000, 500)
 
 
@@ -293,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # a value the caller set wins
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -33,13 +33,15 @@ i X^3 Q(X^2), with (P, Q) the tables _AXIS and _DIAG; off the diagonal
     c(r, s) = D^2 (F(X) + F(Y) + X Y G[X, Y]),
 
 where F has the same shape (table _EDGE) and G is the divided difference
-(g(X) - g(Y)) / (X - Y) of a polynomial g, summed from the complete
-homogeneous polynomials h_k = sum_i X^i Y^(k-i) (coefficients _G) so
-that nothing cancels next to the diagonal.  The test suite proves all
-three forms in sympy from phi_excess itself, by repeated integration by
-parts, on the exact tables through _form and _off_combine, and checks
-the float path against the same tables run at 50 digits and against an
-independent quadrature oracle.
+(g(X) - g(Y)) / (X - Y) of a polynomial g, the sum of the complete
+homogeneous polynomials h_k = sum_i X^i Y^(k-i) with coefficients _G.
+At a fixed X the whole form is one polynomial in Y for each of re and
+im (_off_expansion), whose coefficients are polynomials in X alone, so
+nothing cancels next to the diagonal.  The test suite proves all three
+forms in sympy from phi_excess itself, by repeated integration by parts,
+on the exact tables through _form and _off_form, and checks the float
+path, the shell kernel's own terms among it, against the same tables
+run at 50 digits and against an independent quadrature oracle.
 
 Certified sums.  The axial sum over 0 < |r| <= N of the two axis
 coefficient magnitudes, and the main sum over concentric square shells
@@ -55,22 +57,27 @@ each rounded outward by directed_root.  Since phi is real and symmetric,
 |c(r, s)| = |c(s, r)| = |c(-r, -s)|, so each shell is evaluated on its
 right side alone and expanded to the whole shell (_shell_sums).  The
 slack still counts all 4N^2 lattice terms.
+
+The certificate runs on the standard library: the sums use math.hypot
+and math.fsum, and the shell kernel (_shell_terms) evaluates the
+Y-polynomials of shell R once per pair (R, s), (R, -s), whose terms
+share the even and odd parts in Y.  numpy is imported only by phi, the
+quadrature oracle and phi_grid_csv.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .certify import directed_root
 
-_PI = np.pi
+_PI = math.pi
 
-_EPS = float(np.finfo(np.float64).eps)
+_EPS = sys.float_info.epsilon
 
 # Continued-fraction convergents with _PI_LO < pi < _PI_HI, for the
 # derived truncation tails.
@@ -90,6 +97,8 @@ def phi_excess(t1, t2):
 
 def phi(t1, t2):
     """The test function on the torus; inputs are reduced mod 1 into [0, 1)^2."""
+    import numpy as np
+
     t1 = np.mod(np.asarray(t1, dtype=float), 1.0)
     t2 = np.mod(np.asarray(t2, dtype=float), 1.0)
     out = np.where(t1 + t2 < 1.0, 1.0, 1.0 + phi_excess(t1, t2))
@@ -124,13 +133,14 @@ def alpha2_numeric() -> float:
 
 # ---------------------------------------------------------------------------
 # Closed-form coefficients, Horner polynomials in X = 1/(pi r); valid for
-# negative arguments.
+# negative arguments.  Plain arithmetic, so they run on floats, on numpy
+# arrays, and on the exact tables with sympy symbols or mpmath scalars.
 # ---------------------------------------------------------------------------
 
 
 def _scaled(r):
-    """The scaled frequency 1 / (pi r) for a nonzero integer array r."""
-    return 1.0 / (_PI * np.asarray(r, dtype=float))
+    """The scaled frequency 1 / (pi r) for a nonzero integer r, or an integer array."""
+    return 1.0 / (_PI * r)
 
 
 # Exact coefficient tables (P, Q), lowest degree first, of the forms
@@ -146,68 +156,91 @@ _EDGE = ((Fraction(-35, 2), Fraction(525, 4), Fraction(-1575, 4)),
          (Fraction(-105, 2), Fraction(525, 2), Fraction(-1575, 4)))
 _G = (Fraction(5), Fraction(15), Fraction(-75, 2), Fraction(-75),
       Fraction(225, 2), Fraction(225, 2))
+
+
+def _floats(table):
+    """The float copy of a (nested) tuple of Fractions, each rounded to nearest."""
+    return tuple(map(_floats, table)) if isinstance(table, tuple) else float(table)
+
+
 # Every entry but -60/7 is dyadic, so its float copy is exact; -60/7 is
 # rounded once, to nearest (the one inexact coefficient the floats carry).
-_AXIS_F, _DIAG_F, _EDGE_F, _G_F = (np.array(t, dtype=float) for t in (_AXIS, _DIAG, _EDGE, _G))
+_AXIS_F, _DIAG_F, _EDGE_F, _G_F = map(_floats, (_AXIS, _DIAG, _EDGE, _G))
+
+
+def _horner(coeffs, x):
+    """coeffs[0] + coeffs[1] x + coeffs[2] x^2 + ..., by Horner's rule."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = c + x * acc
+    return acc
 
 
 def _form(table, X):
     """X^2 P(X^2) + i X^3 Q(X^2) as (re, im), by Horner in X^2, for table = (P, Q)."""
+    P, Q = table
     X2 = X * X
-    parts = []
-    for coeffs in table:
-        acc = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            acc = c + X2 * acc
-        parts.append(acc)
-    return X2 * parts[0], (X2 * X) * parts[1]
+    return X2 * _horner(P, X2), (X2 * X) * _horner(Q, X2)
 
 
 def _axis_values(r):
-    """Coefficient at (r, 0) for nonzero integer array r; equals (0, r)."""
+    """Coefficient at (r, 0) for nonzero integer r; equals (0, r)."""
     return _form(_AXIS_F, _scaled(r))
 
 
 def _diag_values(r):
-    """Coefficient at (r, r) for nonzero integer array r."""
+    """Coefficient at (r, r) for nonzero integer r."""
     return _form(_DIAG_F, _scaled(r))
 
 
-def _off_edge(X):
-    """The one-variable part F(X) of the off-diagonal form, as (re, im)."""
-    return _form(_EDGE_F, X)
+def _off_expansion(X, edge=_EDGE_F, g=_G_F) -> tuple:
+    """The off-diagonal form F(X) + F(Y) + X Y G[X, Y] at a fixed X, as
+    polynomials in Y: coefficient tuples (A, B, C, E) in Y^2, lowest degree
+    first, with
 
+        re = A(Y^2) + Y B(Y^2),    im = C(Y^2) + Y E(Y^2).
 
-def _off_combine(X, Y, fx, fy, d2, table=_G_F):
-    """D^2 (F(X) + F(Y) + X Y G[X, Y]) as (re, im), from F(X), F(Y), D^2 and
-    the table of G's coefficients (the float copy, or _G itself on scalars).
-
-    The divided difference G is summed from the complete homogeneous
-    h_k = Y h_(k-1) + X^k, never as a difference quotient, which would
-    cancel next to the diagonal.  Plain arithmetic, so it runs on numpy
-    arrays and on mpmath or sympy scalars alike.
+    G = sum_k g_k h_k with h_k = sum_i X^(k-i) Y^i, so X Y h_k holds
+    X^(k+1-i) Y^(i+1) for i = 0..k.  With the tails T_k = g_k + X^2 T_(k+2)
+    of G's even (real) and odd (imaginary) coefficients, X Y G puts X T_k
+    at Y^(k+1) and, for k >= 1, X^2 T_k at Y^k; F(Y) = Y^2 P(Y^2) + i Y^3
+    Q(Y^2) adds P at Y^2, Y^4, Y^6 and Q at Y^3, Y^5, Y^7, and F(X) is the
+    constant term.  Every coefficient is a polynomial in X alone, so nothing
+    cancels next to the diagonal, where a difference quotient (g(X) -
+    g(Y)) / (X - Y) for G would.  Takes the float tables by default, or
+    the exact ones.
     """
-    g0, g1, g2, g3, g4, g5 = table
+    (p0, p1, p2), (q0, q1, q2) = edge
+    g0, g1, g2, g3, g4, g5 = g
+    fx_re, fx_im = _form(edge, X)
     X2 = X * X
-    h1 = X + Y
-    h2 = Y * h1 + X2
-    h3 = Y * h2 + X2 * X
-    h4 = Y * h3 + X2 * X2
-    h5 = Y * h4 + X2 * X2 * X
-    XY = X * Y
-    re = ((g2 * h2 + g0 + g4 * h4) * XY + (fx[0] + fy[0])) * d2
-    im = ((g1 * h1 + g3 * h3 + g5 * h5) * XY + (fx[1] + fy[1])) * d2
-    return re, im
+    t4 = g4
+    t2 = g2 + X2 * t4
+    t0 = g0 + X2 * t2
+    t5 = g5
+    t3 = g3 + X2 * t5
+    t1 = g1 + X2 * t3
+    return ((fx_re, p0 + X2 * t2, p1 + X2 * t4, p2),
+            (X * t0, X * t2, X * t4),
+            (fx_im, X * t1, X * t3, X * t5),
+            (X2 * t1, q0 + X2 * t3, q1 + X2 * t5, q2))
+
+
+def _off_form(X, Y, d2, edge=_EDGE_F, g=_G_F):
+    """D^2 (F(X) + F(Y) + X Y G[X, Y]) as (re, im), from X, Y and D^2, by
+    _off_expansion at X and Horner in Y^2; the float tables by default, or
+    the exact ones."""
+    A, B, C, E = _off_expansion(X, edge, g)
+    Y2 = Y * Y
+    return ((_horner(A, Y2) + Y * _horner(B, Y2)) * d2,
+            (_horner(C, Y2) + Y * _horner(E, Y2)) * d2)
 
 
 def _off_values(r, s):
-    """Coefficient at (r, s), r != s, both nonzero; symmetric in (r, s).
-
-    _off_combine with X = 1/(pi r), Y = 1/(pi s) and D = 1 / (pi (r - s)).
-    """
-    X, Y = _scaled(r), _scaled(s)
-    D = 1.0 / (_PI * (np.asarray(r, dtype=float) - np.asarray(s, dtype=float)))
-    return _off_combine(X, Y, _off_edge(X), _off_edge(Y), D * D)
+    """Coefficient at (r, s), r != s, both nonzero: _off_form at X = 1/(pi r),
+    Y = 1/(pi s) and D = 1/(pi (r - s))."""
+    D = _scaled(r - s)
+    return _off_form(_scaled(r), _scaled(s), D * D)
 
 
 def coeff(r1: int, r2: int) -> complex:
@@ -241,6 +274,8 @@ def _gauss_panels(panels: int):
 
     The given number of equal panels, 8 nodes each.
     """
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(0.0, 1.0, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -250,7 +285,7 @@ def _gauss_panels(panels: int):
     return nodes, weights
 
 
-def coeff_quadrature(rmax: int) -> np.ndarray:
+def coeff_quadrature(rmax: int):
     """Direct numerical Fourier coefficients of phi on max(|r1|, |r2|) <= rmax.
 
     Independent of the closed forms: integrates phi * exp(-2 pi i (r1 t1
@@ -274,6 +309,8 @@ def coeff_quadrature(rmax: int) -> np.ndarray:
     Returns the (2 rmax + 1) x (2 rmax + 1) complex array whose entry
     [r1 + rmax, r2 + rmax] is the coefficient at (r1, r2).
     """
+    import numpy as np
+
     t, w = _gauss_panels(min(128, 4 * (rmax + 1)))
     t1, s = t[:, None], t[None, :]
     r = np.arange(-rmax, rmax + 1)
@@ -494,44 +531,61 @@ def c_axial(N: int) -> ConstantInterval:
     N = operator.index(N)
     if N < 1:
         raise ValueError("N must be positive")
-    m = np.hypot(*_axis_values(np.arange(1, N + 1, dtype=np.int64))).tolist()
-    return _interval(4 * math.fsum(m), 4 * N, _axis_constants(N), N)
+    total = math.fsum(math.hypot(*_axis_values(r)) for r in range(1, N + 1))
+    return _interval(4 * total, 4 * N, _axis_constants(N), N)
+
+
+def _shell_tables(N: int) -> tuple:
+    """(y, d2) with y[m] = 1/(pi m) and d2[m] = y[m]^2 for m = 1..2N: every
+    Y = 1/(pi s) and D^2 = 1/(pi (R - s))^2 of the shells R <= N.  Slot 0
+    is never read."""
+    y = [0.0, *map(_scaled, range(1, 2 * N + 1))]
+    return y, [v * v for v in y]
+
+
+def _shell_terms(R: int, y: list, d2: list) -> list:
+    """The 2R terms |c(R, s)| of shell R's right side, s in [-R, R] \\ {0},
+    in the order s = 1, -1, 2, -2, ..., R - 1, 1 - R, then -R and R.
+
+    y and d2 are the tables of _shell_tables, for any N >= R.  At X = y[R],
+    _off_expansion gives re = A(Y^2) + Y B(Y^2) and im = C(Y^2) + Y E(Y^2),
+    and Y = 1/(pi s) flips sign exactly with s, so one evaluation of the
+    four parts at Y = y[s], by the Horner steps of _off_form, gives both
+    terms of the pair +-s: D^2 = d2[R -+ s] times the even part +- the odd
+    part.  The term s = -R and the diagonal point s = R are evaluated on
+    their own.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2), (c0, c1, c2, c3), (e0, e1, e2, e3) = _off_expansion(y[R])
+    hypot = math.hypot
+    terms = []
+    for Y, d2_minus, d2_plus in zip(y[1:R], d2[R - 1 : 0 : -1], d2[R + 1 : 2 * R]):
+        Y2 = Y * Y
+        re = a0 + Y2 * (a1 + Y2 * (a2 + Y2 * a3))
+        re_odd = Y * (b0 + Y2 * (b1 + Y2 * b2))
+        im = c0 + Y2 * (c1 + Y2 * (c2 + Y2 * c3))
+        im_odd = Y * (e0 + Y2 * (e1 + Y2 * (e2 + Y2 * e3)))
+        terms += (hypot((re + re_odd) * d2_minus, (im + im_odd) * d2_minus),
+                  hypot((re - re_odd) * d2_plus, (im - im_odd) * d2_plus))
+    terms += (hypot(*_off_values(R, -R)), hypot(*_diag_values(R)))
+    return terms
 
 
 def _shell_sums(N: int) -> list:
     """Sums of |c| over the shells R = 1..N, in ascending R.
 
-    Shell R is evaluated on its right side alone: the 2R terms at
-    (R, s) for s ascending over [-R, R] \\ {0}, so (R, -R) comes first
-    and the diagonal point (R, R) last.  The left side mirrors it through
-    (r, s) -> (-r, -s), and the top and bottom sides through
-    (r, s) -> (s, r) minus the two corners they do not own, hence the
-    shell sum 4 * right - 2 * (right[-1] + right[0]).
-
-    Of the off-diagonal form on shell R, Y, F(Y) and D^2 depend on s or
-    on R - s alone, so they are built once as tables: entry N + s of y,
-    and column N + s of f, hold Y = 1/(pi s) and F(Y) for s = -N..N, with
-    Y = F = 0 in the slot s = 0, whose term is dropped; entry 2N - m of
-    d2 holds D^2 = (1/(pi m))^2 for m = 1..2N; diag[R - 1] is |c(R, R)|.
-    Shell R reads the contiguous slices s = -R..R-1 and m = 2R..1 and
-    writes to none, so only the h_k recursion, G, the combination and
-    the hypot run per term.  Every term keeps the bits of the scalar path
-    np.hypot(*_off_values(R, s)): the tables apply the same elementwise
-    formulas to the same arguments (R - s is exact in floats), and both
-    paths hand them to the one combination _off_combine.
+    Shell R is evaluated on its right side alone, the 2R terms of
+    _shell_terms.  The left side mirrors it through (r, s) -> (-r, -s),
+    and the top and bottom sides through (r, s) -> (s, r) minus the two
+    corners they do not own, so the shell sum is 4 * right - 2 (|c(R, -R)|
+    + |c(R, R)|): math.fsum of the terms less the two corners' halves,
+    times 4, correctly rounded, as the halving and the scaling are exact.
     """
-    y = np.concatenate([_scaled(np.arange(-N, 0)), [0.0], _scaled(np.arange(1, N + 1))])
-    f = np.array(_off_edge(y))
-    d = _scaled(np.arange(2 * N, 0, -1))
-    d2 = d * d
-    diag = np.hypot(*_diag_values(np.arange(1, N + 1)))
+    y, d2 = _shell_tables(N)
     sums = []
     for R in range(1, N + 1):
-        row = slice(N - R, N + R)
-        re, im = _off_combine(y[N + R], y[row], f[:, N + R], f[:, row], d2[2 * N - 2 * R :])
-        mags = np.hypot(re, im)
-        right = np.concatenate([mags[:R], mags[R + 1 :], diag[R - 1 : R]])
-        sums.append(4.0 * float(np.add.reduce(right)) - 2.0 * float(right[-1] + right[0]))
+        terms = _shell_terms(R, y, d2)
+        terms += (-0.5 * terms[-2], -0.5 * terms[-1])
+        sums.append(4.0 * math.fsum(terms))
     return sums
 
 
@@ -556,6 +610,8 @@ def phi_grid_csv(path, m: int) -> None:
     """
     if m < 2:
         raise ValueError("grid too small")
+    import numpy as np
+
     t = np.arange(m, dtype=float) / m
     with open(path, "w") as fh:
         fh.write("t1,t2,phi\n")

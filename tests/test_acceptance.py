@@ -34,7 +34,8 @@ from additive_bases.fourier1d import moser_bounds, one_var_bound
 from additive_bases.fourier2d import (
     _NEAR_AXIS,
     _axis_values,
-    _shell_sums,
+    _diag_values,
+    _off_values,
     alpha2_exact,
     alpha2_numeric,
     c_axial,
@@ -43,6 +44,18 @@ from additive_bases.fourier2d import (
     tail_constants,
 )
 from additive_bases.sumsets import Basis, exp_sum_stats, n2, rep_profile, sumset2
+
+
+def _shell_sums_on_arrays(N):
+    """The sums of fourier2d._shell_sums for R = 1..N, from the module's own
+    evaluators run on numpy arrays, a shell at a time: 4 |c(R, s)| for
+    0 < |s| < R, and 2 |c(R, -R)| and 2 |c(R, R)| for the corners."""
+    sums = np.empty(N)
+    for R in range(1, N + 1):
+        s = np.arange(1, R)
+        inner = np.hypot(*_off_values(R, np.concatenate([-s, s]))).sum()
+        sums[R - 1] = 4 * inner + 2 * (np.hypot(*_off_values(R, -R)) + np.hypot(*_diag_values(R)))
+    return sums
 
 
 def _report(num, desc, ok, elapsed, limit=None):
@@ -213,8 +226,10 @@ def test_criterion_10_lemma_suites():
     # N < R <= 4000 and a_lo <= 4 |c(r, 0)| r^2 <= a_hi for N < r <= 50000,
     # at N = 1, where the near-axis count stops growing, one past it,
     # and both truncations in use.
+    # The plain-Python kernel takes seconds for R <= 4000, so the sweep runs
+    # the same evaluators on arrays.
     R = np.arange(1, 4001)
-    shells = np.array(_shell_sums(4000)) * R * R
+    shells = _shell_sums_on_arrays(4000) * R * R
     r = np.arange(1, 50001)
     axis = 4 * np.hypot(*_axis_values(r)) * r * r
     for N in (1, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, *SCALE):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +21,11 @@ from additive_bases.fourier2d import (
     _form,
     _gauss_panels,
     _inverse_square_tail,
-    _off_combine,
+    _off_form,
     _off_values,
     _shell_sums,
+    _shell_tables,
+    _shell_terms,
     alpha2_exact,
     alpha2_numeric,
     c_axial,
@@ -242,7 +245,7 @@ with mp.workdps(50):
 
 def _reference(r1, r2):
     """c(r1, r2) from the exact tables, read at 50 digits, through the code's
-    own _form and _off_combine, with X = 1/(pi r1), Y = 1/(pi r2) and
+    own _form and _off_form, with X = 1/(pi r1), Y = 1/(pi r2) and
     D = 1/(pi (r1 - r2)) taken in mpmath, not from _scaled or _PI."""
     x, y = (1 / (mp.pi * r) if r else None for r in (r1, r2))
     if x is None or y is None:
@@ -251,37 +254,39 @@ def _reference(r1, r2):
         re, im = _form(_MP_DIAG, x)
     else:
         d = 1 / (mp.pi * (r1 - r2))
-        re, im = _off_combine(x, y, _form(_MP_EDGE, x), _form(_MP_EDGE, y), d * d, _MP_G)
+        re, im = _off_form(x, y, d * d, _MP_EDGE, _MP_G)
     return mp.mpc(re, im)
 
 
+def _shell_labels(R):
+    """The s of each term of _shell_terms(R, ...), in its order."""
+    return [v for s in range(1, R) for v in (s, -s)] + [-R, R]
+
+
 def test_closed_forms_audit_against_50_digit_reference():
-    # The proof below fixes what the exact tables, _form and _off_combine
+    # The proof below fixes what the exact tables, _form and _off_form
     # compute; this holds the float path to them.  Every float |c| the
     # sums use lies within 8 eps (relative) of the 50-digit reference:
-    # whole shells R <= 50 (right side, diagonal last, as _shell_sums
-    # evaluates them), the axis |r| <= 50, a seeded sample with |r|,
-    # |s| <= 4000, and (4000, 4000 - j) next to the diagonal, where a
-    # difference quotient for G would cancel.
-    # The audit reads _off_values; c_main sums the table kernel
-    # _shell_sums, which hands table values to the same _off_combine and
-    # whose shell sums test_shell_kernel_matches_scalar_path_bit_for_bit
-    # holds to the same bits, so the audit covers what c_main sums.
+    # the shell kernel's own terms, which c_main sums, for the whole
+    # shells R <= 50 and for shell 4000 next to the axis (|s| <= 40) and
+    # next to the diagonal and the antidiagonal (|s| >= 3960), where a
+    # difference quotient for G would cancel; the axis |r| <= 50 as
+    # c_axial sums it; and a seeded sample of coeff's path with |r|, |s|
+    # <= 4000.
+    y, d2 = _shell_tables(4000)
     checked = []
     for R in range(1, 51):
-        s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
-        mags = np.hypot(*_off_values(R, s)).tolist() + [float(np.hypot(*_diag_values(R)))]
-        checked += zip([R] * (2 * R), s.tolist() + [R], mags)
-    r = np.concatenate([np.arange(-50, 0), np.arange(1, 51)])
-    checked += zip(r.tolist(), [0] * r.size, np.hypot(*_axis_values(r)).tolist())
+        checked += zip([R] * (2 * R), _shell_labels(R), _shell_terms(R, y, d2))
+    checked += [(4000, s, got) for s, got in zip(_shell_labels(4000), _shell_terms(4000, y, d2))
+                if abs(s) <= 40 or abs(s) >= 3960]
+    r = [*range(-50, 0), *range(1, 51)]
+    checked += [(v, 0, math.hypot(*_axis_values(v))) for v in r]
     rng = np.random.default_rng(29)
     a, b = rng.integers(-4000, 4001, size=(2, 600))
     keep = (a != 0) & (b != 0) & (a != b)
     a, b = a[keep][:500], b[keep][:500]
     checked += zip(a.tolist(), b.tolist(), np.hypot(*_off_values(a, b)).tolist())
-    j = np.arange(1, 41)
-    checked += zip([4000] * 40, (4000 - j).tolist(), np.hypot(*_off_values(4000, 4000 - j)).tolist())
-    assert len(checked) == 2550 + 100 + 500 + 40
+    assert len(checked) == 2550 + 162 + 100 + 500
     eps = np.finfo(float).eps
     with mp.workdps(50):
         for r1, r2, got in checked:
@@ -349,7 +354,7 @@ def test_closed_forms_are_proved_from_phi_excess():
     for name, derived, (re, im) in (
         ("axis", axis, _form(_AXIS, X)),
         ("diagonal", diag, _form(_DIAG, X)),
-        ("off-diagonal", off, _off_combine(X, Y, _form(_EDGE, X), _form(_EDGE, Y), D * D, _G)),
+        ("off-diagonal", off, _off_form(X, Y, D * D, _EDGE, _G)),
     ):
         assert sympy.cancel(sympy.together(derived - (re + I * im))) == 0, name
 
@@ -409,8 +414,8 @@ def test_c_axial_is_the_ascending_fold_of_axis_blocks():
     N = 300
     vals = []
     for r in range(1, N + 1):
-        pos = float(np.hypot(*_axis_values(r)))
-        neg = float(np.hypot(*_axis_values(-r)))
+        pos = math.hypot(*_axis_values(r))
+        neg = math.hypot(*_axis_values(-r))
         vals += [pos, neg, pos, neg]
     total = float(sum(map(Fraction, vals)))
     iv = c_axial(N)
@@ -434,45 +439,6 @@ def test_c_main_nesting():
         assert outer.lo <= inner.lo and inner.hi <= outer.hi
     desk = intervals[-1]
     assert desk.hi - desk.lo <= 1e-3
-
-
-def _fold_right_side(right) -> float:
-    """The shell sum from its right side, as _shell_sums folds it."""
-    return 4.0 * float(np.add.reduce(right)) - 2.0 * float(right[-1] + right[0])
-
-
-def _scalar_shell_sum(R: int) -> float:
-    """Shell R's sum folded from the scalar path, which reads no table."""
-    s = np.concatenate([np.arange(-R, 0), np.arange(1, R)])
-    right = np.append(np.hypot(*_off_values(R, s)), np.hypot(*_diag_values(R)))
-    return _fold_right_side(right)
-
-
-@pytest.mark.parametrize("N, radii", [(200, range(1, 201))])
-def test_shell_kernel_matches_scalar_path_bit_for_bit(N, radii):
-    # Exact equality, no tolerance: the tables only hoist values the
-    # scalar path computes per term, so every shell sum equals the same
-    # fold of the scalar path's right side, diagonal point last.  With
-    # the N = 4000 check below, tables of two sizes serve the same small
-    # shells, so their layout cannot depend on N.
-    sums = _shell_sums(N)
-    assert len(sums) == N
-    for R in radii:
-        assert sums[R - 1] == _scalar_shell_sum(R), R
-
-
-def test_shell_kernel_leaves_its_tables_alone_and_matches_coeff():
-    # A shell that wrote into a table would make a later shell differ
-    # from the scalar path, which reads no table, so every shell of
-    # N = 4000 is checked.  The numpy-scalar path coeff(R, s) gives the same bits.
-    N = 4000
-    sums = _shell_sums(N)
-    for R in range(1, N + 1):
-        assert sums[R - 1] == _scalar_shell_sum(R), R
-    for R in (1, 2, 3, 17, 2000, 4000):
-        s = [*range(-R, 0), *range(1, R + 1)]
-        right = np.array([float(np.hypot(c.real, c.imag)) for c in map(coeff, [R] * len(s), s)])
-        assert sums[R - 1] == _fold_right_side(right), R
 
 
 def shell_lattice(R: int) -> tuple:

@@ -53,11 +53,27 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_certificate_modules_load_no_proof_tools():
-    # The sympy proofs and the mpmath checks stay in the tests: the
-    # modules that compute the certificate import neither, nor scipy.
+    # The sympy proofs and the mpmath checks stay in the tests, and the
+    # certificate runs on the standard library: the modules that compute
+    # it import none of them, nor scipy or numpy.
     loaded = _loaded_in_child("additive_bases.fourier2d, additive_bases.certify",
-                              ("scipy", "sympy", "mpmath"))
+                              ("numpy", "scipy", "sympy", "mpmath"))
     assert loaded == "[]"
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_runs_numpy_with_one_blas_thread_unless_told_otherwise(preset):
+    # main sets OPENBLAS_NUM_THREADS before any command imports numpy, and
+    # a value already in the environment wins.
+    env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, sys; from additive_bases.cli import main; code = main(sys.argv[1:]); "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, "verify", "formulas", "--rmax", "1"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{preset or 1} True"
 
 
 # Runs cli.main(argv) in an interpreter where `import module` fails.
@@ -86,6 +102,10 @@ def _same_stdout_without(module, argv, capsys):
     ("search", "--k", "5"), ("construct", "rohrbach", "--k", "10"), ("bound", "moser"),
     # Small spectra are summed without numpy (sumsets.DIRECT_TERMS).
     pytest.param(("basis", "stats", "--set", "0,1,3"), id="basis-stats"),
+    # The certificate runs on the standard library.
+    pytest.param(("bound", "two-var"), id="two-var-corner"),
+    pytest.param(("bound", "two-var", "--route", "lemma"), id="two-var-lemma"),
+    pytest.param(("verify", "constants"), id="verify-constants"),
 ], ids=lambda argv: argv[0])
 def test_numpy_free_commands_run_without_numpy(argv, capsys):
     _same_stdout_without("numpy", argv, capsys)
@@ -93,7 +113,7 @@ def test_numpy_free_commands_run_without_numpy(argv, capsys):
 
 def test_array_command_fails_without_numpy():
     # The control: blocking numpy does stop a command that needs it.
-    proc = _run_without("numpy", ("bound", "two-var"))
+    proc = _run_without("numpy", ("verify", "formulas", "--rmax", "1"))
     assert proc.returncode != 0
     assert "numpy" in proc.stderr
 
@@ -210,8 +230,9 @@ def test_quadrature_oracle_reads_no_closed_form():
             reads[node.name] = {n.id for n in ast.walk(node)
                                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert sorted(reads) == ["_gauss_panels", "coeff_quadrature"]
-    closed_forms = {"coeff", "_axis_values", "_diag_values", "_off_values", "_off_edge",
-                    "_off_combine", "_scaled", "_form", "_AXIS", "_DIAG", "_EDGE", "_G",
+    closed_forms = {"coeff", "_axis_values", "_diag_values", "_off_values", "_off_expansion",
+                    "_off_form", "_shell_terms", "_shell_tables", "_scaled", "_horner", "_form",
+                    "_AXIS", "_DIAG", "_EDGE", "_G",
                     "_AXIS_F", "_DIAG_F", "_EDGE_F", "_G_F", *TAIL_DERIVATION}
     assert not closed_forms & (reads["coeff_quadrature"] | reads["_gauss_panels"])
     assert "phi" in reads["coeff_quadrature"]
@@ -261,7 +282,8 @@ def test_closed_form_coefficients_live_only_in_the_tables():
     # coefficient of its own would break the link between the forms the
     # sums evaluate and the forms the tails bound.  No float may appear in
     # either; in an evaluator a number may only index a table.
-    evaluators = ("_form", "_axis_values", "_diag_values", "_off_edge", "_off_combine")
+    evaluators = ("_horner", "_form", "_axis_values", "_diag_values", "_off_expansion",
+                  "_off_form", "_off_values", "_shell_terms")
     found = {}
     for name, node in _fourier2d_functions(evaluators + TAIL_DERIVATION).items():
         indices = {id(n) for sub in ast.walk(node) if isinstance(sub, ast.Subscript)
