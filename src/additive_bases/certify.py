@@ -15,8 +15,13 @@ enclosures propagate to a certified lower bound on rho in two ways:
   lemma route:   rho at fixed anchors (kappa0, tau0), reduced by the
                  root-variation bound |kappa - kappa0|/54 +
                  |tau - tau0|/18, valid throughout the regime
-                 kappa >= 3, tau >= 2 where |d xi/d kappa| <= 1/36,
-                 |d xi/d tau| <= 1/12 and xi <= 1/3.
+                 kappa >= 3, tau >= 2.
+
+The test suite proves the lemma in sympy, in one test
+(test_certify.py::test_variation_lemma_constants_are_the_largest_slopes):
+xi falls in both arguments, so xi <= xi(3, 2) = 1/3 over the regime, and
+|d rho/d kappa| = 2 xi^3/S and |d rho/d tau| = 2 xi^2/S, with S =
+sqrt(tau^2 + 4 kappa), fall in both too, to 1/54 and 1/18 at (3, 2).
 
 The chain runs in exact rationals; its two irrational steps (2^(-5/3)
 in alpha2, the square root in xi) and each float it reports go through

@@ -16,7 +16,8 @@ diffable bit for bit.  Exit status is 0 iff every requested check passed
 (`bound two-var` prints its JSON and exits 1 when the certificate is
 vacuous, coefficient_upper >= 1/2, no better than the trivial bound),
 and 2 with an "error: ..." line on stderr for bad input (a size too
-large to allocate, too) or a file that cannot be written.  Shell sums
+large to allocate, too), a file that cannot be written, or a command
+that needs numpy where numpy cannot be imported.  Shell sums
 run in one fixed order (see fourier2d), so repeated runs print identical
 bits.  No import of this module, and no run of `search`, `construct`,
 `bound` or `verify constants`, loads numpy: the certificate runs on the
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:  # ImportError: numpy missing
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size flag too large to allocate

@@ -439,6 +439,32 @@ def _axis_constants(N: int) -> tuple:
             _over_pi(4 * (a0 + rest), 2, up=True))
 
 
+def _ell(N: int) -> Fraction:
+    """ell(N) >= (1 + H_R) / R for every R > N: H_R <= 1 + ln R, (2 + ln x) / x
+    falls, and ln(N + 1) < 0.7 bitlen(N + 1) as ln 2 < 0.7."""
+    return (2 + Fraction(7, 10) * (N + 1).bit_length()) / (N + 1)
+
+
+def _pair_factor(t):
+    """(1 / (1 - t))^2 + (1 / (1 + t))^2, rising on 0 <= t < 1: the weight
+    (R / (R - s))^2 + (R / (R + s))^2 of the pair +-s of shell R at t = s / R."""
+    return 2 * (1 + t * t) / (1 - t * t) ** 2
+
+
+def _range_sums(N: int, S: int) -> tuple:
+    """(band, middle): for each range of tail_constants, bounds ((a_lo, a_hi),
+    (b_lo, b_hi), (c_lo, c_hi)) on the sums of a, b and c over it in any
+    shell R > N, S the near-axis count; c_hi also bounds the sum of |c|."""
+    ell, zeta_hi = _ell(N), _PI_HI**2 / 6
+    a = (_PI_LO**2 / 6 - Fraction(2, N + 1), zeta_hi)
+    band = (a, (a[0], zeta_hi + 2 * ell + Fraction(2, N)), (a[0], zeta_hi + ell))
+    k_lo, k_hi = _inverse_square_tail(S + 1)
+    c_abs = 2 * ell + Fraction(2, N + 1)
+    return band, ((0, Fraction(3, N + 1)),
+                  (2 * k_lo - Fraction(3, N) - 2 * ell, 2 * k_hi + 2 * ell + Fraction(2, N + 1)),
+                  (-c_abs, c_abs))
+
+
 def tail_constants(N: int) -> tuple:
     """Exact ((a_lo, a_hi), (m_lo, m_hi)) with, for every r, R > N >= 1,
 
@@ -458,8 +484,8 @@ def tail_constants(N: int) -> tuple:
     * near the axis, 0 < |s| <= S = min(_NEAR_AXIS, N // 2): |E| is
       |F(Y)| (bounded over 1/(pi_hi |s|) <= |Y| <= 1/(pi_lo |s|) by
       _magnitude_bounds) +- (|F(X)| + |X Y G|), and the pair +-s carries
-      (R / (R - s))^2 + (R / (R + s))^2 in [2, f(|s| / (N + 1))], f
-      rising (a negative lower bound of a term stays valid);
+      _pair_factor(|s| / R), in [2, _pair_factor(|s| / (N + 1))] (a
+      negative lower bound of a term stays valid);
     * the band R/2 <= s < R (|Y| <= 2u) and the middle (|Y| <= v =
       1/(pi (S + 1))): E = -(p_0 (X^2 + Y^2) - g_0 X Y) + rho, with
       p_0 = -P_0 = 35/2 > g_0 / 2 = 5/2, so the lead is negative
@@ -467,9 +493,8 @@ def tail_constants(N: int) -> tuple:
       g_rest (_g_rest).
       pi^4 R^2 D^2 times X^2, Y^2 and X Y are a = 1/m^2, b = (1/s +
       1/m)^2 and c = (1/s + 1/m)/m with m = R - s, summed over each range
-      by partial fractions, zeta(2) = pi^2/6, _inverse_square_tail and
-      ell = (2 + 0.7 bitlen(N + 1)) / (N + 1) >= (1 + H_R) / R (as
-      H_R <= 1 + ln R, ln 2 < 0.7 and (2 + ln x)/x falls).  The lower
+      (_range_sums) by partial fractions, zeta(2) = pi^2/6,
+      _inverse_square_tail and _ell(N) >= (1 + H_R) / R.  The lower
       bound drops the term s = -R and the negative-s part of -g_0 c.
 
     Every step rounds the safe way, with _PI_LO < pi < _PI_HI; a lower
@@ -480,8 +505,6 @@ def tail_constants(N: int) -> tuple:
         raise ValueError("N must be positive")
     S = min(_NEAR_AXIS, N // 2)
     u = 1 / (_PI_LO * (N + 1))
-    ell = (2 + Fraction(7, 10) * (N + 1).bit_length()) / (N + 1)
-    zeta_lo, zeta_hi = _PI_LO**2 / 6, _PI_HI**2 / 6
     zero = Fraction(0)
 
     p0, rx = _lead_rest(_EDGE, u)
@@ -491,9 +514,8 @@ def tail_constants(N: int) -> tuple:
     for j in range(1, S + 1):
         f_lo, f_hi = _magnitude_bounds(_EDGE, 1 / (_PI_HI * j), 1 / (_PI_LO * j))
         delta = f_x + xy_g / j  # >= |F(X)| + |X Y G|
-        t = Fraction(j, N + 1)
         near_lo += 2 * (f_lo - delta)
-        near_hi += 2 * (1 + t * t) / (1 - t * t) ** 2 * (f_hi + delta)
+        near_hi += _pair_factor(Fraction(j, N + 1)) * (f_hi + delta)
 
     def summed(v, a, b, c):
         """Bounds on pi^4 R^2 sum D^2 |E| over a range with |Y| <= v.
@@ -504,13 +526,9 @@ def tail_constants(N: int) -> tuple:
         rest = a[1] * rx + b[1] * _lead_rest(_EDGE, v)[1] + c[1] * _g_rest(u, v)
         return (p0 * (a[0] + b[0]) - g0 * c[1] - rest, p0 * (a[1] + b[1]) - g0 * c[0] + rest)
 
-    a = (zeta_lo - Fraction(2, N + 1), zeta_hi)
-    band = summed(2 * u, a, (a[0], zeta_hi + 2 * ell + Fraction(2, N)), (a[0], zeta_hi + ell))
-    k_lo, k_hi = _inverse_square_tail(S + 1)
-    c_abs = 2 * ell + Fraction(2, N + 1)
-    middle = summed(1 / (_PI_LO * (S + 1)), (0, Fraction(3, N + 1)),
-                    (2 * k_lo - Fraction(3, N) - 2 * ell, 2 * k_hi + 2 * ell + Fraction(2, N + 1)),
-                    (-c_abs, c_abs))
+    band_sums, middle_sums = _range_sums(N, S)
+    band = summed(2 * u, *band_sums)
+    middle = summed(1 / (_PI_LO * (S + 1)), *middle_sums)
 
     d0, rd = _lead_rest(_DIAG, u)
     shell = [_over_pi(2 * (d0 + sign * rd) + 4 * near, 2, up) + _over_pi(4 * (b + m), 4, up)

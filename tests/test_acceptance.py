@@ -25,7 +25,6 @@ from additive_bases.certify import (
     ceil4,
     certify,
     rho_from,
-    rho_variation_bound,
 )
 from additive_bases.cli import SCALE
 from additive_bases.cli import main as cli_main
@@ -210,17 +209,6 @@ def test_criterion_9_final_theorem(full_scale_intervals):
 
 
 def test_criterion_10_lemma_suites():
-    t0 = time.time()
-    rng = np.random.default_rng(99)
-    ok = True
-    for _ in range(10**4):
-        k, k0 = rng.uniform(3.0, 25.0, 2)
-        t, t0_ = rng.uniform(2.0, 10.0, 2)
-        gap = abs(rho_from(k, t) - rho_from(k0, t0_))
-        ok &= gap <= rho_variation_bound(k, k0, t, t0_) + 1e-12
-        if not ok:
-            break
-
     # The derived tails bound every computed shell and axis term they
     # speak for, from both sides: m_lo <= shell(R) R^2 <= m_hi for
     # N < R <= 4000 and a_lo <= 4 |c(r, 0)| r^2 <= a_hi for N < r <= 50000,
@@ -228,6 +216,8 @@ def test_criterion_10_lemma_suites():
     # and both truncations in use.
     # The plain-Python kernel takes seconds for R <= 4000, so the sweep runs
     # the same evaluators on arrays.
+    t0 = time.time()
+    ok = True
     R = np.arange(1, 4001)
     shells = _shell_sums_on_arrays(4000) * R * R
     r = np.arange(1, 50001)
@@ -240,7 +230,8 @@ def test_criterion_10_lemma_suites():
             ok &= bool(m_lo <= Fraction(float(shells[N:].min())))
             ok &= bool(Fraction(float(shells[N:].max())) <= m_hi)
     (a_lo, a_hi), (m_lo, m_hi) = tail_constants(SCALE[1])
-    _report(10, f"root-variation suite; derived per-term bounds hold on every measured "
-            f"term, at N = {SCALE[1]}: {float(m_lo):.3f} <= shell(R) R^2 <= {float(m_hi):.3f} "
-            f"and {float(a_lo):.4f} <= 4|c(r,0)| r^2 <= {float(a_hi):.4f}", ok,
+    proof = "test_certify.py::test_variation_lemma_constants_are_the_largest_slopes"
+    _report(10, f"root-variation lemma proved by {proof}; derived per-term bounds hold on "
+            f"every measured term, at N = {SCALE[1]}: {float(m_lo):.3f} <= shell(R) R^2 <= "
+            f"{float(m_hi):.3f} and {float(a_lo):.4f} <= 4|c(r,0)| r^2 <= {float(a_hi):.4f}", ok,
             time.time() - t0, limit=60.0)

@@ -2,7 +2,6 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import given
@@ -32,41 +31,21 @@ def test_rho_at_anchors_exceeds_reference():
     assert rho_from(KAPPA0, TAU0) > 0.04240
 
 
+@given(st.fractions(3, 50, max_denominator=10**6), st.fractions(2, 20, max_denominator=10**6))
+def test_xi_and_rho_from_round_each_way(kappa, tau):
+    # _xi brackets the root of kappa x^2 + tau x - 1, which rises for x > 0,
+    # and rho_from rounds the square of each end its own way.
+    lo, hi = _xi(kappa, tau), _xi(kappa, tau, up=True)
+    assert kappa * lo**2 + tau * lo - 1 <= 0 <= kappa * hi**2 + tau * hi - 1
+    assert Fraction(rho_from(kappa, tau)) <= lo**2
+    assert hi**2 <= Fraction(rho_from(kappa, tau, up=True))
+
+
 def test_rho_regime_guard():
     with pytest.raises(ValueError, match="outside lemma regime"):
         rho_from(2.9, 2.5)
     with pytest.raises(ValueError, match="outside lemma regime"):
         rho_from(3.5, 1.9)
-
-
-def test_rho_monotone_decreasing():
-    rng = np.random.default_rng(29)
-    kappas = rng.uniform(3.0, 20.0, 10**4)
-    taus = rng.uniform(2.0, 10.0, 10**4)
-    for k, t in zip(kappas, taus):
-        r = rho_from(k, t)
-        assert rho_from(k + 0.1, t) < r
-        assert rho_from(k, t + 0.1) < r
-
-
-def test_xi_stays_under_one_third():
-    rng = np.random.default_rng(31)
-    for _ in range(10**4):
-        k = rng.uniform(3.0, 50.0)
-        t = rng.uniform(2.0, 20.0)
-        assert _xi(k, t) <= 1.0 / 3.0 + 1e-15
-
-
-def test_root_partial_derivative_bounds():
-    rng = np.random.default_rng(37)
-    h = 1e-6
-    for _ in range(1000):
-        k = rng.uniform(3.0 + h, 30.0)
-        t = rng.uniform(2.0 + h, 12.0)
-        dk = (_xi(k + h, t) - _xi(k - h, t)) / (2 * h)
-        dt = (_xi(k, t + h) - _xi(k, t - h)) / (2 * h)
-        assert abs(dk) <= 1.0 / 36.0 + 1e-4
-        assert abs(dt) <= 1.0 / 12.0 + 1e-4
 
 
 def test_variation_bound_examples():
@@ -77,30 +56,27 @@ def test_variation_bound_examples():
 
 
 def test_variation_bound_regime_guard():
-    with pytest.raises(ValueError, match="outside lemma regime"):
-        rho_variation_bound(2.0, 5.0, 3.0, 3.0)
-
-
-def test_variation_lemma_randomized():
-    rng = np.random.default_rng(41)
-    for _ in range(10**4):
-        k, k0 = rng.uniform(3.0, 25.0, 2)
-        t, t0 = rng.uniform(2.0, 10.0, 2)
-        gap = abs(rho_from(k, t) - rho_from(k0, t0))
-        assert gap <= rho_variation_bound(k, k0, t, t0) + 1e-12
+    # Each of the four arguments alone below the regime is refused.
+    for args in ((2, 5, 3, 3), (5, 2, 3, 3), (5, 5, 1.9, 3), (5, 5, 3, 1.9)):
+        with pytest.raises(ValueError, match="outside lemma regime"):
+            rho_variation_bound(*args)
 
 
 def test_variation_lemma_constants_are_the_largest_slopes():
-    # rho = xi^2, with xi = 2 / (tau + S) and S = sqrt(tau^2 + 4 kappa) the
-    # positive root of kappa x^2 + tau x - 1, has
+    # The root-variation lemma, proved.  xi = 2 / (tau + S), S = sqrt(tau^2 +
+    # 4 kappa), is the positive root of kappa x^2 + tau x - 1; at (3, 2) it is
+    # 1/3, and so is _xi, rounded either way.  It falls in kappa and in tau,
+    # so xi <= 1/3 over the regime kappa >= 3, tau >= 2.  rho = xi^2 has
     #   d rho / d kappa = -2 xi^3 / S,    d rho / d tau = -2 xi^2 / S.
-    # Both magnitudes fall in kappa and in tau, so over the regime
-    # kappa >= 3, tau >= 2 they are largest at (3, 2), where they are
-    # exactly 1/54 and 1/18: the slopes rho_variation_bound charges.
+    # Both magnitudes fall in kappa and in tau, so over the regime they are
+    # largest at (3, 2), where they are exactly 1/54 and 1/18: the slopes
+    # rho_variation_bound charges.
     kappa, tau = sympy.symbols("kappa tau", positive=True)
     S = sympy.sqrt(tau**2 + 4 * kappa)
     xi = 2 / (tau + S)
     assert sympy.simplify(kappa * xi**2 + tau * xi - 1) == 0
+    assert all(sympy.diff(xi, w).is_negative for w in (kappa, tau))
+    assert xi.subs({kappa: 3, tau: 2}) == sympy.Rational(1, 3) == _xi(3, 2) == _xi(3, 2, up=True)
     slopes = (2 * xi**3 / S, 2 * xi**2 / S)
     for var, slope in zip((kappa, tau), slopes):
         assert sympy.simplify(sympy.diff(xi**2, var) + slope) == 0
@@ -167,8 +143,9 @@ def _mp_rho(kappa, tau):
 @pytest.mark.parametrize("route", ["corner", "lemma"])
 def test_certificate_encloses_its_exact_tail(full_scale_intervals, route):
     # At 50 digits: kappa contains 15 * 2^(-5/3) + c_main at both ends,
-    # rho_lower is at most 4 ulps under the route's exact rho, and the
-    # coefficient is not below (1 - rho) / 2.
+    # rho_lower is at most 4 ulps under the route's exact rho (on the lemma
+    # route, less the exact rho_variation_bound), and the coefficient is not
+    # below (1 - rho) / 2.
     ax, mn = full_scale_intervals
     cert = certify(ax, mn, route=route)
     with mp.workdps(50):
@@ -179,8 +156,8 @@ def test_certificate_encloses_its_exact_tail(full_scale_intervals, route):
         if route == "corner":
             rho = _mp_rho(kappa[1], tau[1])
         else:
-            rho = _mp_rho(mpf(KAPPA0), mpf(TAU0)) - max(
-                abs(k - mpf(KAPPA0)) / 54 + abs(t - mpf(TAU0)) / 18 for k in kappa for t in tau)
+            dev = max(rho_variation_bound(k, KAPPA0, t, TAU0) for k in cert.kappa for t in cert.tau)
+            rho = _mp_rho(mpf(KAPPA0), mpf(TAU0)) - mpf(dev.numerator) / dev.denominator
         ulp = math.ulp(cert.rho_lower)
         assert rho - 4 * ulp <= cert.rho_lower <= rho
         assert cert.coefficient_upper >= (1 - rho) / 2
@@ -209,6 +186,15 @@ def test_certificate_regime_guard():
         certify(_synthetic(1.9, 1.9), _synthetic(2.0 + a2, 2.0 + a2))
     with pytest.raises(ValueError, match="lemma regime"):
         certify(_synthetic(2.5, 2.5), _synthetic(1.0 + a2, 1.0 + a2))
+
+
+def test_route_disagreement_raises(full_scale_intervals, monkeypatch):
+    # A negative lemma deviation lifts the lemma bound above the corner
+    # value, which certify's cross-check refuses on either route.
+    monkeypatch.setattr("additive_bases.certify.rho_variation_bound", lambda *_: Fraction(-1, 100))
+    for route in ("corner", "lemma"):
+        with pytest.raises(AssertionError, match="route disagreement"):
+            certify(*full_scale_intervals, route=route)
 
 
 def test_route_validation():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, strategies as st
 from mpmath import mp
 
 from additive_bases import fourier2d
@@ -526,79 +527,78 @@ def test_shell_lattice_structure():
         assert len({(a, b) for a, b in zip(r1.tolist(), r2.tolist())}) == r1.size
 
 
-def _mp_tail_constants(N):
-    """The inequalities of tail_constants at 50 digits, with exact pi and zeta(2).
-
-    Independent of the Fraction code in what it can be: |F(Y)| is taken at
-    Y = 1/(pi j) itself, and the h_k as double sums.
-    """
-    pi, zeta = mp.pi, mp.zeta(2)
-    S = min(_NEAR_AXIS, N // 2)
-    u = 1 / (pi * (N + 1))
-    ell = (2 + mp.mpf(7) / 10 * (N + 1).bit_length()) / (N + 1)
-
-    def lead_rest(table, x):
-        P, Q = ([_mpf(c) for c in part] for part in table)
-        return abs(P[0]), (sum(abs(c) * x ** (2 * k) for k, c in enumerate(P) if k)
-                           + x * sum(abs(c) * x ** (2 * k) for k, c in enumerate(Q)))
-
-    def g_rest(x, y):
-        return sum(abs(_mpf(g)) * x**i * y ** (k - i)
-                   for k, g in enumerate(_G) if k for i in range(k + 1))
-
-    def magnitude(table, x):
-        P, Q = table
-        return abs(mp.mpc(x**2 * sum(_mpf(c) * x ** (2 * k) for k, c in enumerate(P)),
-                          x**3 * sum(_mpf(c) * x ** (2 * k) for k, c in enumerate(Q))))
-
-    a0, ra = lead_rest(_AXIS, u)
-    axis = (max(0, 4 * (a0 - ra) / pi**2), 4 * (a0 + ra) / pi**2)
-    p0, rx = lead_rest(_EDGE, u)
-    g0 = _mpf(_G[0])
-    m_g = g0 + g_rest(u, 1 / pi)
-    near = [0, 0]
-    for j in range(1, S + 1):
-        y = 1 / (pi * j)
-        f, delta, t = magnitude(_EDGE, y), u * u * (p0 + rx) + u * y * m_g, mp.mpf(j) / (N + 1)
-        near[0] += 2 * (f - delta)
-        near[1] += (1 / (1 - t) ** 2 + 1 / (1 + t) ** 2) * (f + delta)
-
-    def summed(v, a, b, c):
-        rest = a[1] * rx + b[1] * lead_rest(_EDGE, v)[1] + c[1] * g_rest(u, v)
-        return (p0 * (a[0] + b[0]) - g0 * c[1] - rest, p0 * (a[1] + b[1]) - g0 * c[0] + rest)
-
-    a = (zeta - mp.mpf(2) / (N + 1), zeta)
-    band = summed(2 * u, a, (a[0], zeta + 2 * ell + mp.mpf(2) / N), (a[0], zeta + ell))
-    k_lo, k_hi = 1 / mp.mpf(S + 1) + 1 / (2 * mp.mpf(S + 1) ** 2), 1 / (S + mp.mpf(1) / 2)
-    c_abs = 2 * ell + mp.mpf(2) / (N + 1)
-    rest = summed(1 / (pi * (S + 1)), (0, mp.mpf(3) / (N + 1)),
-                  (2 * k_lo - mp.mpf(3) / N - 2 * ell, 2 * k_hi + 2 * ell + mp.mpf(2) / (N + 1)),
-                  (-c_abs, c_abs))
-    d0, rd = lead_rest(_DIAG, u)
-    shell = [(2 * (d0 + sign * rd) + 4 * near[i]) / pi**2 + 4 * (band[i] + rest[i]) / pi**4
-             for i, sign in ((0, -1), (1, 1))]
-    return axis, (max(0, shell[0]), shell[1])
-
-
-def test_tail_constants_match_a_50_digit_recomputation():
-    # At N = 1, 2, where the near-axis count stops growing, one past it,
-    # and both truncations in use: each Fraction bound lies on its safe
-    # side of the 50-digit value and within 1e-8 of it (the pi bounds and
-    # the sqrt grid cost less), and so do the c_axial and c_main tails,
-    # whose sum_{k > N} 1/k^2 factors bracket the Hurwitz zeta(2, N + 1).
+def test_ell_bounds_every_harmonic_term_beyond_N():
+    # _ell(N) >= (1 + H_R) / R for all R > N >= 1.  The right side falls in
+    # R (R / (R + 1) <= 1 + H_R), and _ell(N) (N + 1) is one C_b on each block
+    # 2^(b-1) <= N + 1 < 2^b, so 1 + H_(2^b - 1) <= C_b decides: at 50 digits
+    # up to b = 64.  Beyond, _ell's own chain: H_R <= 1 + ln R, (2 + ln x) / x
+    # falls (sympy, at x = e^y), ln(N + 1) < b ln 2 and C_b rises faster.
+    y = sympy.symbols("y", nonnegative=True)
+    assert sympy.factor(sympy.diff((2 + y) * sympy.exp(-y), y)).is_negative
+    C = {b: (2**b - 1) * fourier2d._ell(2**b - 2) for b in range(2, 66)}
+    assert all(C[b] == 2 ** (b - 1) * fourier2d._ell(2 ** (b - 1) - 1) for b in C)
+    assert all(C[b + 1] - C[b] == C[65] - C[64] for b in range(2, 65))
     with mp.workdps(50):
-        tol = mp.mpf("1e-8")
+        assert all(1 + mp.harmonic(2**b - 1) <= _mpf(C[b]) for b in range(2, 65))
+        assert mp.log(2) < _mpf(C[65] - C[64]) and 2 + 64 * mp.log(2) <= _mpf(C[64])
+
+
+def test_pair_factor_is_the_near_axis_weight_and_rises():
+    # (R / (R - s))^2 + (R / (R + s))^2 = _pair_factor(s / R), which rises
+    # on 0 < t = w / (1 + w) < 1 from 2 at t = 0.
+    f, (R, s, w, t) = fourier2d._pair_factor, sympy.symbols("R s w t", positive=True)
+    assert sympy.simplify((R / (R - s)) ** 2 + (R / (R + s)) ** 2 - f(s / R)) == 0
+    assert sympy.factor(sympy.diff(f(t), t).subs(t, w / (1 + w))).is_positive and f(0) == 2
+
+
+def test_range_sums_bound_the_exact_sums():
+    # Exact sums of a, b, c, |c| (pi^4 R^2 D^2 times X^2, Y^2, X Y; pi cancels)
+    # over the band R/2 <= s < R and the middle S < s < R/2, -R <= s < -S (with
+    # and without -R); the middle's |c| passes half its bound near N = 2000.
+    assert -_EDGE[0][0] > _G[0] / 2 > 0  # the lead -(p_0 (X^2 + Y^2) - g_0 X Y) < 0
+    for N, K in ((1, 32), (2, 32), (16, 32), (17, 32), (500, 2), (2000, 1)):
+        S = min(_NEAR_AXIS, N // 2)
+        band, middle = fourier2d._range_sums(N, S)
+        for R in range(N + 1, N + K + 1):
+            inner = [*range(S + 1, (R + 1) // 2), *range(1 - R, -S)]
+            for lims, ss in (band, range((R + 1) // 2, R)), (middle, inner), (middle, [-R, *inner]):
+                terms = [(Fraction(1, (R - s) ** 2), Fraction(R * R, ((R - s) * s) ** 2),
+                          Fraction(R, (R - s) ** 2 * s)) for s in ss]
+                assert all(lo <= sum(v) <= hi for v, (lo, hi) in zip(zip(*terms), lims)), (N, R)
+                assert sum(abs(c) for *_, c in terms) <= lims[2][1], (N, R)
+
+
+@given(*[st.fractions(lo, 1, max_denominator=10**4) for lo in (0, -1, 0, -1)])
+@example(Fraction(1, 100), Fraction(1), Fraction(1, 100), Fraction(1))
+def test_lead_rest_and_g_rest_bound_what_they_leave_out(u, t, v, w):
+    # For |X| <= u each form (exactly, by _form) lies within rest X^2 of P_0 X^2,
+    # and for |Y| <= v too, G = sum_k g_k h_k(X, Y) lies within _g_rest(u, v) of g_0.
+    X, Y = u * t, v * w
+    for table in (_AXIS, _DIAG, _EDGE):
+        p0, rest = fourier2d._lead_rest(table, u)
+        lead, (re, im) = table[0][0] * X**2, _form(table, X)
+        assert p0 == abs(table[0][0]) and (re - lead) ** 2 + im**2 <= (rest * X**2) ** 2
+    G = sum(g * X**i * Y ** (k - i) for k, g in enumerate(_G) for i in range(k + 1))
+    assert abs(G - _G[0]) <= fourier2d._g_rest(u, v)
+
+
+def test_tail_constants_lie_on_the_safe_side_of_pi(monkeypatch):
+    # Each bound lies on its safe side of, and within 1e-8 of, a run with pi bracketed to
+    # 50 digits; at N where the near-axis count grows, stops, and both truncations.
+    bounds = {N: tail_constants(N) for N in (1, 2, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, *SCALE)}
+    pi_lo, tol = Fraction(int(sympy.floor(sympy.pi * 10**50)), 10**50), Fraction(1, 10**8)
+    monkeypatch.setattr(fourier2d, "_PI_LO", pi_lo)
+    monkeypatch.setattr(fourier2d, "_PI_HI", pi_lo + Fraction(1, 10**50))
+    for N, got in bounds.items():
+        for (lo, hi), (ref_lo, ref_hi) in zip(got, tail_constants(N)):
+            assert ref_lo * (1 - tol) <= lo <= ref_lo and ref_hi <= hi <= ref_hi * (1 + tol), N
+
+
+def test_inverse_square_tail_brackets_hurwitz_zeta():
+    with mp.workdps(50):
         for N in (1, 2, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, *SCALE):
             k_lo, k_hi = map(_mpf, _inverse_square_tail(N + 1))
             assert k_lo <= mp.zeta(2, N + 1) <= k_hi
-            pairs = zip(tail_constants(N), _mp_tail_constants(N), (c_axial, c_main))
-            for exact, ref, make in pairs:
-                lo, hi = map(_mpf, exact)
-                assert ref[0] * (1 - tol) <= lo <= ref[0] and ref[1] <= hi <= ref[1] * (1 + tol)
-                if make is c_axial or N <= SCALE[1]:
-                    iv = make(N)
-                    assert ref[0] * k_lo * (1 - tol) <= iv.tail_lo <= ref[0] * k_lo
-                    assert ref[1] * k_hi <= iv.tail_hi <= ref[1] * k_hi * (1 + tol)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ SUBMODULES = sorted(p.stem for p in (SRC / "additive_bases").glob("*.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # The functions of fourier2d that derive the truncation tails.
 TAIL_DERIVATION = ("tail_constants", "_axis_constants", "_lead_rest", "_g_rest",
-                   "_magnitude_bounds", "_over_pi", "_inverse_square_tail")
+                   "_magnitude_bounds", "_over_pi", "_inverse_square_tail", "_ell",
+                   "_pair_factor", "_range_sums")
 
 
 def _child_env():
@@ -111,11 +112,16 @@ def test_numpy_free_commands_run_without_numpy(argv, capsys):
     _same_stdout_without("numpy", argv, capsys)
 
 
+def _assert_clean_numpy_error(proc):
+    """Exit 2 with an "error: ..." line that names numpy, and no traceback."""
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "numpy" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_array_command_fails_without_numpy():
     # The control: blocking numpy does stop a command that needs it.
-    proc = _run_without("numpy", ("verify", "formulas", "--rmax", "1"))
-    assert proc.returncode != 0
-    assert "numpy" in proc.stderr
+    _assert_clean_numpy_error(_run_without("numpy", ("verify", "formulas", "--rmax", "1")))
 
 
 def test_large_spectrum_fails_without_numpy():
@@ -124,9 +130,7 @@ def test_large_spectrum_fails_without_numpy():
     from additive_bases.constructions import rohrbach_basis
 
     elements = ",".join(map(str, rohrbach_basis(400)))
-    proc = _run_without("numpy", ("basis", "stats", "--set", elements))
-    assert proc.returncode != 0
-    assert "numpy" in proc.stderr
+    _assert_clean_numpy_error(_run_without("numpy", ("basis", "stats", "--set", elements)))
 
 
 def test_cli_import_loads_no_dataclasses():
