@@ -5,18 +5,19 @@ sums -> the (kappa, tau) box -> a lower bound on rho = xi^2 through the
 positive root of kappa xi^2 + tau xi - 1 = 0 -> the final coefficient
 (1 - rho)/2 rounded up at the fourth decimal.
 
-Both truncation tails have derived bounds on both sides, so at
-N = 5000 / 500 the enclosures already lie inside the published
-intervals, and the certificate gives the headline coefficient 0.4789
-(0.4788 on the corner route), below the best one-variable-plus-
-combinatorial value 0.4802.
+Both truncation tails have derived bounds on both sides, so at the
+command line's one truncation N = cli.SCALE (500) the enclosures already
+lie inside the published intervals, and the certificate gives the
+headline coefficient 0.4789 (0.4788 on the corner route), below the best
+one-variable-plus-combinatorial value 0.4802.
 """
 
 from additive_bases.certify import certify, rho_from
+from additive_bases.cli import SCALE
 from additive_bases.fourier2d import alpha2_exact, c_axial, c_main
 
-ax = c_axial(5000)
-mn = c_main(500)
+ax = c_axial(SCALE)
+mn = c_main(SCALE)
 print(f"alpha2 (exact)  : {alpha2_exact():+.9f}")
 for name, iv in (("axial", ax), ("main", mn)):
     print(f"{name:5s} sum (N={iv.N:5d}): [{iv.lo:.7f}, {iv.hi:.7f}]  "

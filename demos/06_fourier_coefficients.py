@@ -11,6 +11,7 @@ for r, R > N.
 
 import numpy as np
 
+from additive_bases.cli import SCALE
 from additive_bases.fourier2d import (
     _axis_values,
     _shell_sums,
@@ -29,13 +30,12 @@ for pair in ((1, 0), (0, 3), (2, 2), (1, 2), (3, -5), (-4, 7)):
 
 N = 100
 (a_lo, a_hi), (m_lo, m_hi) = (map(float, pair) for pair in tail_constants(N))
-r = np.arange(N + 1, 5001)
+r = np.arange(N + 1, SCALE + 1)
 axis = 4 * np.hypot(*_axis_values(r)) * r * r
-R = np.arange(N + 1, 501)
-shells = np.array(_shell_sums(500)[N:]) * R * R
+shells = np.array(_shell_sums(SCALE)[N:]) * r * r
 print(f"\nderived, for r, R > {N}: {a_lo:.4f} <= 4|c(r,0)| r^2 <= {a_hi:.4f}, "
       f"{m_lo:.3f} <= shell(R) R^2 <= {m_hi:.3f}")
-print(f"measured on r <= 5000, R <= 500: 4|c(r,0)| r^2 in [{axis.min():.4f}, {axis.max():.4f}], "
+print(f"measured on r, R <= {SCALE}: 4|c(r,0)| r^2 in [{axis.min():.4f}, {axis.max():.4f}], "
       f"shell(R) R^2 in [{shells.min():.4f}, {shells.max():.4f}]")
 
 phi_grid_csv("phi_surface.csv", 128)

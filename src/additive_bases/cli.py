@@ -45,9 +45,11 @@ from . import fourier1d
 from .certify import (
     KAPPA0,
     REF_AXIAL,
+    REF_AXIAL_TOL,
     REF_COEFFICIENT,
     REF_CORNER_COEFFICIENT,
     REF_MAIN,
+    REF_MAIN_TOL,
     REF_RHO0,
     REF_RHO_FLOOR,
     TAU0,
@@ -60,12 +62,10 @@ from .constructions import lower_bound_coefficient, rohrbach_basis
 from .search import MAX_EXACT_K, n2k_exact
 from .sumsets import Basis, exp_sum_stats, n2, rep_profile
 
-# The (n_axial, n_main) truncation of the certificate.  With the derived
-# two-sided tails it passes every check with margin (the smallest values
-# that do are 152 and 161).  n_main could fall to about 200, but the
-# benchmark pins c_main's term count at 4 * 500^2, so it stays at 500
-# until the benchmark changes with it.
-SCALE = (5000, 500)
+# The truncation N of both certified sums.  Every row of verify constants
+# passes from N = 161 up (160 fails c_main); the benchmark pins c_main at
+# 4 * 500^2 terms, so N stays at 500 until that pin moves with it.
+SCALE = 500
 
 
 def _require(flag: str, value: int, lo: int, hi=None) -> None:
@@ -129,7 +129,7 @@ def _cmd_bound_moser(args) -> int:
 def _cmd_bound_two_var(args) -> int:
     from . import fourier2d
 
-    cert = certify(fourier2d.c_axial(SCALE[0]), fourier2d.c_main(SCALE[1]), route=args.route)
+    cert = certify(fourier2d.c_axial(SCALE), fourier2d.c_main(SCALE), route=args.route)
     print(json.dumps(cert.to_json_dict()))
     return 0 if cert.coefficient_upper < 0.5 else 1  # 1/2 is the trivial bound
 
@@ -139,11 +139,12 @@ def _cmd_verify_constants(args) -> int:
     lie within its reference interval, widened by the tolerance."""
     from . import fourier2d
 
-    ax, mn = fourier2d.c_axial(SCALE[0]), fourier2d.c_main(SCALE[1])
+    ax, mn = fourier2d.c_axial(SCALE), fourier2d.c_main(SCALE)
     a2, a2_num = fourier2d.alpha2_exact(), fourier2d.alpha2_numeric()
     rows = [("alpha2", abs(a2_num - a2) < 1e-6,
              f"numeric minimum {a2_num:.9f} vs exact {a2:.9f}")]
-    for name, iv, ref, tol in (("c_axial", ax, REF_AXIAL, 1e-5), ("c_main", mn, REF_MAIN, 1e-4)):
+    for name, iv, ref, tol in (("c_axial", ax, REF_AXIAL, REF_AXIAL_TOL),
+                               ("c_main", mn, REF_MAIN, REF_MAIN_TOL)):
         rows.append((f"{name}({iv.N}) within reference",
                      ref[0] - tol <= iv.lo and iv.hi <= ref[1] + tol,
                      f"[{iv.lo:.7f}, {iv.hi:.7f}] within {ref}"))

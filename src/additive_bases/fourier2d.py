@@ -106,9 +106,13 @@ def phi(t1, t2):
 
 
 def alpha2_exact(t=2.0 ** (-5.0 / 3.0)):
-    """Exact minimum 1 - 15 t of phi over the upper triangle, t = 2^(-5/3); a
-    rational bound on t gives the matching exact bound on it."""
+    """Exact minimum 1 - 15 t of phi over the upper triangle, t = 2^(-5/3)."""
     return 1 - 15 * t
+
+
+def alpha2_bound(up: bool) -> Fraction:
+    """An exact bound on alpha2, above it if up (below else): t = 2^(-5/3) rounds the other way."""
+    return alpha2_exact(Fraction(directed_root(Fraction(1, 32), not up, k=3)))
 
 
 def alpha2_numeric() -> float:

@@ -7,7 +7,7 @@ from additive_bases.fourier2d import c_axial, c_main
 @pytest.fixture(scope="session")
 def full_scale_intervals():
     """Full-scale certified enclosures, computed once for the whole run."""
-    return c_axial(SCALE[0]), c_main(SCALE[1])
+    return c_axial(SCALE), c_main(SCALE)
 
 
 @pytest.fixture(scope="session")

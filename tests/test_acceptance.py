@@ -16,9 +16,11 @@ import pytest
 from additive_bases.certify import (
     KAPPA0,
     REF_AXIAL,
+    REF_AXIAL_TOL,
     REF_COEFFICIENT,
     REF_CORNER_COEFFICIENT,
     REF_MAIN,
+    REF_MAIN_TOL,
     REF_RHO0,
     REF_RHO_FLOOR,
     TAU0,
@@ -163,12 +165,12 @@ def test_criterion_6_coefficient_formulas():
 
 def test_criterion_7_constants_at_full_scale(full_scale_intervals):
     t0 = time.time()
-    ax_fresh = c_axial(SCALE[0])
+    ax_fresh = c_axial(SCALE)
     axial_seconds = time.time() - t0
     ax, mn = full_scale_intervals
     ok = ax_fresh.lo == ax.lo and ax_fresh.hi == ax.hi
-    ok &= REF_AXIAL[0] - 1e-5 <= ax.lo and ax.hi <= REF_AXIAL[1] + 1e-5
-    ok &= REF_MAIN[0] - 1e-4 <= mn.lo and mn.hi <= REF_MAIN[1] + 1e-4
+    ok &= REF_AXIAL[0] - REF_AXIAL_TOL <= ax.lo and ax.hi <= REF_AXIAL[1] + REF_AXIAL_TOL
+    ok &= REF_MAIN[0] - REF_MAIN_TOL <= mn.lo and mn.hi <= REF_MAIN[1] + REF_MAIN_TOL
     ok &= axial_seconds < 10.0
     _report(7, f"axial [{ax.lo:.7f}, {ax.hi:.7f}] and main [{mn.lo:.7f}, {mn.hi:.7f}] "
             "inside reference intervals", ok, time.time() - t0)
@@ -182,7 +184,7 @@ def test_criterion_8_desk_scale_fallback(capsys, klotz_coefficient):
     for route in ("corner", "lemma"):
         code, doc = _cli_json(capsys, "bound", "two-var", "--route", route)
         ok &= (code, doc) == _cli_json(capsys, "bound", "two-var", "--fast", "--route", route)
-        ok &= code == 0 and (doc["c_axial"]["N"], doc["c_main"]["N"]) == SCALE
+        ok &= code == 0 and doc["c_axial"]["N"] == doc["c_main"]["N"] == SCALE
         ok &= doc["coefficient_upper"] <= REF_COEFFICIENT
     _report(8, f"--fast certifies the same <= {REF_COEFFICIENT} at N = {SCALE}, "
             f"strictly below {klotz_coefficient}", ok,
@@ -213,7 +215,7 @@ def test_criterion_10_lemma_suites():
     # speak for, from both sides: m_lo <= shell(R) R^2 <= m_hi for
     # N < R <= 4000 and a_lo <= 4 |c(r, 0)| r^2 <= a_hi for N < r <= 50000,
     # at N = 1, where the near-axis count stops growing, one past it,
-    # and both truncations in use.
+    # and the truncation in use.
     # The plain-Python kernel takes seconds for R <= 4000, so the sweep runs
     # the same evaluators on arrays.
     t0 = time.time()
@@ -222,16 +224,16 @@ def test_criterion_10_lemma_suites():
     shells = _shell_sums_on_arrays(4000) * R * R
     r = np.arange(1, 50001)
     axis = 4 * np.hypot(*_axis_values(r)) * r * r
-    for N in (1, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, *SCALE):
+    for N in (1, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, SCALE):
         (a_lo, a_hi), (m_lo, m_hi) = tail_constants(N)
         ok &= bool(a_lo <= Fraction(float(axis[N:].min())))
         ok &= bool(Fraction(float(axis[N:].max())) <= a_hi)
         if N < R.size:
             ok &= bool(m_lo <= Fraction(float(shells[N:].min())))
             ok &= bool(Fraction(float(shells[N:].max())) <= m_hi)
-    (a_lo, a_hi), (m_lo, m_hi) = tail_constants(SCALE[1])
+    (a_lo, a_hi), (m_lo, m_hi) = tail_constants(SCALE)
     proof = "test_certify.py::test_variation_lemma_constants_are_the_largest_slopes"
     _report(10, f"root-variation lemma proved by {proof}; derived per-term bounds hold on "
-            f"every measured term, at N = {SCALE[1]}: {float(m_lo):.3f} <= shell(R) R^2 <= "
+            f"every measured term, at N = {SCALE}: {float(m_lo):.3f} <= shell(R) R^2 <= "
             f"{float(m_hi):.3f} and {float(a_lo):.4f} <= 4|c(r,0)| r^2 <= {float(a_hi):.4f}", ok,
             time.time() - t0, limit=60.0)

@@ -19,7 +19,7 @@ from additive_bases.certify import (
     rho_from,
     rho_variation_bound,
 )
-from additive_bases.fourier2d import ConstantInterval, alpha2_exact, c_axial, c_main
+from additive_bases.fourier2d import ConstantInterval, alpha2_bound, alpha2_exact, c_axial, c_main
 
 
 def test_rho_at_regime_corner():
@@ -120,9 +120,8 @@ def _synthetic(lo, hi, N=0):
 def test_degenerate_corner_certificate():
     # Collapse the box onto (kappa, tau) = (3, 2): rho = 1/9 and the
     # coefficient rounds up to 0.4445.  c_main is the smallest float whose
-    # kappa.lo = 1 - alpha2 + c_main.lo, with alpha2 bounded above through
-    # the cube root of 1/32 rounded down, is at least 3.
-    one_minus_a2 = 1 - alpha2_exact(Fraction(directed_root(Fraction(1, 32), up=False, k=3)))
+    # kappa.lo = 1 - alpha2 + c_main.lo, with alpha2 bounded above, is at least 3.
+    one_minus_a2 = 1 - alpha2_bound(up=True)
     lo = directed_root(3 - one_minus_a2, up=True)
     ca = _synthetic(2.0, 2.0)
     cert = certify(ca, _synthetic(lo, lo), route="corner")

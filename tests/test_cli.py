@@ -87,13 +87,12 @@ def test_bound_two_var_fast_schema_and_formatting(capsys):
     ]
     doc = dict(pairs)
     assert isinstance(doc["alpha1"], float)  # 1.0 prints as "1.0", not as the integer 1
-    assert dict(doc["c_axial"])["N"] == 5000
-    assert dict(doc["c_main"])["N"] == 500
+    assert dict(doc["c_axial"])["N"] == dict(doc["c_main"])["N"] == 500
     assert doc["route"] == "corner"
     assert doc["coefficient_upper"] <= REF_COEFFICIENT
     # Every printed float reads back to the certificate's own double, bit
     # for bit, on both routes.
-    ax, mn = c_axial(SCALE[0]), c_main(SCALE[1])
+    ax, mn = c_axial(SCALE), c_main(SCALE)
     for route in ("corner", "lemma"):
         code, out = run_cli(capsys, "bound", "two-var", "--route", route)
         assert code == 0
@@ -234,9 +233,9 @@ def test_verify_constants_full_scale_report(capsys):
     assert code == 0
     assert out.splitlines() == [
         "PASS alpha2: numeric minimum -3.724703937 vs exact -3.724703937",
-        f"PASS c_axial({SCALE[0]}) within reference: [2.9028180, 2.9028181] "
+        f"PASS c_axial({SCALE}) within reference: [2.9028136, 2.9028225] "
         "within (2.90278, 2.90289)",
-        f"PASS c_main({SCALE[1]}) within reference: [4.7527495, 4.7531622] "
+        f"PASS c_main({SCALE}) within reference: [4.7527495, 4.7531622] "
         "within (4.75145, 4.76146)",
         "PASS rho0 at anchors: rho(9.48617, 2.90289) = 0.0424027 > 0.0424",
         "PASS final coefficient (lemma route): 0.4789 == 0.4789",
@@ -245,13 +244,24 @@ def test_verify_constants_full_scale_report(capsys):
     ]
 
 
-def test_verify_constants_fails_a_corner_route_that_slips_a_decimal(capsys, monkeypatch):
-    # At c_main(60) the corner route certifies 0.4789: within the
-    # published REF_COEFFICIENT, but one decimal step off its own.
-    monkeypatch.setattr(cli, "SCALE", (5000, 60))
+@pytest.mark.parametrize("n, fails", [
+    # At N = 60 the corner route certifies 0.4789: within the published
+    # REF_COEFFICIENT, but one decimal step off its own.
+    (60, ["FAIL c_axial(60) within reference: [2.9025139, 2.9031232] within (2.90278, 2.90289)",
+          "FAIL c_main(60) within reference: [4.7431281, 4.7637197] within (4.75145, 4.76146)",
+          "FAIL final coefficient (lemma route): 0.479 == 0.4789",
+          "FAIL final coefficient (corner route): 0.4789 == 0.4788",
+          "FAIL rho lower bounds: lemma 0.042042, corner 0.042394, both >= 0.0422"]),
+    # 161 is the smallest N that passes every row; at 160 only c_main fails.
+    (160, ["FAIL c_main(160) within reference: [4.7513455, 4.7546954] "
+           "within (4.75145, 4.76146)"]),
+    (161, []),
+], ids=["60", "160", "161"])
+def test_verify_constants_fails_a_corner_route_that_slips_a_decimal(capsys, monkeypatch, n, fails):
+    monkeypatch.setattr(cli, "SCALE", n)
     code, out = run_cli(capsys, "verify", "constants")
-    assert code == 1
-    assert "FAIL final coefficient (corner route): 0.4789 == 0.4788" in out.splitlines()
+    assert code == (1 if fails else 0)
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == fails
 
 
 @pytest.mark.parametrize(
@@ -302,7 +312,7 @@ def test_bound_two_var_flags_a_vacuous_certificate(capsys, monkeypatch):
     # trivial 1/2: the JSON is printed all the same, and the exit status
     # is 1.  (The corner route certifies 0.4933 there, which
     # test_bound_two_var_at_small_truncations checks.)
-    monkeypatch.setattr(cli, "SCALE", (1, 1))
+    monkeypatch.setattr(cli, "SCALE", 1)
     code, out = run_cli(capsys, "bound", "two-var", "--route", "lemma")
     assert code == 1
     doc = json.loads(out)

@@ -381,8 +381,8 @@ def test_two_sided_tails_sharpen_the_one_sided_enclosures():
     # enclosures at different N need not nest, but they all contain the
     # limit, so they pairwise intersect; and the full-scale c_main meets
     # the one-sided c_main(4000) of before, whose bits are below.
-    for make, tail, radii in ((c_axial, 5, (1, 10, 100, 1000, SCALE[0])),
-                              (c_main, 40, (1, 17, 50, 200, SCALE[1]))):
+    for make, tail, radii in ((c_axial, 5, (1, 10, 100, SCALE, 1000)),
+                              (c_main, 40, (1, 17, 50, 200, SCALE))):
         intervals = [make(N) for N in radii]
         for iv in intervals:
             partial = iv.lo + iv.rounding_slack - iv.tail_lo  # to within an ulp
@@ -391,7 +391,7 @@ def test_two_sided_tails_sharpen_the_one_sided_enclosures():
             assert iv.hi <= partial + tail / iv.N + iv.rounding_slack + ulp
         for a, b in itertools.combinations(intervals, 2):
             assert max(a.lo, b.lo) <= min(a.hi, b.hi), (a.N, b.N)
-    mn = c_main(SCALE[1])
+    mn = c_main(SCALE)
     assert max(mn.lo, 4.7514546862405487) <= min(mn.hi, 4.7614548212850147)
 
 
@@ -487,7 +487,7 @@ def test_full_scale_bits_are_pinned(full_scale_intervals):
     # tail or rounding slack, say) updates these numbers and says so in
     # CHANGES.md; anything else that moves them is a regression.
     ax, mn = full_scale_intervals
-    assert (ax.lo, ax.hi) == (2.9028180107925561, 2.9028180992711476)
+    assert (ax.lo, ax.hi) == (2.902813637208082, 2.902822474628483)
     assert (mn.lo, mn.hi) == (4.7527494873694263, 4.7531621866599618)
 
 
@@ -584,8 +584,8 @@ def test_lead_rest_and_g_rest_bound_what_they_leave_out(u, t, v, w):
 
 def test_tail_constants_lie_on_the_safe_side_of_pi(monkeypatch):
     # Each bound lies on its safe side of, and within 1e-8 of, a run with pi bracketed to
-    # 50 digits; at N where the near-axis count grows, stops, and both truncations.
-    bounds = {N: tail_constants(N) for N in (1, 2, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, *SCALE)}
+    # 50 digits; at N where the near-axis count grows, stops, and the truncation in use.
+    bounds = {N: tail_constants(N) for N in (1, 2, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, SCALE)}
     pi_lo, tol = Fraction(int(sympy.floor(sympy.pi * 10**50)), 10**50), Fraction(1, 10**8)
     monkeypatch.setattr(fourier2d, "_PI_LO", pi_lo)
     monkeypatch.setattr(fourier2d, "_PI_HI", pi_lo + Fraction(1, 10**50))
@@ -596,7 +596,7 @@ def test_tail_constants_lie_on_the_safe_side_of_pi(monkeypatch):
 
 def test_inverse_square_tail_brackets_hurwitz_zeta():
     with mp.workdps(50):
-        for N in (1, 2, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, *SCALE):
+        for N in (1, 2, 2 * _NEAR_AXIS, 2 * _NEAR_AXIS + 1, SCALE):
             k_lo, k_hi = map(_mpf, _inverse_square_tail(N + 1))
             assert k_lo <= mp.zeta(2, N + 1) <= k_hi
 

@@ -335,13 +335,19 @@ def test_directed_rounding_lives_in_one_helper():
     # certify.directed_root is the one place that steps between floats or
     # takes an integer root; certify.py, which runs the scalar tail in
     # exact rationals, and fourier1d.py, which derives the one-variable
-    # bound in them, write no tolerance to absorb a rounding.
+    # bound in them, write no tolerance to absorb a rounding.  The REF_*
+    # tolerances widen a published interval instead, and
+    # test_cli_writes_no_reference_literal keeps each written once.
     found = []
     for path in sorted((SRC / "additive_bases").glob("*.py")):
         tree = ast.parse(path.read_text())
         helper = [node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "directed_root"]
         allowed = {id(n) for node in helper for n in ast.walk(node)}
+        published = {id(n) for node in tree.body if isinstance(node, ast.Assign)
+                     and all(isinstance(t, ast.Name) and t.id.startswith("REF_")
+                             for t in node.targets)
+                     for n in ast.walk(node)}
         found += [f"{path.name}:{n.lineno}: {n.attr}" for n in ast.walk(tree)
                   if isinstance(n, ast.Attribute) and n.attr in ("nextafter", "isqrt")
                   and id(n) not in allowed]
@@ -350,5 +356,5 @@ def test_directed_rounding_lives_in_one_helper():
         if path.name in ("certify.py", "fourier1d.py"):
             found += [f"{path.name}:{n.lineno}: {n.value!r}" for n in ast.walk(tree)
                       if isinstance(n, ast.Constant) and type(n.value) is float
-                      and 0 < abs(n.value) < 1e-3]
+                      and 0 < abs(n.value) < 1e-3 and id(n) not in published]
     assert found == []
