@@ -2,8 +2,10 @@
 
 The coefficients of the piecewise-polynomial test function have exact
 rational-in-frequency expressions on the axes, the diagonal, and off the
-diagonal.  An independent split-domain Gauss-Legendre quadrature of
-phi * exp(-2 pi i (r1 t1 + r2 t2)) confirms them to machine precision.
+diagonal.  An independent Gauss-Legendre quadrature confirms them to
+machine precision: it integrates the excess phi - 1 times
+exp(-2 pi i (r1 t1 + r2 t2)) over the upper triangle, the only place the
+excess is nonzero, and adds 1 at the origin.
 The truncation tails of the certified sums are derived from the same
 closed forms: a_lo <= 4 |c(r, 0)| r^2 <= a_hi and m_lo <= shell(R) R^2 <= m_hi
 for r, R > N.

@@ -292,23 +292,22 @@ def _gauss_panels(panels: int):
 def coeff_quadrature(rmax: int):
     """Direct numerical Fourier coefficients of phi on max(|r1|, |r2|) <= rmax.
 
-    Independent of the closed forms: integrates phi * exp(-2 pi i (r1 t1
-    + r2 t2)) with the composite rule of _gauss_panels in each variable.
-    The square is cut along t1 + t2 = 1 and each closed triangle is mapped
-    to the unit square, so the integrand is smooth on each piece:
-      lower triangle: t2 = (1 - t1) s, Jacobian (1 - t1);
-      upper triangle: t2 = 1 - t1 (1 - s), Jacobian t1.
-    There phi times the Jacobian is a polynomial of degree at most 9 in
-    each mapped variable, which 8-point Gauss integrates exactly, so the
-    error comes from the exponential alone.  The rule uses
+    Independent of the closed forms.  phi is 1 + phi_excess on the upper
+    triangle R2 and 1 elsewhere, and the constant 1 has coefficient 1 at
+    the origin and 0 at every other frequency, so the oracle integrates
+    phi_excess * exp(-2 pi i (r1 t1 + r2 t2)) over R2 alone, with the
+    composite rule of _gauss_panels in each variable, and adds 1 at the
+    origin.  R2 is mapped to the unit square by t2 = 1 - t1 (1 - s), with
+    Jacobian t1, where the excess times the Jacobian is a polynomial of
+    degree at most 9 in each variable, which 8-point Gauss integrates
+    exactly, so the error comes from the exponential alone.  The rule uses
     min(128, 4 (rmax + 1)) panels: each spans less than a quarter
     wavelength of exp(-2 pi i rmax t) (and less than half of one of the
     mapped phase, whose frequency in t1 reaches 2 rmax), which leaves the
-    error at round-off.  From rmax = 31 on it is the 1024-node rule.
-    Each triangle's whole weight grid is summed against exp(-2 pi i q t2)
-    along s for q = 0..rmax.  The weights are real, so the row sums for
-    r2 = -q are their conjugates, bit for bit.  One matrix product with
-    exp(-2 pi i r1 t1) per r2 gives every r1 at once.
+    error at round-off.  From rmax = 31 on it is the 1024-node rule.  The
+    whole weight grid is summed against exp(-2 pi i r2 t2) along s for
+    each r2, and one matrix product with exp(-2 pi i r1 t1) gives every
+    (r1, r2) at once.
 
     Returns the (2 rmax + 1) x (2 rmax + 1) complex array whose entry
     [r1 + rmax, r2 + rmax] is the coefficient at (r1, r2).
@@ -317,15 +316,14 @@ def coeff_quadrature(rmax: int):
 
     t, w = _gauss_panels(min(128, 4 * (rmax + 1)))
     t1, s = t[:, None], t[None, :]
+    t2 = 1.0 - t1 * (1.0 - s)
     r = np.arange(-rmax, rmax + 1)
     rows = np.exp(-2j * _PI * np.outer(r, t))
-    out = np.zeros((r.size, r.size), dtype=complex)
-    for jac, t2 in ((1.0 - t1, (1.0 - t1) * s), (t1, 1.0 - t1 * (1.0 - s))):
-        weights = jac * w[:, None] * w[None, :] * phi(t1, t2)
-        sums = [np.sum(weights * np.exp(-2j * _PI * q * t2), axis=1) for q in range(rmax + 1)]
-        for j, r2 in enumerate(r):
-            out[:, j] += rows @ (sums[r2] if r2 >= 0 else np.conj(sums[-r2]))
-    return out
+    weights = t1 * w[:, None] * w[None, :] * phi_excess(t1, t2)
+    sums = np.array([np.sum(weights * np.exp(-2j * _PI * r2 * t2), axis=1) for r2 in r])
+    coeffs = rows @ sums.T
+    coeffs[rmax, rmax] += 1.0
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,6 @@ def test_rho_at_regime_corner():
     assert rho_from(3.0, 2.0) == pytest.approx(1.0 / 9.0, abs=1e-15)
 
 
-def test_rho_at_anchors_exceeds_reference():
-    assert rho_from(KAPPA0, TAU0) > 0.04240
-
-
 @given(st.fractions(3, 50, max_denominator=10**6), st.fractions(2, 20, max_denominator=10**6))
 def test_xi_and_rho_from_round_each_way(kappa, tau):
     # _xi brackets the root of kappa x^2 + tau x - 1, which rises for x > 0,

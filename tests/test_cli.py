@@ -69,7 +69,7 @@ def test_bound_moser(capsys):
     assert Fraction(doc["coefficient"]) >= Fraction(24, 49)
 
 
-def test_bound_two_var_fast_schema_and_formatting(capsys):
+def test_bound_two_var_fast_schema_and_formatting(capsys, full_scale_intervals):
     code, out = run_cli(capsys, "bound", "two-var", "--fast")
     assert code == 0
     pairs = json.loads(out, object_pairs_hook=list)
@@ -92,13 +92,12 @@ def test_bound_two_var_fast_schema_and_formatting(capsys):
     assert doc["coefficient_upper"] <= REF_COEFFICIENT
     # Every printed float reads back to the certificate's own double, bit
     # for bit, on both routes.
-    ax, mn = c_axial(SCALE), c_main(SCALE)
     for route in ("corner", "lemma"):
         code, out = run_cli(capsys, "bound", "two-var", "--route", route)
         assert code == 0
         printed = _float_bits(json.loads(out))
         assert len(printed) == 12
-        assert printed == _float_bits(certify(ax, mn, route=route).to_json_dict())
+        assert printed == _float_bits(certify(*full_scale_intervals, route=route).to_json_dict())
 
 
 def test_bound_two_var_route_flag(capsys):

@@ -28,7 +28,6 @@ from additive_bases.fourier2d import (
     _shell_tables,
     _shell_terms,
     alpha2_exact,
-    alpha2_numeric,
     c_axial,
     c_main,
     coeff,
@@ -68,19 +67,6 @@ def test_symmetry_and_mod_reduction():
     assert np.allclose(phi(a + 2.0, b - 1.0), phi(a, b), rtol=0.0, atol=1e-12)
 
 
-def test_alpha2_exact_value():
-    a2 = alpha2_exact()
-    assert a2 == pytest.approx(1.0 - 15.0 / 2.0 ** (5.0 / 3.0), abs=1e-15)
-    assert a2 == pytest.approx(-3.72470, abs=5e-6)
-
-
-def test_alpha2_numeric_agrees():
-    a2 = alpha2_exact()
-    num = alpha2_numeric()
-    assert num >= a2 - 1e-7  # a sampled minimum cannot undershoot the true one
-    assert num <= a2 + 1e-6  # and the diagonal search attains it
-
-
 def _exact(expr):
     """expr with each sympy Float replaced by the integer it holds, exactly."""
     exact = {f: sympy.Rational(f) for f in expr.atoms(sympy.Float)}
@@ -105,6 +91,9 @@ def test_alpha2_is_the_minimum_on_the_upper_triangle():
     assert m.subs(p, 0) == m.subs(p, 1) == 0 > m.subs(p, p_min)
     alpha2 = alpha2_exact(2 ** sympy.Rational(-5, 3))
     assert sympy.simplify(1 + m.subs(p, p_min) - alpha2) == 0
+    # The float the certificate reports lies within an ulp of that minimum.
+    a2 = alpha2_exact()
+    assert abs(sympy.Rational(a2) - alpha2) < sympy.Rational(math.ulp(a2))
 
 
 def test_excess_integrates_to_minus_one():
@@ -115,14 +104,6 @@ def test_excess_integrates_to_minus_one():
     excess = _exact(phi_excess(t1, t2))
     assert sympy.integrate(excess, (t2, 1 - t1, 1), (t1, 0, 1)) == -1
     assert coeff(0, 0) == 0j
-
-
-def test_phi_bounded_below_on_upper_triangle():
-    rng = np.random.default_rng(5)
-    t1 = rng.random(10**6)
-    t2 = rng.random(10**6)
-    mask = t1 + t2 >= 1.0
-    assert phi(t1[mask], t2[mask]).min() >= alpha2_exact() - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +133,6 @@ def test_zero_mean(quad_block):
 def test_closed_forms_match_quadrature(pair, quad_block):
     r1, r2 = pair
     assert abs(coeff(r1, r2) - quad_block[r1 + QUAD_RMAX, r2 + QUAD_RMAX]) < 1e-10
-
-
-def _direct_oracle(rmax):
-    """The oracle with exp(-2 pi i r2 t2) taken for every r2, negative ones too."""
-    t, w = _gauss_panels(min(128, 4 * (rmax + 1)))
-    t1, s = t[:, None], t[None, :]
-    r = np.arange(-rmax, rmax + 1)
-    rows = np.exp(-2j * np.pi * np.outer(r, t))
-    out = np.zeros((r.size, r.size), dtype=complex)
-    for jac, t2 in ((1.0 - t1, (1.0 - t1) * s), (t1, 1.0 - t1 * (1.0 - s))):
-        weights = jac * w[:, None] * w[None, :] * phi(t1, t2)
-        for j, r2 in enumerate(r):
-            out[:, j] += rows @ np.sum(weights * np.exp(-2j * np.pi * r2 * t2), axis=1)
-    return out
-
-
-@pytest.mark.parametrize("rmax", [2, 4, 8])
-def test_quadrature_oracle_conjugate_reuse_keeps_the_direct_bits(rmax):
-    # The weights are real, so the r2 = -q row sums are exact conjugates of
-    # the r2 = q ones and the oracle must match to the last bit.
-    assert np.array_equal(coeff_quadrature(rmax), _direct_oracle(rmax))
 
 
 @pytest.mark.parametrize("rmax", [1, 2, 3, 5, 8, 16])
@@ -375,15 +335,16 @@ def test_c_axial_width_and_tail():
     assert iv.hi - iv.lo >= iv.tail_hi - iv.tail_lo
 
 
-def test_two_sided_tails_sharpen_the_one_sided_enclosures():
+def test_two_sided_tails_sharpen_the_one_sided_enclosures(full_scale_intervals):
     # At equal N the two-sided enclosure lies inside the one-sided one the
     # sums used before, [partial - slack, partial + 5/N (40/N) + slack];
     # enclosures at different N need not nest, but they all contain the
     # limit, so they pairwise intersect; and the full-scale c_main meets
     # the one-sided c_main(4000) of before, whose bits are below.
-    for make, tail, radii in ((c_axial, 5, (1, 10, 100, SCALE, 1000)),
-                              (c_main, 40, (1, 17, 50, 200, SCALE))):
-        intervals = [make(N) for N in radii]
+    ax, mn = full_scale_intervals
+    for make, tail, radii, full in ((c_axial, 5, (1, 10, 100, 1000), ax),
+                                    (c_main, 40, (1, 17, 50, 200), mn)):
+        intervals = [make(N) for N in radii] + [full]
         for iv in intervals:
             partial = iv.lo + iv.rounding_slack - iv.tail_lo  # to within an ulp
             ulp = 4 * np.spacing(partial)
@@ -391,7 +352,6 @@ def test_two_sided_tails_sharpen_the_one_sided_enclosures():
             assert iv.hi <= partial + tail / iv.N + iv.rounding_slack + ulp
         for a, b in itertools.combinations(intervals, 2):
             assert max(a.lo, b.lo) <= min(a.hi, b.hi), (a.N, b.N)
-    mn = c_main(SCALE)
     assert max(mn.lo, 4.7514546862405487) <= min(mn.hi, 4.7614548212850147)
 
 
@@ -432,10 +392,10 @@ def test_c_main_shell_one_explicit():
     assert iv.lo == pytest.approx(expected, abs=1e-12)
 
 
-def test_c_main_nesting():
-    # Two-sided tails need not nest across N, but at these radii they do.
-    # At N = 500 the one-sided tail alone was 0.08 wide.
-    intervals = [c_main(N) for N in (50, 200, 500)]
+def test_c_main_nesting(full_scale_intervals):
+    # Two-sided tails need not nest across N, but at 50, 200 and SCALE they
+    # do.  At N = 500 the one-sided tail alone was 0.08 wide.
+    intervals = [c_main(50), c_main(200), full_scale_intervals[1]]
     for outer, inner in zip(intervals, intervals[1:]):
         assert outer.lo <= inner.lo and inner.hi <= outer.hi
     desk = intervals[-1]

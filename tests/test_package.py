@@ -226,7 +226,8 @@ def test_demo_runs(demo, tmp_path):
 
 
 def test_quadrature_oracle_reads_no_closed_form():
-    # The oracle checks the closed forms, so it must integrate phi itself.
+    # The oracle checks the closed forms, so it must integrate phi's own
+    # excess over the upper triangle.
     tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
     reads = {}
     for node in tree.body:
@@ -239,7 +240,7 @@ def test_quadrature_oracle_reads_no_closed_form():
                     "_AXIS", "_DIAG", "_EDGE", "_G",
                     "_AXIS_F", "_DIAG_F", "_EDGE_F", "_G_F", *TAIL_DERIVATION}
     assert not closed_forms & (reads["coeff_quadrature"] | reads["_gauss_panels"])
-    assert "phi" in reads["coeff_quadrature"]
+    assert "phi_excess" in reads["coeff_quadrature"]
 
 
 def _fourier2d_functions(names):

@@ -255,14 +255,6 @@ def test_rep_profile_identity_catches_an_overlong_radius(monkeypatch):
 
 @given(bases)
 @settings(max_examples=300, deadline=None)
-def test_identity_exact(A):
-    p = rep_profile(A)
-    k = len(A)
-    assert (k * k + k) // 2 == p.n + p.delta_total
-
-
-@given(bases)
-@settings(max_examples=300, deadline=None)
 def test_covered_segment(A):
     s = set(sumset2(A))
     n = n2(A)
