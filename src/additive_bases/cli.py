@@ -20,15 +20,16 @@ large to allocate, too), a file that cannot be written, or a command
 that needs numpy where numpy cannot be imported.  Shell sums
 run in one fixed order (see fourier2d), so repeated runs print identical
 bits.  No import of this module, and no run of `search`, `construct`,
-`bound` or `verify constants`, loads numpy: the certificate runs on the
-standard library.  `verify formulas` and `dump phi` import it through
-fourier2d when they run, and `basis stats` only for a spectrum of more
-than sumsets.DIRECT_TERMS terms, such as Rohrbach's k = 400 basis at its
-covering radius 40001; smaller ones, a basis typed in by hand among
-them, are summed without it.  main sets OPENBLAS_NUM_THREADS to 1 unless
-it is set already, before anything imports numpy: no command uses
-OpenBLAS's threads, and starting them is half of numpy's import.  The package's
-records are NamedTuples, and a basis is sumsets.Basis, a tuple subclass
+`bound`, `verify constants` or `dump phi`, loads numpy: the certificate
+and the test function run on the standard library.  `verify formulas`
+imports it through fourier2d's quadrature oracle when it runs, and
+`basis stats` only for a spectrum of more than sumsets.DIRECT_TERMS
+terms, such as Rohrbach's k = 400 basis at its covering radius 40001;
+smaller ones, a basis typed in by hand among them, are summed without
+it.  main sets OPENBLAS_NUM_THREADS to 1 unless it is set already,
+before anything imports numpy: no command uses OpenBLAS's threads, and
+starting them is half of numpy's import.  The package's records are
+NamedTuples, and a basis is sumsets.Basis, a tuple subclass
 whose __new__ sorts and validates its elements, so start-up loads none
 of inspect, ast, dis or tokenize.
 """
@@ -242,7 +243,7 @@ def _cmd_basis_stats(args) -> int:
 
 
 def _cmd_dump_phi(args) -> int:
-    _require("--grid", args.grid, 2)
+    _require("--grid", args.grid, 2, 2**16)  # the rows stream to disk, so bound them
     from . import fourier2d
 
     fourier2d.phi_grid_csv(args.out, args.grid)

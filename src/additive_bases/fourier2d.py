@@ -61,8 +61,9 @@ slack still counts all 4N^2 lattice terms.
 The certificate runs on the standard library: the sums use math.hypot
 and math.fsum, and the shell kernel (_shell_terms) evaluates the
 Y-polynomials of shell R once per pair (R, s), (R, -s), whose terms
-share the even and odd parts in Y.  numpy is imported only by phi, the
-quadrature oracle and phi_grid_csv.
+share the even and odd parts in Y.  phi and phi_grid_csv run on plain
+floats too; numpy is imported only by the quadrature oracle
+(_gauss_panels and coeff_quadrature).
 """
 
 from __future__ import annotations
@@ -95,14 +96,10 @@ def phi_excess(t1, t2):
     return -40.0 * ((1.0 - t1) * (1.0 - t2)) * (1.0 - w**6)
 
 
-def phi(t1, t2):
+def phi(t1: float, t2: float) -> float:
     """The test function on the torus; inputs are reduced mod 1 into [0, 1)^2."""
-    import numpy as np
-
-    t1 = np.mod(np.asarray(t1, dtype=float), 1.0)
-    t2 = np.mod(np.asarray(t2, dtype=float), 1.0)
-    out = np.where(t1 + t2 < 1.0, 1.0, 1.0 + phi_excess(t1, t2))
-    return float(out) if out.ndim == 0 else out
+    t1, t2 = t1 % 1.0, t2 % 1.0
+    return 1.0 if t1 + t2 < 1.0 else 1.0 + phi_excess(t1, t2)
 
 
 def alpha2_exact(t=2.0 ** (-5.0 / 3.0)):
@@ -626,17 +623,13 @@ def c_main(N: int) -> ConstantInterval:
 def phi_grid_csv(path, m: int) -> None:
     """Dump the surface of phi on an m x m uniform grid.
 
-    Row-major CSV with header t1,t2,phi; grid points i/m for i < m.
+    Row-major CSV with header t1,t2,phi; grid points i/m for i < m.  The
+    rows are written as they are computed, one point at a time.
     """
     if m < 2:
         raise ValueError("grid too small")
-    import numpy as np
-
-    t = np.arange(m, dtype=float) / m
     with open(path, "w") as fh:
         fh.write("t1,t2,phi\n")
         for i in range(m):
-            row = phi(np.full(m, t[i]), t)
-            fh.writelines(
-                f"{t[i]:.17g},{t[j]:.17g},{row[j]:.17g}\n" for j in range(m)
-            )
+            t1 = i / m
+            fh.writelines(f"{t1:.17g},{j / m:.17g},{phi(t1, j / m):.17g}\n" for j in range(m))

@@ -67,9 +67,13 @@ def _report(num, desc, ok, elapsed, limit=None):
         assert elapsed < limit, f"criterion {num} exceeded {limit}s ({elapsed:.2f}s)"
 
 
-def _cli_json(capsys, *argv):
+def _cli_out(capsys, *argv):
     code = cli_main(list(argv))
-    out = capsys.readouterr().out
+    return code, capsys.readouterr().out
+
+
+def _cli_json(capsys, *argv):
+    code, out = _cli_out(capsys, *argv)
     return code, json.loads(out)
 
 
@@ -176,12 +180,13 @@ def test_criterion_7_constants_at_full_scale(full_scale_intervals):
 
 def test_criterion_8_desk_scale_fallback(capsys, klotz_coefficient):
     # The desk scale is the certificate's one scale: --fast prints the
-    # same certificate, at N = SCALE, on both routes.
+    # same certificate, byte for byte, at N = SCALE, on both routes.
     t0 = time.time()
     ok = REF_COEFFICIENT < klotz_coefficient
     for route in ("corner", "lemma"):
-        code, doc = _cli_json(capsys, "bound", "two-var", "--route", route)
-        ok &= (code, doc) == _cli_json(capsys, "bound", "two-var", "--fast", "--route", route)
+        code, out = _cli_out(capsys, "bound", "two-var", "--route", route)
+        ok &= (code, out) == _cli_out(capsys, "bound", "two-var", "--fast", "--route", route)
+        doc = json.loads(out)
         ok &= code == 0 and doc["c_axial"]["N"] == doc["c_main"]["N"] == SCALE
         ok &= doc["coefficient_upper"] <= REF_COEFFICIENT
     _report(8, f"--fast certifies the same <= {REF_COEFFICIENT} at N = {SCALE}, "

@@ -87,16 +87,25 @@ def _run_without(module, argv):
                           capture_output=True, text=True)
 
 
-def _same_stdout_without(module, argv, capsys):
+def _take_files() -> dict:
+    """The bytes of each file in the working directory, which is then emptied."""
+    files = {path.name: path.read_bytes() for path in Path().iterdir()}
+    for name in files:
+        Path(name).unlink()
+    return files
+
+
+def _same_output_without(module, argv, capsys):
     """Run argv in-process, then in a child where `module` cannot be
-    imported, and check that both exit 0 with the same stdout."""
+    imported, both from an empty working directory, and check that both
+    exit 0 with the same stdout and write the same files there."""
     from additive_bases.cli import main
 
     assert main(list(argv)) == 0
-    expected = capsys.readouterr().out
+    expected = capsys.readouterr().out, _take_files()
     proc = _run_without(module, argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == expected
+    assert (proc.stdout, _take_files()) == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -107,9 +116,12 @@ def _same_stdout_without(module, argv, capsys):
     pytest.param(("bound", "two-var"), id="two-var-corner"),
     pytest.param(("bound", "two-var", "--route", "lemma"), id="two-var-lemma"),
     pytest.param(("verify", "constants"), id="verify-constants"),
+    # So does the test function, a point at a time.
+    pytest.param(("dump", "phi", "--grid", "8", "--out", "phi.csv"), id="dump-phi"),
 ], ids=lambda argv: argv[0])
-def test_numpy_free_commands_run_without_numpy(argv, capsys):
-    _same_stdout_without("numpy", argv, capsys)
+def test_numpy_free_commands_run_without_numpy(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _same_output_without("numpy", argv, capsys)
 
 
 def _assert_clean_numpy_error(proc):
@@ -143,8 +155,9 @@ def test_cli_import_loads_no_dataclasses():
     ("search", "--k", "5"), ("construct", "rohrbach", "--k", "10"), ("bound", "moser"),
     ("basis", "stats", "--set", "0,1,3"),
 ], ids=lambda argv: argv[0])
-def test_light_commands_run_without_dataclasses(argv, capsys):
-    _same_stdout_without("dataclasses", argv, capsys)
+def test_light_commands_run_without_dataclasses(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _same_output_without("dataclasses", argv, capsys)
 
 
 def _record_fields():
