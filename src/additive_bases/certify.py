@@ -50,6 +50,11 @@ REF_AXIAL = (2.90278, 2.90289)
 REF_AXIAL_TOL = 1e-5
 REF_MAIN = (4.75145, 4.76146)
 REF_MAIN_TOL = 1e-4
+# Pass tolerances of the numeric alpha2 search against the exact minimum
+# (verify constants) and of the closed forms against the quadrature oracle
+# (verify formulas).
+REF_ALPHA2_TOL = 1e-6
+REF_ORACLE_TOL = 1e-8
 REF_RHO0 = 0.04240
 REF_RHO_FLOOR = 0.0422
 REF_COEFFICIENT = 0.4789

@@ -97,7 +97,13 @@ def phi_excess(t1, t2):
 
 
 def phi(t1: float, t2: float) -> float:
-    """The test function on the torus; inputs are reduced mod 1 into [0, 1)^2."""
+    """The test function on the torus; inputs are reduced mod 1.
+
+    The reduction lands in [0, 1]^2, not [0, 1)^2: a tiny negative input
+    rounds up to 1.0 under `% 1.0` (-1e-20 % 1.0 == 1.0).  The value is
+    right all the same, since the excess is 0 on the edges t1 = 1 and
+    t2 = 1 (test_vanishing_on_upper_triangle_boundary proves it).
+    """
     t1, t2 = t1 % 1.0, t2 % 1.0
     return 1.0 if t1 + t2 < 1.0 else 1.0 + phi_excess(t1, t2)
 

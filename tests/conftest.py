@@ -1,6 +1,9 @@
+import contextlib
+import io
+
 import pytest
 
-from additive_bases.cli import SCALE
+from additive_bases.cli import SCALE, main
 from additive_bases.fourier2d import c_axial, c_main
 
 
@@ -11,7 +14,13 @@ def full_scale_intervals():
 
 
 @pytest.fixture(scope="session")
-def klotz_coefficient():
-    """The best earlier upper bound on n(2,k)/k^2 (Klotz), which the
-    certified coefficient must beat."""
-    return 0.4802
+def certificate_runs():
+    """The exit status and stdout of each full-scale certificate command,
+    run once in-process for the whole run, keyed by its argv."""
+    runs = {}
+    for argv in (("bound", "two-var"), ("bound", "two-var", "--route", "lemma"),
+                 ("verify", "constants")):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(list(argv))
+        runs[argv] = code, out.getvalue()
+    return runs

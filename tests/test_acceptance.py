@@ -11,16 +11,17 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from additive_bases.certify import (
     KAPPA0,
+    REF_ALPHA2_TOL,
     REF_AXIAL,
     REF_AXIAL_TOL,
     REF_COEFFICIENT,
     REF_CORNER_COEFFICIENT,
     REF_MAIN,
     REF_MAIN_TOL,
+    REF_ORACLE_TOL,
     REF_RHO0,
     REF_RHO_FLOOR,
     TAU0,
@@ -45,6 +46,10 @@ from additive_bases.fourier2d import (
     tail_constants,
 )
 from additive_bases.sumsets import Basis, exp_sum_stats, n2, rep_profile, sumset2
+
+# The best earlier upper bound on n(2,k)/k^2 (Klotz), which the certified
+# coefficient must beat.
+KLOTZ_COEFFICIENT = 0.4802
 
 
 def _shell_sums_on_arrays(N):
@@ -130,9 +135,11 @@ def test_criterion_3_rohrbach_construction():
     ok = True
     for k in range(4, 201):
         r = k // 2
-        covered = set(sumset2(rohrbach_basis(k)))
-        ok &= all(j in covered for j in range(r * r + 1))
-    _report(3, "construction covers [0, floor(k/2)^2] for k in [4, 200]", ok,
+        basis = rohrbach_basis(k)
+        covered = set(sumset2(basis))
+        ok &= len(basis) == 2 * r - 1 and all(j in covered for j in range(r * r + 1))
+    _report(3, "construction of 2 floor(k/2) - 1 elements covers [0, floor(k/2)^2] "
+            "for k in [4, 200]", ok,
             time.time() - t0, limit=10.0)
 
 
@@ -152,7 +159,7 @@ def test_criterion_5_alpha2():
     t0 = time.time()
     exact = alpha2_exact()
     numeric = alpha2_numeric()
-    ok = abs(numeric - exact) < 1e-6
+    ok = abs(numeric - exact) < REF_ALPHA2_TOL
     ok &= abs(exact - (-3.72470)) < 1e-5
     _report(5, "diagonal minimum of the test function matches 1 - 15/2^(5/3)", ok,
             time.time() - t0)
@@ -164,7 +171,7 @@ def test_criterion_6_coefficient_formulas():
     worst = max(abs(coeff(r1, r2) - quad[r1 + 8, r2 + 8])
                 for r1 in range(-8, 9) for r2 in range(-8, 9) if r1 or r2)
     _report(6, f"closed forms match quadrature on max|r| <= 8 (worst {worst:.2e})",
-            worst < 1e-8, time.time() - t0, limit=120.0)
+            worst < REF_ORACLE_TOL, time.time() - t0, limit=120.0)
 
 
 def test_criterion_7_constants_at_full_scale(full_scale_intervals):
@@ -178,19 +185,21 @@ def test_criterion_7_constants_at_full_scale(full_scale_intervals):
             "inside reference intervals", ok, time.time() - t0)
 
 
-def test_criterion_8_desk_scale_fallback(capsys, klotz_coefficient):
+def test_criterion_8_desk_scale_fallback(capsys, certificate_runs):
     # The desk scale is the certificate's one scale: --fast prints the
-    # same certificate, byte for byte, at N = SCALE, on both routes.
+    # same certificate, byte for byte, at N = SCALE, on both routes (the
+    # corner run, stored without --route, is the default's).
     t0 = time.time()
-    ok = REF_COEFFICIENT < klotz_coefficient
-    for route in ("corner", "lemma"):
-        code, out = _cli_out(capsys, "bound", "two-var", "--route", route)
+    ok = REF_COEFFICIENT < KLOTZ_COEFFICIENT
+    for route, argv in (("corner", ("bound", "two-var")),
+                        ("lemma", ("bound", "two-var", "--route", "lemma"))):
+        code, out = certificate_runs[argv]
         ok &= (code, out) == _cli_out(capsys, "bound", "two-var", "--fast", "--route", route)
         doc = json.loads(out)
         ok &= code == 0 and doc["c_axial"]["N"] == doc["c_main"]["N"] == SCALE
         ok &= doc["coefficient_upper"] <= REF_COEFFICIENT
     _report(8, f"--fast certifies the same <= {REF_COEFFICIENT} at N = {SCALE}, "
-            f"strictly below {klotz_coefficient}", ok,
+            f"strictly below {KLOTZ_COEFFICIENT}", ok,
             time.time() - t0, limit=60.0)
 
 

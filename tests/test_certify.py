@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from mpmath import mp, mpf
 
 from additive_bases.certify import (
     KAPPA0,
-    REF_COEFFICIENT,
     TAU0,
     _xi,
     ceil4,
@@ -19,7 +17,7 @@ from additive_bases.certify import (
     rho_from,
     rho_variation_bound,
 )
-from additive_bases.fourier2d import ConstantInterval, alpha2_bound, alpha2_exact, c_axial, c_main
+from additive_bases.fourier2d import ConstantInterval, alpha2_bound, alpha2_exact
 
 
 def test_rho_at_regime_corner():
@@ -195,38 +193,3 @@ def test_route_disagreement_raises(full_scale_intervals, monkeypatch):
 def test_route_validation():
     with pytest.raises(ValueError, match="unknown route"):
         certify(_synthetic(2.5, 2.5), _synthetic(5.0, 5.0), route="magic")
-
-
-def test_desk_scale_pipeline_beats_klotz(full_scale_intervals, klotz_coefficient):
-    ca, cm = full_scale_intervals
-    corner = certify(ca, cm, route="corner")
-    lemma = certify(ca, cm, route="lemma")
-    for cert in (corner, lemma):
-        assert cert.coefficient_upper <= REF_COEFFICIENT
-        assert cert.coefficient_upper < klotz_coefficient
-        assert cert.rho_lower <= 1.0 / 9.0
-        assert cert.coefficient_upper < 0.5
-        assert cert.kappa[0] >= 3.0 and cert.tau[0] >= 2.0
-    # the anchor route bounds rho over the whole box, hence is weaker
-    assert lemma.rho_lower <= corner.rho_lower
-
-
-def test_json_schema_field_order():
-    ca = c_axial(100)
-    cm = c_main(20)
-    cert = certify(ca, cm)
-    doc = cert.to_json_dict()
-    assert list(doc.keys()) == [
-        "alpha1",
-        "alpha2",
-        "c_axial",
-        "c_main",
-        "kappa",
-        "tau",
-        "rho_lower",
-        "coefficient_upper",
-        "route",
-    ]
-    assert list(doc["c_axial"].keys()) == ["lo", "hi", "N"]
-    assert list(doc["kappa"].keys()) == ["lo", "hi"]
-    json.dumps(doc)  # serializable

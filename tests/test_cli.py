@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from additive_bases import cli
-from additive_bases.certify import REF_COEFFICIENT, certify
+from additive_bases.certify import REF_COEFFICIENT, REF_ORACLE_TOL, certify
 from additive_bases.cli import SCALE, build_parser, main
 from additive_bases.fourier2d import _NEAR_AXIS, c_axial, c_main
 from additive_bases.sumsets import Basis, exp_sum_stats
@@ -69,12 +69,12 @@ def test_bound_moser(capsys):
     assert Fraction(doc["coefficient"]) >= Fraction(24, 49)
 
 
-def test_bound_two_var_fast_schema_and_formatting(capsys, full_scale_intervals):
-    code, out = run_cli(capsys, "bound", "two-var", "--fast")
+def test_bound_two_var_fast_schema_and_formatting(certificate_runs, full_scale_intervals):
+    # The stored runs are the ones criterion 8 finds byte-identical under --fast.
+    code, out = certificate_runs[("bound", "two-var")]
     assert code == 0
-    pairs = json.loads(out, object_pairs_hook=list)
-    keys = [k for k, _ in pairs]
-    assert keys == [
+    doc = json.loads(out)
+    assert list(doc) == [
         "alpha1",
         "alpha2",
         "c_axial",
@@ -85,15 +85,17 @@ def test_bound_two_var_fast_schema_and_formatting(capsys, full_scale_intervals):
         "coefficient_upper",
         "route",
     ]
-    doc = dict(pairs)
+    assert [list(doc[key]) for key in ("c_axial", "c_main", "kappa", "tau")] == [
+        ["lo", "hi", "N"], ["lo", "hi", "N"], ["lo", "hi"], ["lo", "hi"]]
     assert isinstance(doc["alpha1"], float)  # 1.0 prints as "1.0", not as the integer 1
-    assert dict(doc["c_axial"])["N"] == dict(doc["c_main"])["N"] == 500
+    assert doc["c_axial"]["N"] == doc["c_main"]["N"] == SCALE
     assert doc["route"] == "corner"
     assert doc["coefficient_upper"] <= REF_COEFFICIENT
     # Every printed float reads back to the certificate's own double, bit
     # for bit, on both routes.
-    for route in ("corner", "lemma"):
-        code, out = run_cli(capsys, "bound", "two-var", "--route", route)
+    for route, argv in (("corner", ("bound", "two-var")),
+                        ("lemma", ("bound", "two-var", "--route", "lemma"))):
+        code, out = certificate_runs[argv]
         assert code == 0
         printed = _float_bits(json.loads(out))
         assert len(printed) == 12
@@ -153,7 +155,7 @@ def test_verify_formulas_small(capsys):
     match = re.search(r"worst \|diff\| = (\S+) at \((-?\d+), (-?\d+)\)$", out.strip())
     assert match, out
     worst, r1, r2 = float(match[1]), int(match[2]), int(match[3])
-    assert worst < 1e-8
+    assert worst < REF_ORACLE_TOL
     assert max(abs(r1), abs(r2)) <= 2
     assert (r1, r2) != (0, 0)
 
@@ -224,8 +226,8 @@ def test_size_error_names_the_flag(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-def test_verify_constants_full_scale_report(capsys):
-    code, out = run_cli(capsys, "verify", "constants")
+def test_verify_constants_full_scale_report(certificate_runs):
+    code, out = certificate_runs[("verify", "constants")]
     assert code == 0
     assert out.splitlines() == [
         "PASS alpha2: numeric minimum -3.724703937 vs exact -3.724703937",
@@ -260,12 +262,12 @@ def test_verify_constants_fails_a_corner_route_that_slips_a_decimal(capsys, monk
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == fails
 
 
-def test_verify_constants_fast_flag_keeps_the_truncation(capsys):
+def test_verify_constants_fast_flag_keeps_the_truncation(capsys, certificate_runs):
     # The certificate has one truncation, SCALE; --fast is accepted and
     # ignored (criterion 8 checks the same of bound two-var).
-    outputs = [run_cli(capsys, "verify", "constants", *flag) for flag in ((), ("--fast",))]
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0] == 0
+    stored = certificate_runs[("verify", "constants")]
+    assert run_cli(capsys, "verify", "constants", "--fast") == stored
+    assert stored[0] == 0
 
 
 def test_parser_accepts_every_benchmark_command(monkeypatch):

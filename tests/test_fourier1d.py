@@ -30,40 +30,6 @@ def test_derived_bounds_are_exact():
     assert moser_bounds() == (Fraction(1, 2), Fraction(-3, 2), Fraction(3, 2))
 
 
-def test_constant_is_one_over_98():
-    coefficient = one_var_bound(*moser_bounds())
-    assert Fraction(1, 2) - coefficient == Fraction(1, 98)
-    assert coefficient <= Fraction(4898, 10000)
-
-
-def balance_oracle():
-    """Grid scan plus bisection on the crossing of the two branches."""
-
-    def f(lam):
-        return max((1 - 4 * lam) ** 2 / 18.0, lam * lam / 2.0)
-
-    lams = np.linspace(0.0, 1.0, 10001)
-    lam = lams[np.argmin([f(x) for x in lams])]
-    lo, hi = lam - 1e-3, lam + 1e-3
-
-    def diff(x):
-        return (1 - 4 * x) ** 2 / 18.0 - x * x / 2.0
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if diff(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def test_balance_point_is_one_seventh():
-    lam = balance_oracle()
-    assert lam == pytest.approx(1.0 / 7.0, abs=1e-9)
-    assert balance_fraction(*moser_bounds()) == Fraction(1, 7)
-
-
 @pytest.mark.parametrize("bounds", [
     moser_bounds(),
     (Fraction(0), Fraction(-2), Fraction(3, 2)),
@@ -77,14 +43,6 @@ def test_balance_fraction_minimises_the_larger_branch(bounds):
     best = worst(lam, *bounds)
     assert all(worst(Fraction(i, 2000), *bounds) >= best for i in range(2001))
     assert one_var_bound(*bounds) == Fraction(1, 2) - best
-
-
-def test_one_var_bound_reproduces_constant():
-    assert one_var_bound(*moser_bounds()) == Fraction(24, 49)
-
-
-def test_degenerate_alpha1_gives_one_half():
-    assert one_var_bound(0, -2, Fraction(3, 2)) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0, 7.3])

@@ -59,6 +59,8 @@ def test_symmetry_and_mod_reduction():
         # shifting by whole periods perturbs the floats themselves, so the
         # reduced values agree only up to the bump's Lipschitz constant * ulp
         assert abs(phi(a + 2.0, b - 1.0) - phi(a, b)) <= 1e-12
+    # -1e-20 reduces to 1.0, not 0.0, where the excess vanishes
+    assert phi(-1e-20, 0.5) == phi(0.0, 0.5) == 1.0
 
 
 def _exact(expr):

@@ -26,28 +26,12 @@ def naive_n2k(k):
     return best, sorted(witnesses)
 
 
-def test_small_cases_match_known_values():
-    r1 = n2k_exact(1)
-    assert (r1.n_best, [tuple(w) for w in r1.witnesses]) == (1, [(0,)])
-    r2 = n2k_exact(2)
-    assert (r2.n_best, [tuple(w) for w in r2.witnesses]) == (3, [(0, 1)])
-    r3 = n2k_exact(3)
-    assert r3.n_best == 5
-    assert [tuple(w) for w in r3.witnesses] == [(0, 1, 2), (0, 1, 3)]
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_matches_naive_enumeration(k):
     best, witnesses = naive_n2k(k)
     res = n2k_exact(k)
     assert res.n_best == best
     assert [tuple(w) for w in res.witnesses] == witnesses
-
-
-def test_k4_value_and_witness():
-    res = n2k_exact(4)
-    assert res.n_best == 9
-    assert (0, 1, 3, 4) in [tuple(w) for w in res.witnesses]
 
 
 def test_witnesses_are_valid_and_canonical():

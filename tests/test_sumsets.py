@@ -43,7 +43,6 @@ def brute_n2(elems):
 
 
 bases = st.sets(st.integers(0, 200), min_size=1, max_size=12).map(Basis)
-bases_01 = st.sets(st.integers(2, 200), max_size=10).map(lambda s: Basis(s | {0, 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +156,6 @@ def test_exp_sum_modulus_too_small():
         exp_sum_stats([0, 1], 1)
 
 
-def test_exp_sum_magnitudes_against_direct_evaluation():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        k = int(rng.integers(1, 8))
-        elems = sorted(rng.choice(50, size=k, replace=False).tolist())
-        n = int(rng.integers(2, 40))
-        stats = exp_sum_stats(elems, n)
-        direct = max(
-            abs(sum(cmath.exp(2j * cmath.pi * r * a / n) for a in elems)) for r in range(1, n)
-        )
-        assert stats.M == pytest.approx(direct, abs=1e-10)
-
-
 def _brute_M(elems, n):
     """max |f_A(w^r)| over every r = 1..n-1, summed term by term.
 
@@ -183,6 +169,15 @@ def _brute_M(elems, n):
         f = np.exp(2j * np.pi * (r[:, None] * res % n) / n).sum(axis=1)
         best = max(best, float(np.abs(f).max()))
     return best
+
+
+def test_exp_sum_magnitudes_against_direct_evaluation():
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        k = int(rng.integers(1, 8))
+        elems = sorted(rng.choice(50, size=k, replace=False).tolist())
+        n = int(rng.integers(2, 40))
+        assert exp_sum_stats(elems, n).M == pytest.approx(_brute_M(elems, n), abs=1e-10)
 
 
 def test_exp_sum_magnitudes_across_the_mirror():
@@ -267,19 +262,6 @@ def test_n2_on_a_large_basis():
     # Rohrbach's k = 2000 basis covers [0, r^2] with r = 1000, exactly; the
     # brute-force oracle is too slow at this size, so the value is pinned.
     assert n2(rohrbach_basis(2000)) == 1000001
-
-
-@given(bases_01)
-@settings(max_examples=300, deadline=None)
-def test_surplus_lower_bounds(A):
-    p = rep_profile(A)
-    stats = exp_sum_stats(A, p.n)
-    assert p.delta_total >= stats.ell * (stats.ell + 1) / 2
-    assert p.delta_total >= (stats.M**2 - len(A)) / 2 - 1e-9
-    assert 2 * p.delta_total >= stats.L
-    assert stats.L >= stats.ell**2
-    assert 0.0 <= stats.M <= len(A) + 1e-9
-    assert 0.0 <= stats.mu <= 1.0 + 1e-12
 
 
 @given(bases, st.integers(0, 50))
