@@ -17,21 +17,21 @@ diffable bit for bit.  Exit status is 0 iff every requested check passed
 vacuous, coefficient_upper >= 1/2, no better than the trivial bound),
 and 2 with an "error: ..." line on stderr for bad input (a size too
 large to allocate, too), a file that cannot be written, or a command
-that needs numpy where numpy cannot be imported.  Shell sums
-run in one fixed order (see fourier2d), so repeated runs print identical
-bits.  No import of this module, and no run of `search`, `construct`,
-`bound`, `verify constants` or `dump phi`, loads numpy: the certificate
-and the test function run on the standard library.  `verify formulas`
-imports it through fourier2d's quadrature oracle when it runs, and
-`basis stats` only for a spectrum of more than sumsets.DIRECT_TERMS
-terms, such as Rohrbach's k = 400 basis at its covering radius 40001;
-smaller ones, a basis typed in by hand among them, are summed without
-it.  main sets OPENBLAS_NUM_THREADS to 1 unless it is set already,
-before anything imports numpy: no command uses OpenBLAS's threads, and
-starting them is half of numpy's import.  The package's records are
-NamedTuples, and a basis is sumsets.Basis, a tuple subclass
-whose __new__ sorts and validates its elements, so start-up loads none
-of inspect, ast, dis or tokenize.
+that needs numpy where numpy cannot be imported (the line then names
+the `arrays` extra that installs it).  Shell sums run in one fixed
+order (see fourier2d), so repeated runs print identical bits.  A plain
+install is the standard library: no import of this module, and no run
+of `search`, `construct`, `bound`, `verify constants` or `dump phi`,
+loads numpy.  `verify formulas` imports it through fourier2d's
+quadrature oracle when it runs, and `basis stats` only for a spectrum
+of more than sumsets.DIRECT_TERMS terms, such as Rohrbach's k = 400
+basis at its covering radius 40001; smaller ones, a basis typed in by
+hand among them, are summed without it.  main sets OPENBLAS_NUM_THREADS
+to 1 unless it is set already, before anything imports numpy: no
+command uses OpenBLAS's threads, and starting them is half of numpy's
+import.  The package's records are NamedTuples, and a basis is
+sumsets.Basis, a tuple subclass whose __new__ sorts and validates its
+elements, so start-up loads none of inspect, ast, dis or tokenize.
 """
 
 from __future__ import annotations
@@ -312,8 +312,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ImportError) as exc:  # ImportError: numpy missing
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, ImportError) as exc:
+        message = str(exc)
+        if isinstance(exc, ImportError) and exc.name == "numpy":  # not installed, or blocked
+            message = "this command needs numpy: pip install 'additive-bases[arrays]'"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size flag too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

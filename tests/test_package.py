@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from additive_bases.constructions import rohrbach_basis
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 SUBMODULES = sorted(p.stem for p in (SRC / "additive_bases").glob("*.py")
@@ -36,30 +38,37 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def _loaded_in_child(modules, packages):
-    """The modules of `packages` that a fresh interpreter holds after
-    importing `modules`; this one has loaded them all for the tests."""
-    code = (f"import sys, {modules}; print(sorted(m for m in sys.modules "
-            f"if m.split('.')[0] in {packages!r}))")
+@pytest.fixture(scope="module")
+def light_imports():
+    """The top-level packages that one fresh interpreter holds after
+    importing cli, then after also importing fourier2d and certify; this
+    one has loaded them all for the tests."""
+    show = "print(sorted({m.split('.')[0] for m in sys.modules}))"
+    code = (f"import sys, additive_bases.cli; {show}; "
+            f"import additive_bases.fourier2d, additive_bases.certify; {show}")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return dict(zip(("cli", "certificate"), map(ast.literal_eval, proc.stdout.splitlines())))
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(light_imports):
     # numpy is imported by the commands that compute with arrays, when
     # they run; the others are test dependencies only.
-    assert _loaded_in_child("additive_bases.cli", ("numpy", "scipy", "sympy", "mpmath")) == "[]"
+    assert {"numpy", "scipy", "sympy", "mpmath"}.intersection(light_imports["cli"]) == set()
 
 
-def test_certificate_modules_load_no_proof_tools():
+def test_certificate_modules_load_no_proof_tools(light_imports):
     # The sympy proofs and the mpmath checks stay in the tests, and the
     # certificate runs on the standard library: the modules that compute
     # it import none of them, nor scipy or numpy.
-    loaded = _loaded_in_child("additive_bases.fourier2d, additive_bases.certify",
-                              ("numpy", "scipy", "sympy", "mpmath"))
-    assert loaded == "[]"
+    assert {"numpy", "scipy", "sympy", "mpmath"}.intersection(light_imports["certificate"]) == set()
+
+
+def test_cli_import_loads_no_dataclasses(light_imports):
+    # The records are NamedTuples or slotted classes: dataclasses would
+    # load inspect, ast, dis and tokenize into every command's start-up.
+    assert {"dataclasses", "inspect"}.intersection(light_imports["cli"]) == set()
 
 
 @pytest.mark.parametrize("preset", [None, "3"])
@@ -77,13 +86,14 @@ def test_cli_runs_numpy_with_one_blas_thread_unless_told_otherwise(preset):
     assert proc.stdout.splitlines()[-1] == f"{preset or 1} True"
 
 
-# Runs cli.main(argv) in an interpreter where `import module` fails.
-WITHOUT = ("import sys; sys.modules[sys.argv[1]] = None; "
+# Runs cli.main(argv) in an interpreter where importing any of the
+# comma-separated modules fails.
+WITHOUT = ("import sys; sys.modules.update(dict.fromkeys(sys.argv[1].split(','))); "
            "from additive_bases.cli import main; sys.exit(main(sys.argv[2:]))")
 
 
-def _run_without(module, argv):
-    return subprocess.run([sys.executable, "-c", WITHOUT, module, *argv], env=_child_env(),
+def _run_without(modules, argv):
+    return subprocess.run([sys.executable, "-c", WITHOUT, modules, *argv], env=_child_env(),
                           capture_output=True, text=True)
 
 
@@ -95,8 +105,8 @@ def _take_files() -> dict:
     return files
 
 
-def _same_output_without(module, argv, capsys, run=None):
-    """Run argv in-process, then in a child where `module` cannot be
+def _same_output_without(modules, argv, capsys, run=None):
+    """Run argv in-process, then in a child where none of `modules` can be
     imported, both from an empty working directory, and check that both
     exit 0 with the same stdout and write the same files there.  `run`, the
     exit status and stdout of the command run in-process already, elsewhere,
@@ -106,7 +116,7 @@ def _same_output_without(module, argv, capsys, run=None):
     code, out = run or (main(list(argv)), capsys.readouterr().out)
     assert code == 0
     expected = out, _take_files()
-    proc = _run_without(module, argv)
+    proc = _run_without(modules, argv)
     assert proc.returncode == 0, proc.stderr
     assert (proc.stdout, _take_files()) == expected
 
@@ -124,44 +134,24 @@ def _same_output_without(module, argv, capsys, run=None):
 ], ids=lambda argv: argv[0])
 def test_numpy_free_commands_run_without_numpy(argv, capsys, tmp_path, monkeypatch,
                                               certificate_runs):
+    # dataclasses is blocked too: no command loads it (see the import tests).
     monkeypatch.chdir(tmp_path)
-    _same_output_without("numpy", argv, capsys, certificate_runs.get(argv))
-
-
-def _assert_clean_numpy_error(proc):
-    """Exit 2 with an "error: ..." line that names numpy, and no traceback."""
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:") and "numpy" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_array_command_fails_without_numpy():
-    # The control: blocking numpy does stop a command that needs it.
-    _assert_clean_numpy_error(_run_without("numpy", ("verify", "formulas", "--rmax", "1")))
-
-
-def test_large_spectrum_fails_without_numpy():
-    # The control for `basis stats`: Rohrbach's k = 400 basis at its
-    # covering radius 40001 is above sumsets.DIRECT_TERMS, so it takes the FFT.
-    from additive_bases.constructions import rohrbach_basis
-
-    elements = ",".join(map(str, rohrbach_basis(400)))
-    _assert_clean_numpy_error(_run_without("numpy", ("basis", "stats", "--set", elements)))
-
-
-def test_cli_import_loads_no_dataclasses():
-    # The records are NamedTuples or slotted classes: dataclasses would
-    # load inspect, ast, dis and tokenize into every command's start-up.
-    assert _loaded_in_child("additive_bases.cli", ("dataclasses", "inspect")) == "[]"
+    _same_output_without("numpy,dataclasses", argv, capsys, certificate_runs.get(argv))
 
 
 @pytest.mark.parametrize("argv", [
-    ("search", "--k", "5"), ("construct", "rohrbach", "--k", "10"), ("bound", "moser"),
-    ("basis", "stats", "--set", "0,1,3"),
-], ids=lambda argv: argv[0])
-def test_light_commands_run_without_dataclasses(argv, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _same_output_without("dataclasses", argv, capsys)
+    pytest.param(("verify", "formulas", "--rmax", "1"), id="verify-formulas"),
+    # Rohrbach's k = 400 basis at its covering radius 40001 is above
+    # sumsets.DIRECT_TERMS, so `basis stats` takes the FFT.
+    pytest.param(("basis", "stats", "--set", ",".join(map(str, rohrbach_basis(400)))),
+                 id="basis-stats-k400"),
+])
+def test_array_commands_fail_without_numpy(argv):
+    # The control: blocking numpy does stop a command that needs it, with
+    # one error line that names the extra to install, and no traceback.
+    proc = _run_without("numpy", argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: this command needs numpy: pip install 'additive-bases[arrays]'\n"
 
 
 def _record_fields():

@@ -150,6 +150,10 @@ def test_exp_sum_examples():
     assert st.ell == 0  # no element with 2a >= 5
     assert st.L == 0  # max pair sum is 4
 
+    # Both thresholds are inclusive: 2 * 2 == 4 and 1 + 3 == 4 count.
+    st = exp_sum_stats([0, 1, 2, 3], 4)
+    assert (st.ell, st.L) == (2, 6)  # 2, 3; (1, 3), (2, 2), (2, 3), (3, 3) and swaps
+
 
 def test_exp_sum_modulus_too_small():
     with pytest.raises(ValueError, match="modulus too small"):
