@@ -11,7 +11,7 @@ closed forms: a_lo <= 4 |c(r, 0)| r^2 <= a_hi and m_lo <= shell(R) R^2 <= m_hi
 for r, R > N.
 """
 
-import numpy as np
+import math
 
 from additive_bases.cli import SCALE
 from additive_bases.fourier2d import (
@@ -27,18 +27,17 @@ quad = coeff_quadrature(7)  # every coefficient with max(|r1|, |r2|) <= 7
 print("pair        closed form                     |closed - quadrature|")
 for pair in ((1, 0), (0, 3), (2, 2), (1, 2), (3, -5), (-4, 7)):
     c = coeff(*pair)
-    q = quad[pair[0] + 7, pair[1] + 7]
-    print(f"{str(pair):10s}  {c.real:+.8f} {c.imag:+.8f}i   {abs(c - q):.2e}")
+    print(f"{str(pair):10s}  {c.real:+.8f} {c.imag:+.8f}i   {abs(c - quad[pair]):.2e}")
 
 N = 100
 (a_lo, a_hi), (m_lo, m_hi) = (map(float, pair) for pair in tail_constants(N))
-r = np.arange(N + 1, SCALE + 1)
-axis = 4 * np.hypot(*_axis_values(r)) * r * r
-shells = np.array(_shell_sums(SCALE)[N:]) * r * r
+r = range(N + 1, SCALE + 1)
+axis = [4 * math.hypot(*_axis_values(x)) * x * x for x in r]
+shells = [shell * x * x for x, shell in zip(r, _shell_sums(SCALE)[N:])]
 print(f"\nderived, for r, R > {N}: {a_lo:.4f} <= 4|c(r,0)| r^2 <= {a_hi:.4f}, "
       f"{m_lo:.3f} <= shell(R) R^2 <= {m_hi:.3f}")
-print(f"measured on r, R <= {SCALE}: 4|c(r,0)| r^2 in [{axis.min():.4f}, {axis.max():.4f}], "
-      f"shell(R) R^2 in [{shells.min():.4f}, {shells.max():.4f}]")
+print(f"measured on r, R <= {SCALE}: 4|c(r,0)| r^2 in [{min(axis):.4f}, {max(axis):.4f}], "
+      f"shell(R) R^2 in [{min(shells):.4f}, {max(shells):.4f}]")
 
 phi_grid_csv("phi_surface.csv", 128)
 print("\nwrote phi_surface.csv (128 x 128 grid, columns t1,t2,phi)")

@@ -20,13 +20,11 @@ large to allocate, too), a file that cannot be written, or a command
 that needs numpy where numpy cannot be imported (the line then names
 the `arrays` extra that installs it).  Shell sums run in one fixed
 order (see fourier2d), so repeated runs print identical bits.  A plain
-install is the standard library: no import of this module, and no run
-of `search`, `construct`, `bound`, `verify constants` or `dump phi`,
-loads numpy.  `verify formulas` imports it through fourier2d's
-quadrature oracle when it runs, and `basis stats` only for a spectrum
-of more than sumsets.DIRECT_TERMS terms, such as Rohrbach's k = 400
-basis at its covering radius 40001; smaller ones, a basis typed in by
-hand among them, are summed without it.  main sets OPENBLAS_NUM_THREADS
+install is the standard library: no import of this module loads numpy,
+and only one command does, `basis stats` on a spectrum of more than
+sumsets.DIRECT_TERMS terms, such as Rohrbach's k = 400 basis at its
+covering radius 40001; smaller ones, a basis typed in by hand among
+them, are summed without it.  main sets OPENBLAS_NUM_THREADS
 to 1 unless it is set already, before anything imports numpy: no
 command uses OpenBLAS's threads, and starting them is half of numpy's
 import.  The package's records are NamedTuples, and a basis is
@@ -73,12 +71,17 @@ from .sumsets import Basis, exp_sum_stats, n2, rep_profile
 # pin moves with it.
 SCALE = 500
 
+# `verify formulas --rmax` stops where the oracle's panel rule reaches its
+# fixed 1024 nodes (see coeff_quadrature), and `construct rohrbach --k`
+# where n2 of the basis takes about a second; that grows about as k^3.
+MAX_RMAX = 31
+MAX_ROHRBACH_K = 4000
 
-def _require(flag: str, value: int, lo: int, hi=None) -> None:
+
+def _require(flag: str, value: int, lo: int, hi: int) -> None:
     """Reject a size flag outside [lo, hi] with an error that names the flag."""
-    if value < lo or (hi is not None and value > hi):
-        bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
-        raise ValueError(f"{flag} must be {bound}, got {value}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{flag} must be between {lo} and {hi}, got {value}")
 
 
 def _cmd_search(args) -> int:
@@ -90,7 +93,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    _require("--k", args.k, 4)
+    _require("--k", args.k, 4, MAX_ROHRBACH_K)
     basis = rohrbach_basis(args.k)
     r = args.k // 2
     covered = n2(basis)
@@ -175,20 +178,17 @@ def _cmd_verify_constants(args) -> int:
 
 
 def _cmd_verify_formulas(args) -> int:
-    rmax = args.rmax
-    _require("--rmax", rmax, 1)
+    _require("--rmax", args.rmax, 1, MAX_RMAX)
     from . import fourier2d
 
-    quad = fourier2d.coeff_quadrature(rmax)
-    r = range(-rmax, rmax + 1)
-    diffs = {(r1, r2): float(abs(fourier2d.coeff(r1, r2) - quad[r1 + rmax, r2 + rmax]))
-             for r1 in r for r2 in r if r1 or r2}
+    diffs = {pair: abs(fourier2d.coeff(*pair) - c)
+             for pair, c in fourier2d.coeff_quadrature(args.rmax).items() if pair != (0, 0)}
     worst_pair = max(diffs, key=diffs.get)  # the first maximum in row-major order
     worst = diffs[worst_pair]
     ok = worst < REF_ORACLE_TOL
     print(
         f"{'PASS' if ok else 'FAIL'} closed forms vs quadrature on "
-        f"max|r| <= {rmax}: worst |diff| = {worst:.3e} at {worst_pair}"
+        f"max|r| <= {args.rmax}: worst |diff| = {worst:.3e} at {worst_pair}"
     )
     return 0 if ok else 1
 
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
             message = "this command needs numpy: pip install 'additive-bases[arrays]'"
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # a size flag too large to allocate
+    except MemoryError as exc:  # a basis typed in by hand too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

@@ -62,8 +62,8 @@ The certificate runs on the standard library: the sums use math.hypot
 and math.fsum, and the shell kernel (_shell_terms) evaluates the
 Y-polynomials of shell R once per pair (R, s), (R, -s), whose terms
 share the even and odd parts in Y.  phi and phi_grid_csv run on plain
-floats too; numpy is imported only by the quadrature oracle
-(_gauss_panels and coeff_quadrature).
+floats too, and so does the quadrature oracle (_gauss_panels and
+coeff_quadrature).
 """
 
 from __future__ import annotations
@@ -279,20 +279,28 @@ def coeff(r1: int, r2: int) -> complex:
 def _gauss_panels(panels: int):
     """Composite 8-point Gauss-Legendre nodes and weights on [0, 1].
 
-    The given number of equal panels, 8 nodes each.
+    The given number of equal panels, 8 nodes each, as two lists.  On
+    [-1, 1] the nodes are the roots x of P_8, found by Newton's method
+    from cos(pi (i - 1/4) / 8.5), and the weights are
+    2 / ((1 - x^2) P_8'(x)^2) (DLMF 3.5(v)).
     """
-    import numpy as np
-
-    x, w = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    rule = []
+    for i in range(1, 9):
+        x = math.cos(_PI * (i - 0.25) / 8.5)
+        for _ in range(6):  # five steps reach each root to round-off; the sixth takes P_8' there
+            p0, p1 = 1.0, x  # P_7(x) and P_8(x), by Bonnet's recurrence
+            for n in range(2, 9):
+                p0, p1 = p1, ((2 * n - 1) * x * p1 - (n - 1) * p0) / n
+            dp = 8 * (x * p1 - p0) / (x * x - 1)
+            x -= p1 / dp
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    half = 0.5 / panels
+    nodes = [(2 * j + 1 + x) * half for j in range(panels) for x, _ in rule]
+    weights = [w * half for _ in range(panels) for _, w in rule]
     return nodes, weights
 
 
-def coeff_quadrature(rmax: int):
+def coeff_quadrature(rmax: int) -> dict:
     """Direct numerical Fourier coefficients of phi on max(|r1|, |r2|) <= rmax.
 
     Independent of the closed forms.  phi is 1 + phi_excess on the upper
@@ -307,25 +315,32 @@ def coeff_quadrature(rmax: int):
     min(128, 4 (rmax + 1)) panels: each spans less than a quarter
     wavelength of exp(-2 pi i rmax t) (and less than half of one of the
     mapped phase, whose frequency in t1 reaches 2 rmax), which leaves the
-    error at round-off.  From rmax = 31 on it is the 1024-node rule.  The
-    whole weight grid is summed against exp(-2 pi i r2 t2) along s for
-    each r2, and one matrix product with exp(-2 pi i r1 t1) gives every
-    (r1, r2) at once.
+    error at round-off.  From rmax = 31 on it is the 1024-node rule.  For
+    each t1 row, the weights along s times successive powers of
+    exp(-2 pi i t2) sum to the row's sums for r2 = 0..rmax; phi is real,
+    so the sums for -r2 are their conjugates.  One sum against
+    exp(-2 pi i r1 t1) then gives each (r1, r2).
 
-    Returns the (2 rmax + 1) x (2 rmax + 1) complex array whose entry
-    [r1 + rmax, r2 + rmax] is the coefficient at (r1, r2).
+    Returns {(r1, r2): coefficient} for -rmax <= r1, r2 <= rmax.
     """
-    import numpy as np
+    import cmath
 
     t, w = _gauss_panels(min(128, 4 * (rmax + 1)))
-    t1, s = t[:, None], t[None, :]
-    t2 = 1.0 - t1 * (1.0 - s)
-    r = np.arange(-rmax, rmax + 1)
-    rows = np.exp(-2j * _PI * np.outer(r, t))
-    weights = t1 * w[:, None] * w[None, :] * phi_excess(t1, t2)
-    sums = np.array([np.sum(weights * np.exp(-2j * _PI * r2 * t2), axis=1) for r2 in r])
-    coeffs = rows @ sums.T
-    coeffs[rmax, rmax] += 1.0
+    sums = [[] for _ in range(rmax + 1)]  # sums[r2][i]: row t1 = t[i] against exp(-2 pi i r2 t2)
+    for t1, w1 in zip(t, w):
+        t2 = [1.0 - t1 * (1.0 - s) for s in t]
+        terms = [t1 * w1 * ws * phi_excess(t1, x) for ws, x in zip(w, t2)]
+        turn = [cmath.exp(-2j * _PI * x) for x in t2]
+        for row_sums in sums:
+            row_sums.append(sum(terms))
+            terms = list(map(operator.mul, terms, turn))
+    r = range(-rmax, rmax + 1)
+    by_r2 = {r2: sums[r2] if r2 >= 0 else [c.conjugate() for c in sums[-r2]] for r2 in r}
+    coeffs = {}
+    for r1 in r:
+        wave = [cmath.exp(-2j * _PI * r1 * x) for x in t]
+        coeffs.update({(r1, r2): sum(map(operator.mul, wave, by_r2[r2])) for r2 in r})
+    coeffs[0, 0] += 1.0
     return coeffs
 
 

@@ -167,9 +167,8 @@ def test_criterion_5_alpha2():
 
 def test_criterion_6_coefficient_formulas():
     t0 = time.time()
-    quad = coeff_quadrature(8)
-    worst = max(abs(coeff(r1, r2) - quad[r1 + 8, r2 + 8])
-                for r1 in range(-8, 9) for r2 in range(-8, 9) if r1 or r2)
+    worst = max(abs(coeff(*pair) - c) for pair, c in coeff_quadrature(8).items()
+                if pair != (0, 0))
     _report(6, f"closed forms match quadrature on max|r| <= 8 (worst {worst:.2e})",
             worst < REF_ORACLE_TOL, time.time() - t0, limit=120.0)
 

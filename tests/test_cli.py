@@ -160,26 +160,18 @@ def test_verify_formulas_small(capsys):
     assert (r1, r2) != (0, 0)
 
 
-@pytest.mark.parametrize("rmax", ["0", "-1"])
-def test_verify_formulas_rejects_empty_range(capsys, rmax):
-    # a radius below 1 checks no coefficient, so it must not report PASS
-    code = main(["verify", "formulas", "--rmax", rmax])
+def test_unallocatable_size_is_an_error(capsys, monkeypatch):
+    # Every size flag is bounded, but a basis typed in by hand can still
+    # be too large to allocate; that must end in a message, not a traceback.
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_basis_stats", out_of_memory)
+    code = main(["basis", "stats", "--set", "0,1,3"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: --rmax must be at least 1")
-
-
-def test_unallocatable_size_is_an_error(capsys):
-    # The frequency range for rmax = 10^14 needs petabytes, so the
-    # allocation fails before any page is touched; it must end in a
-    # message, not a traceback.
-    code = main(["verify", "formulas", "--rmax", str(10**14)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: Unable to allocate ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -200,8 +192,8 @@ def test_removed_flags_are_usage_errors(argv):
     [
         (["search", "--k", "0"], "--k must be between 1 and 13, got 0"),
         (["search", "--k", "14"], "--k must be between 1 and 13, got 14"),
-        (["construct", "rohrbach", "--k", "-4"], "--k must be at least 4, got -4"),
-        (["construct", "rohrbach", "--k", "3"], "--k must be at least 4, got 3"),
+        (["construct", "rohrbach", "--k", "-4"], "--k must be between 4 and 4000, got -4"),
+        (["construct", "rohrbach", "--k", "3"], "--k must be between 4 and 4000, got 3"),
         (["dump", "phi", "--grid", "1", "--out", "unused.csv"],
          "--grid must be between 2 and 65536, got 1"),
         (["basis", "stats", "--set", "0,1.5"], "--set: '1.5' is not an integer"),
@@ -216,6 +208,15 @@ def test_removed_flags_are_usage_errors(argv):
         # the CSV streams to disk, so the grid is bounded before a byte is written
         (["dump", "phi", "--grid", str(2**16 + 1), "--out", "unused.csv"],
          "--grid must be between 2 and 65536, got 65537"),
+        (["construct", "rohrbach", "--k", "4001"], "--k must be between 4 and 4000, got 4001"),
+        (["construct", "rohrbach", "--k", str(10**20)],
+         f"--k must be between 4 and 4000, got {10**20}"),
+        # a radius below 1 checks no coefficient, so it must not report PASS
+        (["verify", "formulas", "--rmax", "0"], "--rmax must be between 1 and 31, got 0"),
+        (["verify", "formulas", "--rmax", "-1"], "--rmax must be between 1 and 31, got -1"),
+        (["verify", "formulas", "--rmax", "32"], "--rmax must be between 1 and 31, got 32"),
+        (["verify", "formulas", "--rmax", str(10**14)],
+         f"--rmax must be between 1 and 31, got {10**14}"),
     ],
 )
 def test_size_error_names_the_flag(capsys, argv, message):

@@ -71,16 +71,21 @@ def test_cli_import_loads_no_dataclasses(light_imports):
     assert {"dataclasses", "inspect"}.intersection(light_imports["cli"]) == set()
 
 
+# Rohrbach's k = 400 basis at its covering radius 40001 is above
+# sumsets.DIRECT_TERMS, so `basis stats` on it takes numpy's FFT.
+LARGE_SPECTRUM = ("basis", "stats", "--set", ",".join(map(str, rohrbach_basis(400))))
+
+
 @pytest.mark.parametrize("preset", [None, "3"])
 def test_cli_runs_numpy_with_one_blas_thread_unless_told_otherwise(preset):
-    # main sets OPENBLAS_NUM_THREADS before any command imports numpy, and
-    # a value already in the environment wins.
+    # main sets OPENBLAS_NUM_THREADS before the one command that imports
+    # numpy does, and a value already in the environment wins.
     env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     code = ("import os, sys; from additive_bases.cli import main; code = main(sys.argv[1:]); "
             "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules); sys.exit(code)")
-    proc = subprocess.run([sys.executable, "-c", code, "verify", "formulas", "--rmax", "1"],
+    proc = subprocess.run([sys.executable, "-c", code, *LARGE_SPECTRUM],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{preset or 1} True"
@@ -129,8 +134,9 @@ def _same_output_without(modules, argv, capsys, run=None):
     pytest.param(("bound", "two-var"), id="two-var-corner"),
     pytest.param(("bound", "two-var", "--route", "lemma"), id="two-var-lemma"),
     pytest.param(("verify", "constants"), id="verify-constants"),
-    # So does the test function, a point at a time.
+    # So do the test function, a point at a time, and the quadrature oracle.
     pytest.param(("dump", "phi", "--grid", "8", "--out", "phi.csv"), id="dump-phi"),
+    pytest.param(("verify", "formulas", "--rmax", "2"), id="verify-formulas"),
 ], ids=lambda argv: argv[0])
 def test_numpy_free_commands_run_without_numpy(argv, capsys, tmp_path, monkeypatch,
                                               certificate_runs):
@@ -139,15 +145,9 @@ def test_numpy_free_commands_run_without_numpy(argv, capsys, tmp_path, monkeypat
     _same_output_without("numpy,dataclasses", argv, capsys, certificate_runs.get(argv))
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(("verify", "formulas", "--rmax", "1"), id="verify-formulas"),
-    # Rohrbach's k = 400 basis at its covering radius 40001 is above
-    # sumsets.DIRECT_TERMS, so `basis stats` takes the FFT.
-    pytest.param(("basis", "stats", "--set", ",".join(map(str, rohrbach_basis(400)))),
-                 id="basis-stats-k400"),
-])
+@pytest.mark.parametrize("argv", [pytest.param(LARGE_SPECTRUM, id="basis-stats-k400")])
 def test_array_commands_fail_without_numpy(argv):
-    # The control: blocking numpy does stop a command that needs it, with
+    # The control: blocking numpy does stop the command that needs it, with
     # one error line that names the extra to install, and no traceback.
     proc = _run_without("numpy", argv)
     assert proc.returncode == 2, proc.stderr
