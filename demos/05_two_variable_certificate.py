@@ -12,9 +12,9 @@ headline coefficient 0.4789 (0.4788 on the corner route), below the best
 one-variable-plus-combinatorial value 0.4802.
 """
 
-from additive_bases.certify import certify, rho_from
+from additive_bases.certify import alpha2_exact, certify, rho_from
 from additive_bases.cli import SCALE
-from additive_bases.fourier2d import alpha2_exact, c_axial, c_main
+from additive_bases.fourier2d import c_axial, c_main
 
 ax = c_axial(SCALE)
 mn = c_main(SCALE)

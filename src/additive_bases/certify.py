@@ -23,13 +23,17 @@ xi falls in both arguments, so xi <= xi(3, 2) = 1/3 over the regime, and
 |d rho/d kappa| = 2 xi^3/S and |d rho/d tau| = 2 xi^2/S, with S =
 sqrt(tau^2 + 4 kappa), fall in both too, to 1/54 and 1/18 at (3, 2).
 
-The chain runs in exact rationals; its two irrational steps (2^(-5/3)
-in alpha2, the square root in xi) and each float it reports go through
-directed_root, to the nearest float on the safe side.  The lemma route
-bounds rho from below over the whole box, so certify raises if it
-exceeds an upper bound on the corner value.  The reported coefficient is
-(1 - rho_lower)/2 rounded up at the fourth decimal, which absorbs the
-arbitrarily small epsilon of the underlying asymptotic argument.
+alpha2 = 1 - 15 2^(-5/3) is the minimum of the test function, which
+fourier2d's docstring derives; this module owns its exact value
+(alpha2_exact, alpha2_bound) and imports nothing from fourier2d when it
+runs, while fourier2d imports directed_root from here.  The chain runs
+in exact rationals; its two irrational steps (2^(-5/3) in alpha2, the
+square root in xi) and each float it reports go through directed_root,
+to the nearest float on the safe side.  The lemma route bounds rho from
+below over the whole box, so certify raises if it exceeds an upper bound
+on the corner value.  The reported coefficient is (1 - rho_lower)/2
+rounded up at the fourth decimal, which absorbs the arbitrarily small
+epsilon of the underlying asymptotic argument.
 """
 
 from __future__ import annotations
@@ -59,6 +63,16 @@ REF_RHO0 = 0.04240
 REF_RHO_FLOOR = 0.0422
 REF_COEFFICIENT = 0.4789
 REF_CORNER_COEFFICIENT = 0.4788
+
+
+def alpha2_exact(t=2.0 ** (-5.0 / 3.0)):
+    """Exact minimum 1 - 15 t of phi over the upper triangle, t = 2^(-5/3)."""
+    return 1 - 15 * t
+
+
+def alpha2_bound(up: bool) -> Fraction:
+    """An exact bound on alpha2, above it if up (below else): t = 2^(-5/3) rounds the other way."""
+    return alpha2_exact(Fraction(directed_root(Fraction(1, 32), not up, k=3)))
 
 
 class BoundCertificate(NamedTuple):
@@ -146,8 +160,6 @@ def certify(
     """
     if route not in ("corner", "lemma"):
         raise ValueError(f"unknown route {route!r}")
-    from .fourier2d import alpha2_bound, alpha2_exact
-
     kappa = tuple(directed_root(1 - alpha2_bound(not up) + Fraction(c), up)
                   for c, up in ((c_main.lo, False), (c_main.hi, True)))
     tau = (c_axial.lo, c_axial.hi)

@@ -15,21 +15,24 @@ in the shortest form that reads back to the same double, so runs are
 diffable bit for bit.  Exit status is 0 iff every requested check passed
 (`bound two-var` prints its JSON and exits 1 when the certificate is
 vacuous, coefficient_upper >= 1/2, no better than the trivial bound),
-and 2 with an "error: ..." line on stderr for bad input (a size too
-large to allocate, too), a file that cannot be written, or a command
-that needs numpy where numpy cannot be imported (the line then names
-the `arrays` extra that installs it).  Shell sums run in one fixed
-order (see fourier2d), so repeated runs print identical bits.  A plain
-install is the standard library: no import of this module loads numpy,
-and only one command does, `basis stats` on a spectrum of more than
-sumsets.DIRECT_TERMS terms, such as Rohrbach's k = 400 basis at its
-covering radius 40001; smaller ones, a basis typed in by hand among
-them, are summed without it.  main sets OPENBLAS_NUM_THREADS
-to 1 unless it is set already, before anything imports numpy: no
-command uses OpenBLAS's threads, and starting them is half of numpy's
-import.  The package's records are NamedTuples, and a basis is
-sumsets.Basis, a tuple subclass whose __new__ sorts and validates its
-elements, so start-up loads none of inspect, ast, dis or tokenize.
+and 2 with an "error: ..." line on stderr for bad input (each size
+input has a bound, and the message names its flag), a file that cannot
+be written, or a command that needs numpy where numpy cannot be
+imported (the line then names the `arrays` extra that installs it).
+The certified constants and their tolerances come from certify, alpha2
+among them, and the quadrature oracle and its radius limit MAX_RMAX
+from fourier2d.  Shell sums run in one fixed order (see fourier2d), so
+repeated runs print identical bits.  A plain install is the standard
+library: no import of this module loads numpy, and only one command
+does, `basis stats` on a spectrum of more than sumsets.DIRECT_TERMS
+terms, such as Rohrbach's k = 400 basis at its covering radius 40001;
+smaller ones, a basis typed in by hand among them, are summed without
+it.  main sets OPENBLAS_NUM_THREADS to 1 unless it is set already,
+before anything imports numpy: no command uses OpenBLAS's threads, and
+starting them is half of numpy's import.  The package's records are
+NamedTuples, and a basis is sumsets.Basis, a tuple subclass whose
+__new__ sorts and validates its elements, so start-up loads none of
+inspect, ast, dis or tokenize.
 """
 
 from __future__ import annotations
@@ -71,11 +74,13 @@ from .sumsets import Basis, exp_sum_stats, n2, rep_profile
 # pin moves with it.
 SCALE = 500
 
-# `verify formulas --rmax` stops where the oracle's panel rule reaches its
-# fixed 1024 nodes (see coeff_quadrature), and `construct rohrbach --k`
-# where n2 of the basis takes about a second; that grows about as k^3.
-MAX_RMAX = 31
+# `construct rohrbach --k` stops where n2 of the basis takes about a
+# second; that grows about as k^3.  `basis stats --set` takes at most as
+# many elements as Rohrbach's k = 2000 basis has, where a run takes about
+# 0.6 s and 190 MB; its pair sums grow as k^2 / 2.  `verify formulas
+# --rmax` stops at the oracle's own limit, fourier2d.MAX_RMAX.
 MAX_ROHRBACH_K = 4000
+MAX_SET_SIZE = 2000
 
 
 def _require(flag: str, value: int, lo: int, hi: int) -> None:
@@ -149,7 +154,8 @@ def _cmd_verify_constants(args) -> int:
     from . import fourier2d
 
     ax, mn = fourier2d.c_axial(SCALE), fourier2d.c_main(SCALE)
-    a2, a2_num = fourier2d.alpha2_exact(), fourier2d.alpha2_numeric()
+    lemma, corner = (certify(ax, mn, route=route) for route in ("lemma", "corner"))
+    a2, a2_num = lemma.alpha2, fourier2d.alpha2_numeric()  # the exact value the certificate reports
     rows = [("alpha2", abs(a2_num - a2) < REF_ALPHA2_TOL,
              f"numeric minimum {a2_num:.9f} vs exact {a2:.9f}")]
     for name, iv, ref, tol in (("c_axial", ax, REF_AXIAL, REF_AXIAL_TOL),
@@ -161,7 +167,6 @@ def _cmd_verify_constants(args) -> int:
     rows.append(("rho0 at anchors", rho0 > REF_RHO0,
                  f"rho({KAPPA0}, {TAU0}) = {rho0:.7f} > {REF_RHO0}"))
 
-    lemma, corner = (certify(ax, mn, route=route) for route in ("lemma", "corner"))
     c_lemma, c_corner = lemma.coefficient_upper, corner.coefficient_upper
     rows += [
         ("final coefficient (lemma route)", c_lemma == REF_COEFFICIENT,
@@ -178,9 +183,9 @@ def _cmd_verify_constants(args) -> int:
 
 
 def _cmd_verify_formulas(args) -> int:
-    _require("--rmax", args.rmax, 1, MAX_RMAX)
     from . import fourier2d
 
+    _require("--rmax", args.rmax, 1, fourier2d.MAX_RMAX)
     diffs = {pair: abs(fourier2d.coeff(*pair) - c)
              for pair, c in fourier2d.coeff_quadrature(args.rmax).items() if pair != (0, 0)}
     worst_pair = max(diffs, key=diffs.get)  # the first maximum in row-major order
@@ -200,9 +205,11 @@ def _lemma(delta: int, bound: float, tol: float = 0.0) -> dict:
 
 
 def _cmd_basis_stats(args) -> int:
-    text = args.set.strip().strip("{}")
+    tokens = [tok for tok in map(str.strip, args.set.strip().strip("{}").split(",")) if tok]
+    if len(tokens) > MAX_SET_SIZE:  # counted before any int(), so a huge list costs no parse
+        raise ValueError(f"--set must have at most {MAX_SET_SIZE} elements, got {len(tokens)}")
     elements = []
-    for tok in filter(None, map(str.strip, text.split(","))):
+    for tok in tokens:
         # a sign and ASCII digits: int() alone also takes "1_000" and non-ASCII digits
         digits = tok[1:] if tok[0] in "+-" else tok
         if not (digits.isascii() and digits.isdigit()):
@@ -318,7 +325,7 @@ def main(argv=None) -> int:
             message = "this command needs numpy: pip install 'additive-bases[arrays]'"
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # a basis typed in by hand too large to allocate
+    except MemoryError as exc:  # every size input is bounded, but a host can run short of memory
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

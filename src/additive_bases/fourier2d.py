@@ -20,8 +20,10 @@ gives
 
 and 0 <= p <= 1 on R2, so the minimum on R2 lies on the diagonal u = v.
 There -10 p^2 (1 - p^6) is least at p^6 = 1/4, which gives alpha2 =
-1 - 15/2^(5/3) at 1 - t = 2^(-4/3).  The test suite proves the identity
-and the zero mean in sympy, on phi_excess itself.
+1 - 15/2^(5/3) at 1 - t = 2^(-4/3).  The exact value lives in certify
+(alpha2_exact), beside the chain it enters; alpha2_numeric here searches
+phi itself and reads none of it.  The test suite proves the identity and
+the zero mean in sympy, on phi_excess itself.
 
 Closed-form coefficients exist on the axes, on the diagonal, and off
 the diagonal.  They are short polynomials with small rational
@@ -63,7 +65,7 @@ and math.fsum, and the shell kernel (_shell_terms) evaluates the
 Y-polynomials of shell R once per pair (R, s), (R, -s), whose terms
 share the even and odd parts in Y.  phi and phi_grid_csv run on plain
 floats too, and so does the quadrature oracle (_gauss_panels and
-coeff_quadrature).
+coeff_quadrature), which takes radii 0..MAX_RMAX and refuses any other.
 """
 
 from __future__ import annotations
@@ -106,16 +108,6 @@ def phi(t1: float, t2: float) -> float:
     """
     t1, t2 = t1 % 1.0, t2 % 1.0
     return 1.0 if t1 + t2 < 1.0 else 1.0 + phi_excess(t1, t2)
-
-
-def alpha2_exact(t=2.0 ** (-5.0 / 3.0)):
-    """Exact minimum 1 - 15 t of phi over the upper triangle, t = 2^(-5/3)."""
-    return 1 - 15 * t
-
-
-def alpha2_bound(up: bool) -> Fraction:
-    """An exact bound on alpha2, above it if up (below else): t = 2^(-5/3) rounds the other way."""
-    return alpha2_exact(Fraction(directed_root(Fraction(1, 32), not up, k=3)))
 
 
 def alpha2_numeric() -> float:
@@ -275,6 +267,11 @@ def coeff(r1: int, r2: int) -> complex:
 # Quadrature oracle
 # ---------------------------------------------------------------------------
 
+# The largest radius the oracle takes.  Its rule of 4 (rmax + 1) panels per
+# variable reaches 128 panels, 1024 nodes, there, and its work grows about
+# as rmax^3: a few seconds at 31.
+MAX_RMAX = 31
+
 
 def _gauss_panels(panels: int):
     """Composite 8-point Gauss-Legendre nodes and weights on [0, 1].
@@ -312,20 +309,23 @@ def coeff_quadrature(rmax: int) -> dict:
     Jacobian t1, where the excess times the Jacobian is a polynomial of
     degree at most 9 in each variable, which 8-point Gauss integrates
     exactly, so the error comes from the exponential alone.  The rule uses
-    min(128, 4 (rmax + 1)) panels: each spans less than a quarter
-    wavelength of exp(-2 pi i rmax t) (and less than half of one of the
-    mapped phase, whose frequency in t1 reaches 2 rmax), which leaves the
-    error at round-off.  From rmax = 31 on it is the 1024-node rule.  For
-    each t1 row, the weights along s times successive powers of
-    exp(-2 pi i t2) sum to the row's sums for r2 = 0..rmax; phi is real,
-    so the sums for -r2 are their conjugates.  One sum against
-    exp(-2 pi i r1 t1) then gives each (r1, r2).
+    4 (rmax + 1) panels: each spans less than a quarter wavelength of
+    exp(-2 pi i rmax t) (and less than half of one of the mapped phase,
+    whose frequency in t1 reaches 2 rmax), which leaves the error at
+    round-off.  rmax runs from 0 to MAX_RMAX, the 1024-node rule; any
+    other radius raises ValueError before a node is built.  For each t1
+    row, the weights along s times successive powers of exp(-2 pi i t2)
+    sum to the row's sums for r2 = 0..rmax; phi is real, so the sums for
+    -r2 are their conjugates.  One sum against exp(-2 pi i r1 t1) then
+    gives each (r1, r2).
 
     Returns {(r1, r2): coefficient} for -rmax <= r1, r2 <= rmax.
     """
+    if not 0 <= rmax <= MAX_RMAX:
+        raise ValueError(f"rmax must be between 0 and {MAX_RMAX}, got {rmax}")
     import cmath
 
-    t, w = _gauss_panels(min(128, 4 * (rmax + 1)))
+    t, w = _gauss_panels(4 * (rmax + 1))
     sums = [[] for _ in range(rmax + 1)]  # sums[r2][i]: row t1 = t[i] against exp(-2 pi i r2 t2)
     for t1, w1 in zip(t, w):
         t2 = [1.0 - t1 * (1.0 - s) for s in t]

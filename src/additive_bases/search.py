@@ -37,7 +37,9 @@ are evaluated.
 
 Witnesses are reported in lexicographic order.  Coverage is a single
 Python integer used as a bitset; when x joins the chosen bitset `mask`,
-the sums extend by `(mask | 1<<x) << x`.
+the sums extend by `(mask | 1<<x) << x`.  `mask` is the one record of the
+chosen set: its top bit is the largest element, and a witness is read
+off it only at a complete set that ties or beats the target.
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ def n2k_exact(k: int) -> SearchResult:
     nodes = 0
     top = k * (k + 1) // 2  # above every element, since n2 <= k(k+1)/2
 
-    def extend(chosen, mask, rev, cover):
+    def extend(j, mask, rev, cover):
+        """Extend the j chosen elements, held as the bitset `mask`."""
         nonlocal target, nodes
         nodes += 1
         c = (~cover & (cover + 1)).bit_length() - 1  # smallest uncovered value
-        last = chosen[-1]
-        j = len(chosen)
+        last = mask.bit_length() - 1
         if j == k - 1:
             fits = (1 << (c + 1)) - (1 << (last + 1))  # x in (last, c]
             holes = ~cover & ((1 << target) - 1)
@@ -95,13 +97,14 @@ def n2k_exact(k: int) -> SearchResult:
                 x = fits.bit_length() - 1
                 fits ^= 1 << x
                 nodes += 1
-                full = cover | ((mask | (1 << x)) << x)
+                grown = mask | (1 << x)
+                full = cover | (grown << x)
                 n = (~full & (full + 1)).bit_length() - 1
                 if n > target:
                     target = n
                     found.clear()
                 if n == target:
-                    found.append((*chosen, x))
+                    found.append([a for a in range(x + 1) if grown >> a & 1])
             return
         s = k - j - 1  # slots each child leaves open
         room = s * (j + 1) + s * (s + 1) // 2
@@ -110,11 +113,9 @@ def n2k_exact(k: int) -> SearchResult:
             grown = mask | (1 << x)
             child = cover | (grown << x)
             if (child & low).bit_count() >= need:
-                chosen.append(x)
-                extend(chosen, grown, rev | (1 << (top - x)), child)
-                chosen.pop()
+                extend(j + 1, grown, rev | (1 << (top - x)), child)
                 low, need = (1 << target) - 1, target - room
 
-    extend([0], 1, 1 << top, 1)  # {0} covers 0
+    extend(1, 1, 1 << top, 1)  # {0} covers 0
     witnesses = tuple(Basis(w) for w in sorted(found))
     return SearchResult(k, target, witnesses, nodes)

@@ -25,6 +25,7 @@ from additive_bases.certify import (
     REF_RHO0,
     REF_RHO_FLOOR,
     TAU0,
+    alpha2_exact,
     ceil4,
     certify,
     rho_from,
@@ -38,7 +39,6 @@ from additive_bases.fourier2d import (
     _axis_values,
     _diag_values,
     _off_values,
-    alpha2_exact,
     alpha2_numeric,
     c_axial,
     coeff,

@@ -11,13 +11,15 @@ from additive_bases.certify import (
     KAPPA0,
     TAU0,
     _xi,
+    alpha2_bound,
+    alpha2_exact,
     ceil4,
     certify,
     directed_root,
     rho_from,
     rho_variation_bound,
 )
-from additive_bases.fourier2d import ConstantInterval, alpha2_bound, alpha2_exact
+from additive_bases.fourier2d import ConstantInterval
 
 
 def test_rho_at_regime_corner():

@@ -161,8 +161,9 @@ def test_verify_formulas_small(capsys):
 
 
 def test_unallocatable_size_is_an_error(capsys, monkeypatch):
-    # Every size flag is bounded, but a basis typed in by hand can still
-    # be too large to allocate; that must end in a message, not a traceback.
+    # Every size input is bounded, --set's element count among them, but a
+    # host short of memory can still fail an allocation; that must end in
+    # a message, not a traceback.
     def out_of_memory(args):
         raise MemoryError()
 
@@ -217,6 +218,11 @@ def test_removed_flags_are_usage_errors(argv):
         (["verify", "formulas", "--rmax", "32"], "--rmax must be between 1 and 31, got 32"),
         (["verify", "formulas", "--rmax", str(10**14)],
          f"--rmax must be between 1 and 31, got {10**14}"),
+        # the elements are counted before any is parsed, duplicates among them
+        (["basis", "stats", "--set", ",".join(map(str, range(2001)))],
+         "--set must have at most 2000 elements, got 2001"),
+        (["basis", "stats", "--set", ",".join(["0"] * 2001)],
+         "--set must have at most 2000 elements, got 2001"),
     ],
 )
 def test_size_error_names_the_flag(capsys, argv, message):

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from mpmath import mp
 
 from additive_bases import fourier2d
+from additive_bases.certify import alpha2_exact
 from additive_bases.cli import SCALE
 from additive_bases.fourier2d import (
     _AXIS,
@@ -28,7 +29,6 @@ from additive_bases.fourier2d import (
     _shell_sums,
     _shell_tables,
     _shell_terms,
-    alpha2_exact,
     c_axial,
     c_main,
     coeff,
@@ -130,20 +130,27 @@ class _RuleChosen(Exception):
     pass
 
 
-@pytest.mark.parametrize("rmax", [30, 31, 32, 100, 10**6])
-def test_quadrature_oracle_keeps_1024_nodes_from_rmax_31(rmax, monkeypatch):
-    # From rmax 31 on, the oracle uses the fixed 128-panel, 1024-node rule;
-    # the spy stops the call once the rule is chosen.
-    nodes = []
+@pytest.mark.parametrize("rmax", [-1, 0, 30, 31, 32, 10**6])
+def test_quadrature_oracle_owns_its_radius_range(rmax, monkeypatch):
+    # Radii 0..MAX_RMAX = 31 take 8 nodes on each of 4 (rmax + 1) panels,
+    # 1024 at 31; any other radius is refused before a rule is built.  The
+    # spy stops the call once the rule is chosen, and the rule is built
+    # after, so a radius let through by mistake costs no memory.
+    chosen = []
 
     def spy(panels):
-        nodes.append(len(_gauss_panels(panels)[0]))
+        chosen.append(panels)
         raise _RuleChosen
 
     monkeypatch.setattr(fourier2d, "_gauss_panels", spy)
-    with pytest.raises(_RuleChosen):
-        coeff_quadrature(rmax)
-    assert nodes == [992 if rmax == 30 else 1024]
+    if 0 <= rmax <= 31:
+        with pytest.raises(_RuleChosen):
+            coeff_quadrature(rmax)
+        assert [len(_gauss_panels(p)[0]) for p in chosen] == [32 * (rmax + 1)]
+    else:
+        with pytest.raises(ValueError, match=f"rmax must be between 0 and 31, got {rmax}"):
+            coeff_quadrature(rmax)
+        assert chosen == []
 
 
 def test_integer_arguments_fail_loud():

@@ -366,3 +366,33 @@ def test_directed_rounding_lives_in_one_helper():
                       if isinstance(n, ast.Constant) and type(n.value) is float
                       and 0 < abs(n.value) < 1e-3 and id(n) not in published]
     assert found == []
+
+
+def test_alpha2_lives_in_certify_which_imports_nothing_from_fourier2d():
+    # fourier2d imports directed_root from certify, so the imports run one
+    # way: certify reads fourier2d for type checking alone.  The exact
+    # alpha2 is defined once, beside the chain it enters, and fourier2d
+    # binds neither name, not even by an import.
+    names = {"alpha2_exact", "alpha2_bound"}
+    found = []
+    for path in sorted((SRC / "additive_bases").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                bound = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name == "fourier2d.py":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                bound = []
+            found += [f"{path.name}: {name}" for name in bound if name in names]
+    assert sorted(found) == ["certify.py: alpha2_bound", "certify.py: alpha2_exact"]
+
+    tree = ast.parse((SRC / "additive_bases" / "certify.py").read_text())
+    typing_only = {id(n) for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "TYPE_CHECKING" for n in ast.walk(node)}
+    runtime = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in typing_only
+               and any("fourier2d" in name for name in (getattr(node, "module", None) or "",
+                                                          *(a.name for a in node.names)))]
+    assert runtime == []
