@@ -77,10 +77,13 @@ SCALE = 500
 # `construct rohrbach --k` stops where n2 of the basis takes about a
 # second; that grows about as k^3.  `basis stats --set` takes at most as
 # many elements as Rohrbach's k = 2000 basis has, where a run takes about
-# 0.6 s and 190 MB; its pair sums grow as k^2 / 2.  `verify formulas
-# --rmax` stops at the oracle's own limit, fourier2d.MAX_RMAX.
+# 0.6 s and 190 MB; its pair sums grow as k^2 / 2.  `dump phi --grid`
+# stops at 1024, where the run takes about 2 s and writes 37 MB; both
+# grow as grid^2.  `verify formulas --rmax` stops at the oracle's own
+# limit, fourier2d.MAX_RMAX.
 MAX_ROHRBACH_K = 4000
 MAX_SET_SIZE = 2000
+MAX_GRID = 1024
 
 
 def _require(flag: str, value: int, lo: int, hi: int) -> None:
@@ -255,7 +258,7 @@ def _cmd_basis_stats(args) -> int:
 
 
 def _cmd_dump_phi(args) -> int:
-    _require("--grid", args.grid, 2, 2**16)  # the rows stream to disk, so bound them
+    _require("--grid", args.grid, 2, MAX_GRID)
     from . import fourier2d
 
     fourier2d.phi_grid_csv(args.out, args.grid)

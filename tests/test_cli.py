@@ -1,8 +1,8 @@
 import importlib
 import json
 import re
+import runpy
 import shlex
-import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -196,7 +196,7 @@ def test_removed_flags_are_usage_errors(argv):
         (["construct", "rohrbach", "--k", "-4"], "--k must be between 4 and 4000, got -4"),
         (["construct", "rohrbach", "--k", "3"], "--k must be between 4 and 4000, got 3"),
         (["dump", "phi", "--grid", "1", "--out", "unused.csv"],
-         "--grid must be between 2 and 65536, got 1"),
+         "--grid must be between 2 and 1024, got 1"),
         (["basis", "stats", "--set", "0,1.5"], "--set: '1.5' is not an integer"),
         (["basis", "stats", "--set", "0,-1"], "--set: negative element -1"),
         (["basis", "stats", "--set", "0,3,1,3"], "--set: duplicate element 3"),
@@ -207,8 +207,8 @@ def test_removed_flags_are_usage_errors(argv):
         (["basis", "stats", "--set", "0,1_000"], "--set: '1_000' is not an integer"),
         (["basis", "stats", "--set", "0,\u0661"], "--set: '\u0661' is not an integer"),
         # the CSV streams to disk, so the grid is bounded before a byte is written
-        (["dump", "phi", "--grid", str(2**16 + 1), "--out", "unused.csv"],
-         "--grid must be between 2 and 65536, got 65537"),
+        (["dump", "phi", "--grid", "1025", "--out", "unused.csv"],
+         "--grid must be between 2 and 1024, got 1025"),
         (["construct", "rohrbach", "--k", "4001"], "--k must be between 4 and 4000, got 4001"),
         (["construct", "rohrbach", "--k", str(10**20)],
          f"--k must be between 4 and 4000, got {10**20}"),
@@ -347,11 +347,9 @@ def test_unknown_subcommand_exits_nonzero():
     assert exc.value.code != 0
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "additive_bases", "search", "--k", "2"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["n_best"] == 3
+def test_module_entry_point(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["additive_bases", "search", "--k", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("additive_bases", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["n_best"] == 3

@@ -165,6 +165,8 @@ def test_integer_arguments_fail_loud():
     assert coeff(five, np.int64(-2)) == coeff(5, -2)
     for f in (c_axial, c_main, tail_constants):
         assert f(five) == f(5)
+        with pytest.raises(ValueError, match="^N must be positive$"):
+            f(0)
     assert type(c_axial(five).N) is type(c_main(five).N) is int
 
 
@@ -440,9 +442,9 @@ def test_full_scale_bits_are_pinned(full_scale_intervals):
 
 
 def test_interval_validation():
-    def interval(lo, hi, tail_lo=0.0, tail_hi=0.0):
+    def interval(lo, hi, tail_lo=0.0, tail_hi=0.0, N=1):
         return ConstantInterval(lo=lo, hi=hi, tail_lo=tail_lo, tail_hi=tail_hi,
-                                rounding_slack=0.0, N=1)
+                                rounding_slack=0.0, N=N)
 
     with pytest.raises(ValueError, match="empty interval"):
         interval(2.0, 1.0)
@@ -451,6 +453,8 @@ def test_interval_validation():
     for tail in ((-0.1, 0.1), (0.2, 0.1)):
         with pytest.raises(ValueError, match="tail_lo <= tail_hi"):
             interval(1.0, 2.0, *tail)
+    with pytest.raises(ValueError, match="^negative truncation radius$"):
+        interval(1.0, 2.0, N=-1)
 
 
 def test_interval_replace_validates():
@@ -564,3 +568,6 @@ def test_phi_grid_csv(tmp_path):
     assert [tuple(map(float, line.split(","))) for line in lines[1:]] == [
         (i / 16, j / 16, 1.0 if i + j < 16 else 1.0 + phi_excess(i / 16, j / 16))
         for i in range(16) for j in range(16)]
+    with pytest.raises(ValueError, match="^grid too small$"):
+        phi_grid_csv(tmp_path / "small.csv", 1)
+    assert not (tmp_path / "small.csv").exists()

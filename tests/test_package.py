@@ -2,19 +2,25 @@ import ast
 import copy
 import os
 import pickle
+import runpy
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import pytest
+from conftest import block_imports
 
+from additive_bases import cli
+from additive_bases.cli import main
 from additive_bases.constructions import rohrbach_basis
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-SUBMODULES = sorted(p.stem for p in (SRC / "additive_bases").glob("*.py")
-                    if not p.stem.startswith("__"))
+# The syntax tree of each source file of the package, keyed by file name.
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted((SRC / "additive_bases").glob("*.py"))}
+SUBMODULES = sorted(name[:-3] for name in TREES if not name.startswith("__"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # The functions of fourier2d that derive the truncation tails.
 TAIL_DERIVATION = ("tail_constants", "_axis_constants", "_lead_rest", "_g_rest",
@@ -30,26 +36,25 @@ def _child_env():
 
 def test_no_assert_statements_in_the_package():
     # python -O strips assert statements, so no self-check may rely on one.
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+    found = [f"{name}:{node.lineno}" for name, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
 
 
 @pytest.fixture(scope="module")
 def light_imports():
     """The top-level packages that one fresh interpreter holds after
-    importing cli, then after also importing fourier2d and certify; this
-    one has loaded them all for the tests."""
+    importing cli, then after also importing every module of the package.
+    The tests below run each command in-process with numpy blocked, which
+    catches an import inside a function; this child catches one at the top
+    of a module that a command loads only when it runs."""
     show = "print(sorted({m.split('.')[0] for m in sys.modules}))"
     code = (f"import sys, additive_bases.cli; {show}; "
-            f"import additive_bases.fourier2d, additive_bases.certify; {show}")
+            f"import {', '.join(f'additive_bases.{name}' for name in SUBMODULES)}; {show}")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return dict(zip(("cli", "certificate"), map(ast.literal_eval, proc.stdout.splitlines())))
+    return dict(zip(("cli", "package"), map(ast.literal_eval, proc.stdout.splitlines())))
 
 
 def test_cli_import_loads_no_scipy(light_imports):
@@ -60,98 +65,77 @@ def test_cli_import_loads_no_scipy(light_imports):
 
 def test_certificate_modules_load_no_proof_tools(light_imports):
     # The sympy proofs and the mpmath checks stay in the tests, and the
-    # certificate runs on the standard library: the modules that compute
-    # it import none of them, nor scipy or numpy.
-    assert {"numpy", "scipy", "sympy", "mpmath"}.intersection(light_imports["certificate"]) == set()
+    # certificate runs on the standard library: no module of the package,
+    # those that compute it among them, imports any of them at the top,
+    # nor scipy or numpy.
+    assert {"numpy", "scipy", "sympy", "mpmath"}.intersection(light_imports["package"]) == set()
 
 
 def test_cli_import_loads_no_dataclasses(light_imports):
     # The records are NamedTuples or slotted classes: dataclasses would
     # load inspect, ast, dis and tokenize into every command's start-up.
-    assert {"dataclasses", "inspect"}.intersection(light_imports["cli"]) == set()
-
-
-# Rohrbach's k = 400 basis at its covering radius 40001 is above
-# sumsets.DIRECT_TERMS, so `basis stats` on it takes numpy's FFT.
-LARGE_SPECTRUM = ("basis", "stats", "--set", ",".join(map(str, rohrbach_basis(400))))
+    # The second line holds the first, and the modules commands load lazily.
+    assert {"dataclasses", "inspect"}.intersection(light_imports["package"]) == set()
 
 
 @pytest.mark.parametrize("preset", [None, "3"])
-def test_cli_runs_numpy_with_one_blas_thread_unless_told_otherwise(preset):
-    # main sets OPENBLAS_NUM_THREADS before the one command that imports
-    # numpy does, and a value already in the environment wins.
-    env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+def test_cli_runs_numpy_with_one_blas_thread_unless_told_otherwise(preset, monkeypatch):
+    # main sets OPENBLAS_NUM_THREADS before the command runs, so before
+    # the one command that imports numpy does, and a value already in the
+    # environment wins.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    code = ("import os, sys; from additive_bases.cli import main; code = main(sys.argv[1:]); "
-            "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules); sys.exit(code)")
-    proc = subprocess.run([sys.executable, "-c", code, *LARGE_SPECTRUM],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{preset or 1} True"
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    seen = []
+
+    def spy(args):
+        seen.append(os.environ["OPENBLAS_NUM_THREADS"])
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_basis_stats", spy)
+    assert main(["basis", "stats", "--set", "0"]) == 0
+    assert seen == [preset or "1"]
 
 
-# Runs cli.main(argv) in an interpreter where importing any of the
-# comma-separated modules fails.
-WITHOUT = ("import sys; sys.modules.update(dict.fromkeys(sys.argv[1].split(','))); "
-           "from additive_bases.cli import main; sys.exit(main(sys.argv[2:]))")
+def _outputs(argv, capsys, monkeypatch, where):
+    """Run argv in-process from where, a new empty directory: its exit
+    status, stdout, and the bytes of each file it wrote there."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    code = main(list(argv))
+    return code, capsys.readouterr().out, {p.name: p.read_bytes() for p in where.iterdir()}
 
 
-def _run_without(modules, argv):
-    return subprocess.run([sys.executable, "-c", WITHOUT, modules, *argv], env=_child_env(),
-                          capture_output=True, text=True)
-
-
-def _take_files() -> dict:
-    """The bytes of each file in the working directory, which is then emptied."""
-    files = {path.name: path.read_bytes() for path in Path().iterdir()}
-    for name in files:
-        Path(name).unlink()
-    return files
-
-
-def _same_output_without(modules, argv, capsys, run=None):
-    """Run argv in-process, then in a child where none of `modules` can be
-    imported, both from an empty working directory, and check that both
-    exit 0 with the same stdout and write the same files there.  `run`, the
-    exit status and stdout of the command run in-process already, elsewhere,
-    stands in for the in-process run, so the child must write no file."""
-    from additive_bases.cli import main
-
-    code, out = run or (main(list(argv)), capsys.readouterr().out)
-    assert code == 0
-    expected = out, _take_files()
-    proc = _run_without(modules, argv)
-    assert proc.returncode == 0, proc.stderr
-    assert (proc.stdout, _take_files()) == expected
-
-
+# The certificate commands run with both modules blocked in conftest's
+# certificate_runs, whose readers check their exit status and output.
 @pytest.mark.parametrize("argv", [
     ("search", "--k", "5"), ("construct", "rohrbach", "--k", "10"), ("bound", "moser"),
     # Small spectra are summed without numpy (sumsets.DIRECT_TERMS).
     pytest.param(("basis", "stats", "--set", "0,1,3"), id="basis-stats"),
-    # The certificate runs on the standard library.
-    pytest.param(("bound", "two-var"), id="two-var-corner"),
-    pytest.param(("bound", "two-var", "--route", "lemma"), id="two-var-lemma"),
-    pytest.param(("verify", "constants"), id="verify-constants"),
-    # So do the test function, a point at a time, and the quadrature oracle.
+    # So are the test function, a point at a time, and the quadrature oracle.
     pytest.param(("dump", "phi", "--grid", "8", "--out", "phi.csv"), id="dump-phi"),
     pytest.param(("verify", "formulas", "--rmax", "2"), id="verify-formulas"),
 ], ids=lambda argv: argv[0])
-def test_numpy_free_commands_run_without_numpy(argv, capsys, tmp_path, monkeypatch,
-                                              certificate_runs):
-    # dataclasses is blocked too: no command loads it (see the import tests).
-    monkeypatch.chdir(tmp_path)
-    _same_output_without("numpy,dataclasses", argv, capsys, certificate_runs.get(argv))
+def test_numpy_free_commands_run_without_numpy(argv, capsys, tmp_path, monkeypatch):
+    # The command exits 0, then with numpy and dataclasses blocked exits
+    # the same, with the same stdout and files.
+    expected = _outputs(argv, capsys, monkeypatch, tmp_path / "full")
+    assert expected[0] == 0
+    block_imports(monkeypatch)
+    assert _outputs(argv, capsys, monkeypatch, tmp_path / "plain") == expected
 
 
-@pytest.mark.parametrize("argv", [pytest.param(LARGE_SPECTRUM, id="basis-stats-k400")])
-def test_array_commands_fail_without_numpy(argv):
+# Rohrbach's k = 400 basis at its covering radius 40001 is above
+# sumsets.DIRECT_TERMS, so `basis stats` on it takes numpy's FFT.
+@pytest.mark.parametrize("argv", [pytest.param(
+    ("basis", "stats", "--set", ",".join(map(str, rohrbach_basis(400)))), id="basis-stats-k400")])
+def test_array_commands_fail_without_numpy(argv, capsys, monkeypatch):
     # The control: blocking numpy does stop the command that needs it, with
     # one error line that names the extra to install, and no traceback.
-    proc = _run_without("numpy", argv)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == "error: this command needs numpy: pip install 'additive-bases[arrays]'\n"
+    block_imports(monkeypatch)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == (
+        "", "error: this command needs numpy: pip install 'additive-bases[arrays]'\n")
 
 
 def _record_fields():
@@ -225,19 +209,19 @@ def test_submodule_import_binds_the_module(name):
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
-    # Demo 06 writes phi_surface.csv into its working directory.
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=_child_env(),
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+def test_demo_runs(demo, tmp_path, monkeypatch):
+    # Every demo runs on a plain install.  Demo 06 writes phi_surface.csv
+    # into its working directory.
+    monkeypatch.chdir(tmp_path)
+    block_imports(monkeypatch)
+    runpy.run_path(str(demo), run_name="__main__")
 
 
 def test_quadrature_oracle_reads_no_closed_form():
     # The oracle checks the closed forms, so it must integrate phi's own
     # excess over the upper triangle.
-    tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
     reads = {}
-    for node in tree.body:
+    for node in TREES["fourier2d.py"].body:
         if isinstance(node, ast.FunctionDef) and node.name in ("coeff_quadrature", "_gauss_panels"):
             reads[node.name] = {n.id for n in ast.walk(node)
                                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
@@ -251,17 +235,15 @@ def test_quadrature_oracle_reads_no_closed_form():
 
 
 def _fourier2d_functions(names):
-    tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
-    return {node.name: node for node in tree.body
+    return {node.name: node for node in TREES["fourier2d.py"].body
             if isinstance(node, ast.FunctionDef) and node.name in names}
 
 
 def _fourier2d_assignments():
     """Each module-level assignment of fourier2d, keyed by its target names."""
-    tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
     return {tuple(t.id for target in node.targets for t in ast.walk(target)
                   if isinstance(t, ast.Name)): node.value
-            for node in tree.body if isinstance(node, ast.Assign)}
+            for node in TREES["fourier2d.py"].body if isinstance(node, ast.Assign)}
 
 
 def _table_entries(node):
@@ -313,11 +295,9 @@ def test_tail_derivation_reads_the_tables_not_the_evaluators():
     reads = set()
     for node in _fourier2d_functions(TAIL_DERIVATION).values():
         reads |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-    tree = ast.parse((SRC / "additive_bases" / "fourier2d.py").read_text())
-    module_names = {t.id for node in tree.body if isinstance(node, ast.Assign)
-                    for target in node.targets for t in ast.walk(target)
-                    if isinstance(t, ast.Name)}
-    module_names |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    module_names = {name for names in _fourier2d_assignments() for name in names}
+    module_names |= {node.name for node in TREES["fourier2d.py"].body
+                     if isinstance(node, ast.FunctionDef)}
     assert reads & module_names == {"_AXIS", "_DIAG", "_EDGE", "_G", "_PI_LO", "_PI_HI",
                                     "_NEAR_AXIS", *TAIL_DERIVATION} - {"tail_constants"}
 
@@ -332,8 +312,7 @@ def test_cli_writes_no_reference_literal():
         if name.startswith("REF_"):
             value = getattr(certify, name)
             refs.update(value if isinstance(value, tuple) else (value,))
-    tree = ast.parse((SRC / "additive_bases" / "cli.py").read_text())
-    found = [f"cli.py:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+    found = [f"cli.py:{node.lineno}: {node.value!r}" for node in ast.walk(TREES["cli.py"])
              if isinstance(node, ast.Constant) and type(node.value) in (int, float)
              and node.value in refs]
     assert found == []
@@ -347,8 +326,7 @@ def test_directed_rounding_lives_in_one_helper():
     # tolerances widen a published interval instead, and
     # test_cli_writes_no_reference_literal keeps each written once.
     found = []
-    for path in sorted((SRC / "additive_bases").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for file, tree in TREES.items():
         helper = [node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "directed_root"]
         allowed = {id(n) for node in helper for n in ast.walk(node)}
@@ -356,13 +334,13 @@ def test_directed_rounding_lives_in_one_helper():
                      and all(isinstance(t, ast.Name) and t.id.startswith("REF_")
                              for t in node.targets)
                      for n in ast.walk(node)}
-        found += [f"{path.name}:{n.lineno}: {n.attr}" for n in ast.walk(tree)
+        found += [f"{file}:{n.lineno}: {n.attr}" for n in ast.walk(tree)
                   if isinstance(n, ast.Attribute) and n.attr in ("nextafter", "isqrt")
                   and id(n) not in allowed]
-        if path.name == "certify.py":
+        if file == "certify.py":
             assert helper, "certify.directed_root is missing"
-        if path.name in ("certify.py", "fourier1d.py"):
-            found += [f"{path.name}:{n.lineno}: {n.value!r}" for n in ast.walk(tree)
+        if file in ("certify.py", "fourier1d.py"):
+            found += [f"{file}:{n.lineno}: {n.value!r}" for n in ast.walk(tree)
                       if isinstance(n, ast.Constant) and type(n.value) is float
                       and 0 < abs(n.value) < 1e-3 and id(n) not in published]
     assert found == []
@@ -375,20 +353,20 @@ def test_alpha2_lives_in_certify_which_imports_nothing_from_fourier2d():
     # binds neither name, not even by an import.
     names = {"alpha2_exact", "alpha2_bound"}
     found = []
-    for path in sorted((SRC / "additive_bases").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for file, tree in TREES.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
                 bound = [node.name]
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 bound = [node.id]
-            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name == "fourier2d.py":
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and file == "fourier2d.py":
                 bound = [a.asname or a.name for a in node.names]
             else:
                 bound = []
-            found += [f"{path.name}: {name}" for name in bound if name in names]
+            found += [f"{file}: {name}" for name in bound if name in names]
     assert sorted(found) == ["certify.py: alpha2_bound", "certify.py: alpha2_exact"]
 
-    tree = ast.parse((SRC / "additive_bases" / "certify.py").read_text())
+    tree = TREES["certify.py"]
     typing_only = {id(n) for node in tree.body if isinstance(node, ast.If)
                    and ast.unparse(node.test) == "TYPE_CHECKING" for n in ast.walk(node)}
     runtime = [ast.unparse(node) for node in ast.walk(tree)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from additive_bases.constructions import rohrbach_basis
 from additive_bases.sumsets import (
     DIRECT_TERMS,
+    MAX_MODULUS,
     Basis,
     exp_sum_stats,
     m2,
@@ -88,6 +89,8 @@ def test_rep_profile_examples():
 def test_rep_profile_empty_rejected():
     with pytest.raises(ValueError, match="empty basis"):
         rep_profile([])
+    with pytest.raises(ValueError, match="^empty basis$"):
+        exp_sum_stats([], 5)
 
 
 def test_rep_profile_against_oracle():
@@ -158,6 +161,8 @@ def test_exp_sum_examples():
 def test_exp_sum_modulus_too_small():
     with pytest.raises(ValueError, match="modulus too small"):
         exp_sum_stats([0, 1], 1)
+    with pytest.raises(ValueError, match="^modulus too large"):
+        exp_sum_stats([0, 1], MAX_MODULUS + 1)
 
 
 def _brute_M(elems, n):
